@@ -55,7 +55,6 @@ from .ortho import (
 )
 from .late import (
     LateConfig,
-    LateNuisance,
     clip_propensity,
     estimate_h,
     estimate_log_odds,
@@ -65,7 +64,7 @@ from .late import (
     regression_score,
     robust_score,
 )
-from .plr import PlrConfig, partialled_beta, plr_crossfit
+from .plr import PlrConfig, partialled_beta, partialled_score, plr_crossfit
 from .qte import (
     QteConfig,
     ipw_quantile_score,
@@ -102,10 +101,10 @@ __all__ = [
     "build_decoupled_score", "build_sequential_score", "check_orthogonality",
     "fit_coupled_direction", "fit_decoupled_direction",
     "fit_sequential_directions",
-    "LateConfig", "LateNuisance", "clip_propensity", "estimate_h",
+    "LateConfig", "clip_propensity", "estimate_h",
     "estimate_log_odds", "kappa", "late_crossfit", "moment_score",
     "regression_score", "robust_score",
-    "PlrConfig", "partialled_beta", "plr_crossfit",
+    "PlrConfig", "partialled_beta", "partialled_score", "plr_crossfit",
     "QteConfig", "ipw_quantile_score", "orthogonal_quantile_score",
     "qte_crossfit", "solve_monotone",
     "BETA0", "DgpConfig", "DgpTruth", "MethodSummary", "SimulationReport",

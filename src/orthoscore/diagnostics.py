@@ -1,8 +1,9 @@
 """Monte Carlo orthogonality diagnostics for the shipped estimators.
 
 Each check target fixes a data generating process whose nuisance
-truths are available in closed form, builds the corresponding score
-family at those truths, and measures the finite-difference derivative
+truths are available in closed form, builds the score family the
+shipped estimator solves (through that estimator's own score function)
+at those truths, and measures the finite-difference derivative
 of the mean score along a handful of fixed perturbation directions
 (via ``check_orthogonality``).  For an orthogonal score every such
 derivative is zero in expectation, so the estimate must land within
@@ -39,6 +40,8 @@ from .core import Dataset, FunctionEstimate, derive_seed
 from .late import moment_score, robust_score
 from .learners import expit
 from .ortho import ScoreFamily, check_orthogonality
+from .plr import partialled_score
+from .qte import ipw_quantile_score, orthogonal_quantile_score
 from .sim import BETA0, DgpConfig, f0_true, gen_dataset, mu_true
 
 __all__ = [
@@ -174,12 +177,8 @@ def _plr_target():
 
     def make_orth(nus):
         m_fn, l_fn = nus["m"], nus["l"]
-
-        def evaluate(beta, data):
-            rd = data.d - m_fn(data.x)
-            return rd * (data.y - l_fn(data.x) - beta * rd)
-
-        return evaluate
+        return lambda beta, data: partialled_score(
+            beta, data.d - m_fn(data.x), data.y - l_fn(data.x))
 
     def make_ctrl(nus):
         b_fn = nus["b"]
@@ -221,23 +220,13 @@ def _qte_target():
 
     def make_orth(nus):
         f, h = nus["f"], nus["h"]
-
-        def evaluate(beta, data):
-            g = expit(f(data.x))
-            ind = (data.y <= beta).astype(float)
-            return data.d / g * (ind - tau) + (g - data.d) * h(data.x)
-
-        return evaluate
+        return lambda beta, data: orthogonal_quantile_score(
+            beta, data.y, data.d, expit(f(data.x)), h(data.x), tau)
 
     def make_ctrl(nus):
         f = nus["f"]
-
-        def evaluate(beta, data):
-            g = expit(f(data.x))
-            ind = (data.y <= beta).astype(float)
-            return data.d / g * (ind - tau)
-
-        return evaluate
+        return lambda beta, data: ipw_quantile_score(
+            beta, data.y, data.d, expit(f(data.x)), tau)
 
     orth = _family(make_orth, {"f": f_true, "h": h_true})
     ctrl = _family(make_ctrl, {"f": f_true})

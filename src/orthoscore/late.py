@@ -14,9 +14,9 @@ score variants are provided:
 * regression: kappa1 * mu1(x) - kappa0 * mu0(x) - beta, with the local
   average response functions mu_t fitted by kappa-weighted least squares.
 
-``late_crossfit`` runs the two-fold cross-fitting algorithm: nuisances
-fitted on one fold, the estimating equation solved on the other, fold
-estimates averaged.  All three scores are linear in beta with slope -1,
+``late_crossfit`` hands one fold step to ``core.crossfit``: fit the
+nuisances on the training half, solve the configured score on the
+estimation half.  All three scores are linear in beta with slope -1,
 so the solve is a fold mean.  Confidence intervals use the robust-score
 variance for the moment method too (the two estimators share one
 asymptotic variance); regression methods use their own residuals.
@@ -28,14 +28,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, EstimationResult, FunctionEstimate, derive_seed, split_folds
+from .core import (SEED_LATE_H, SEED_LATE_LARF, SEED_LATE_LOG_ODDS, Dataset,
+                   EstimationResult, FunctionEstimate, crossfit, derive_seed)
 from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
                        fit_logistic, fit_mlp, pipeline_train_config)
 
 __all__ = [
     "METHODS",
     "LateConfig",
-    "LateNuisance",
     "clip_propensity",
     "kappa",
     "estimate_log_odds",
@@ -61,7 +61,6 @@ class LateConfig:
     level: float = 0.95
     arch: MlpArchitecture = field(default_factory=MlpArchitecture)
     train: TrainConfig = field(default_factory=pipeline_train_config)
-    log_odds_learner: str = "auto"  # auto | logistic | mlp
     seed: int = 0
 
     def __post_init__(self):
@@ -69,28 +68,11 @@ class LateConfig:
             raise ValueError(f"unknown method: {self.method!r}")
         if not (0.0 < self.clip_epsilon < 0.5):
             raise ValueError("clip_epsilon must lie in (0, 0.5)")
-        if self.log_odds_learner not in ("auto", "logistic", "mlp"):
-            raise ValueError("log_odds_learner must be auto, logistic, or mlp")
 
     @property
     def family(self) -> str:
         """Learner tier: nonparametric for *_np, linear otherwise."""
         return "np" if self.method.endswith("_np") else "lr"
-
-
-@dataclass(frozen=True)
-class LateNuisance:
-    """Fitted nuisances for one fold."""
-
-    f_hat: FunctionEstimate
-    clip_epsilon: float
-    h_hat: FunctionEstimate | None = None
-    mu0_hat: FunctionEstimate | None = None
-    mu1_hat: FunctionEstimate | None = None
-
-    def propensity(self, x) -> np.ndarray:
-        """Clipped instrument propensity at the given covariates."""
-        return clip_propensity(expit(self.f_hat(x)), self.clip_epsilon)
 
 
 def clip_propensity(g, eps: float) -> np.ndarray:
@@ -126,17 +108,14 @@ def estimate_log_odds(train: Dataset, config: LateConfig,
     """Fit the instrument log-odds f-hat on one fold.
 
     Uses the nonparametric net for *_np methods and the affine logistic
-    fit otherwise; ``config.log_odds_learner`` overrides the mapping.
+    fit otherwise.
     """
     if train.z is None:
         raise ValueError("instrument required")
-    learner = config.log_odds_learner
-    if learner == "auto":
-        learner = "mlp" if config.family == "np" else "logistic"
-    if learner == "logistic":
+    if config.family == "lr":
         return fit_logistic(train.x, train.z)
-    return fit_mlp(train.x, train.z, "cross_entropy_on_logits",
-                   arch=config.arch, config=_train_config(config, 10, seed_tag))
+    return fit_mlp(train.x, train.z, "cross_entropy_on_logits", arch=config.arch,
+                   config=_train_config(config, SEED_LATE_LOG_ODDS, seed_tag))
 
 
 def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
@@ -154,7 +133,7 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
         raise RuntimeError("non-finite pseudo-outcome")
     if config.family == "np":
         return fit_mlp(train.x, pseudo, "squared_error", arch=config.arch,
-                       config=_train_config(config, 20, seed_tag))
+                       config=_train_config(config, SEED_LATE_H, seed_tag))
     return fit_least_squares(train.x, pseudo)
 
 
@@ -198,7 +177,8 @@ def fit_larf(train: Dataset, f_hat: FunctionEstimate, t: int,
     w = k1 if t == 1 else k0
     if config.family == "np":
         return fit_mlp(train.x, train.y, "weighted_squared_error", weights=w,
-                       arch=config.arch, config=_train_config(config, 30 + t, seed_tag))
+                       arch=config.arch,
+                       config=_train_config(config, SEED_LATE_LARF + t, seed_tag))
     return fit_least_squares(train.x, train.y, weights=w)
 
 
@@ -225,54 +205,36 @@ def estimate_variance(score_fn, beta_hat: float, fold: Dataset) -> float:
     return float(np.mean(s * s))
 
 
-def _fit_nuisances(train: Dataset, config: LateConfig,
-                   seed_tag: int) -> LateNuisance:
-    f_hat = estimate_log_odds(train, config, seed_tag)
-    h_hat = mu0 = mu1 = None
-    if config.method in ("robust_np", "robust_lr", "moment"):
-        # The moment method needs h-hat only for its variance estimate.
-        h_hat = estimate_h(train, f_hat, config, seed_tag)
-    else:
-        mu0 = fit_larf(train, f_hat, 0, config, seed_tag)
-        mu1 = fit_larf(train, f_hat, 1, config, seed_tag)
-    return LateNuisance(f_hat=f_hat, clip_epsilon=config.clip_epsilon,
-                        h_hat=h_hat, mu0_hat=mu0, mu1_hat=mu1)
-
-
 def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
-    """Two-fold cross-fitted estimate with plug-in variance.
+    """Two-fold cross-fitted estimate with plug-in variance (see ``crossfit``).
 
-    For each fold pair, nuisances are fitted on one half and the
-    configured method's estimating equation is solved on the other;
-    the two fold estimates are averaged and the two fold variances
-    pooled by simple average.
+    A failure while fitting or solving fold k is re-raised as a
+    ``RuntimeError`` prefixed ``fold k:``.
     """
     if data.z is None:
         raise ValueError("instrument required")
     if np.all(data.z == data.z[0]):
         raise ValueError("degenerate instrument")
-    split = split_folds(data.n, derive_seed(config.seed, 0))
     eps = config.clip_epsilon
-    fold_betas, fold_vars = [], []
-    for k in (0, 1):
-        train = data.subset(split.indices(1 - k))
-        est = data.subset(split.indices(k))
+
+    def fit_fold(train, est, k):
         try:
-            nus = _fit_nuisances(train, config, seed_tag=k)
-            if config.method in ("robust_np", "robust_lr"):
-                point_fn = var_fn = lambda b, ds: robust_score(
-                    b, nus.f_hat, nus.h_hat, ds, eps)
-            elif config.method == "moment":
-                point_fn = lambda b, ds: moment_score(b, nus.f_hat, ds, eps)
-                var_fn = lambda b, ds: robust_score(b, nus.f_hat, nus.h_hat, ds, eps)
-            else:
+            f_hat = estimate_log_odds(train, config, k)
+            if config.method in ("reg_np", "reg_lr"):
+                mu0 = fit_larf(train, f_hat, 0, config, k)
+                mu1 = fit_larf(train, f_hat, 1, config, k)
                 point_fn = var_fn = lambda b, ds: regression_score(
-                    b, nus.f_hat, nus.mu0_hat, nus.mu1_hat, ds, eps)
+                    b, f_hat, mu0, mu1, ds, eps)
+            else:
+                # The moment method needs h-hat only for its variance estimate.
+                h_hat = estimate_h(train, f_hat, config, k)
+                point_fn = var_fn = lambda b, ds: robust_score(
+                    b, f_hat, h_hat, ds, eps)
+                if config.method == "moment":
+                    point_fn = lambda b, ds: moment_score(b, f_hat, ds, eps)
             beta_k = solve_beta_linear(point_fn, est)
-            fold_betas.append(beta_k)
-            fold_vars.append(estimate_variance(var_fn, beta_k, est))
+            return beta_k, estimate_variance(var_fn, beta_k, est)
         except Exception as exc:
             raise RuntimeError(f"fold {k}: {exc}") from exc
-    return EstimationResult.from_folds(fold_betas, float(np.mean(fold_vars)),
-                                       data.n, config.method, config.seed,
-                                       config.level)
+
+    return crossfit(data, config.seed, fit_fold, config.method, config.level)

@@ -157,8 +157,8 @@ def _cross_entropy(f, labels):
     return float(np.mean(np.logaddexp(0.0, f) - labels * f))
 
 
-def fit_logistic(x, labels, config: TrainConfig | None = None,
-                 max_iter: int = 100, grad_tol: float = 1e-8) -> AffineEstimate:
+def fit_logistic(x, labels, max_iter: int = 100,
+                 grad_tol: float = 1e-8) -> AffineEstimate:
     """Affine log-odds fit by damped Newton on the cross-entropy loss.
 
     Iterates until the gradient norm falls below `grad_tol` or
@@ -166,10 +166,7 @@ def fit_logistic(x, labels, config: TrainConfig | None = None,
     loss, so the recorded loss path is non-increasing.  On separable
     data the iteration simply stops at the cap with finite coefficients.
     The returned estimate carries the loss path as `newton_losses`.
-    `config` is accepted for signature parity with the other learners;
-    the Newton solver is deterministic and has no stochastic knobs.
     """
-    del config
     x, labels = _validate_design(x, labels)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0/1")

@@ -6,12 +6,15 @@ partialled-out form
 
     psi(beta; m, l) = (d - m(x)) * (beta (d - m(x)) - (y - l(x))),
 
-with m(x) = E[D | X=x] and l(x) = E[Y | X=x].  On each estimation fold
-the root is the residual-on-residual least-squares slope
+with m(x) = E[D | X=x] and l(x) = E[Y | X=x].  ``plr_crossfit`` hands
+one fold step to ``core.crossfit``: fit m and l on the training half,
+then on the estimation half the root is the residual-on-residual
+least-squares slope
 
     beta = sum r_d r_y / sum r_d^2,
 
-and the sandwich variance is mean(psi^2) / (mean r_d^2)^2.  The
+and the sandwich variance is mean(psi^2) / (mean r_d^2)^2, with psi
+evaluated by ``partialled_score``.  The
 treatment may be real-valued here; there is no instrument.
 """
 
@@ -21,11 +24,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, EstimationResult, derive_seed, split_folds
+from .core import SEED_PLR, Dataset, EstimationResult, crossfit, derive_seed
 from .learners import (MlpArchitecture, TrainConfig, fit_least_squares, fit_mlp,
                        pipeline_train_config)
 
-__all__ = ["PlrConfig", "partialled_beta", "plr_crossfit"]
+__all__ = ["PlrConfig", "partialled_beta", "partialled_score", "plr_crossfit"]
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,15 @@ def partialled_beta(resid_d, resid_y) -> float:
     return float(np.sum(resid_d * resid_y) / denom)
 
 
+def partialled_score(beta, r_d, r_y) -> np.ndarray:
+    """Per-observation partialled-out score r_d (r_y - beta r_d)."""
+    return r_d * (r_y - beta * r_d)
+
+
 def _fit_regression(x, t, config: PlrConfig, seed_tag: int):
     if config.learner == "linear":
         return fit_least_squares(x, t)
-    cfg = replace(config.train, seed=derive_seed(config.seed, 40, seed_tag))
+    cfg = replace(config.train, seed=derive_seed(config.seed, SEED_PLR, seed_tag))
     return fit_mlp(x, t, "squared_error", arch=config.arch, config=cfg)
 
 
@@ -63,18 +71,14 @@ def plr_crossfit(data: Dataset, config: PlrConfig | None = None) -> EstimationRe
     config = config or PlrConfig()
     if data.z is not None:
         raise ValueError("expected no instrument")
-    split = split_folds(data.n, derive_seed(config.seed, 0))
-    fold_betas, fold_vars = [], []
-    for k in (0, 1):
-        train = data.subset(split.indices(1 - k))
-        est = data.subset(split.indices(k))
+
+    def fit_fold(train, est, k):
         m_hat = _fit_regression(train.x, train.d, config, 2 * k)
         l_hat = _fit_regression(train.x, train.y, config, 2 * k + 1)
         r_d = est.d - m_hat(est.x)
         r_y = est.y - l_hat(est.x)
         beta_k = partialled_beta(r_d, r_y)
-        score = r_d * (beta_k * r_d - r_y)
-        fold_betas.append(beta_k)
-        fold_vars.append(float(np.mean(score * score) / np.mean(r_d * r_d) ** 2))
-    return EstimationResult.from_folds(fold_betas, float(np.mean(fold_vars)),
-                                       data.n, "plr", config.seed, config.level)
+        score = partialled_score(beta_k, r_d, r_y)
+        return beta_k, float(np.mean(score * score) / np.mean(r_d * r_d) ** 2)
+
+    return crossfit(data, config.seed, fit_fold, "plr", config.level)

@@ -11,10 +11,11 @@ adds (expit(f(x)) - d) * h(x) with the correction direction
 
     h0(x) = E[D (I(Y <= beta0) - tau) | X=x] / g0(x)^2,
 
-estimated by a pilot-then-correct pass: solve the plain IPW equation
-for a pilot quantile on the nuisance fold, regress the pseudo-outcome
-d (I(y <= pilot) - tau) / g^2 on x, then solve the orthogonal equation
-on the estimation fold by bisection (the empirical score is a
+estimated by a pilot-then-correct pass.  ``qte_crossfit`` hands one
+fold step to ``core.crossfit``: on the training half, solve the plain
+IPW equation for a pilot quantile and regress the pseudo-outcome
+d (I(y <= pilot) - tau) / g^2 on x; on the estimation half, solve the
+orthogonal equation by bisection (the empirical score is a
 nondecreasing step function of beta).  The variance divides the mean
 squared score by the squared density of Y(1) at beta-hat, estimated by
 a Gaussian kernel on the IPW-weighted treated outcomes with Silverman
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, EstimationResult, derive_seed, split_folds
+from .core import (SEED_QTE_H, SEED_QTE_LOG_ODDS, Dataset, EstimationResult,
+                   crossfit, derive_seed)
 from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
                        fit_logistic, fit_mlp, pipeline_train_config)
 from .late import clip_propensity
@@ -142,7 +144,7 @@ def _ipw_density(y, d, g, at: float) -> float:
 def _fit_h(x, pseudo, config: QteConfig, seed_tag: int):
     if config.learner == "linear":
         return fit_least_squares(x, pseudo)
-    cfg = replace(config.train, seed=derive_seed(config.seed, 50, seed_tag))
+    cfg = replace(config.train, seed=derive_seed(config.seed, SEED_QTE_H, seed_tag))
     return fit_mlp(x, pseudo, "squared_error", arch=config.arch, config=cfg)
 
 
@@ -153,16 +155,13 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
     if np.all(data.d == data.d[0]):
         raise ValueError("degenerate treatment arms")
     tau, eps = config.tau, config.clip_epsilon
-    split = split_folds(data.n, derive_seed(config.seed, 0))
-    fold_betas, fold_vars = [], []
-    for k in (0, 1):
-        train = data.subset(split.indices(1 - k))
-        est = data.subset(split.indices(k))
+
+    def fit_fold(train, est, k):
         if config.learner == "mlp":
             f_hat = fit_mlp(train.x, train.d, "cross_entropy_on_logits",
                             arch=config.arch,
-                            config=replace(config.train,
-                                           seed=derive_seed(config.seed, 51, k)))
+                            config=replace(config.train, seed=derive_seed(
+                                config.seed, SEED_QTE_LOG_ODDS, k)))
         else:
             f_hat = fit_logistic(train.x, train.d)
         g_train = clip_propensity(expit(f_hat(train.x)), eps)
@@ -185,7 +184,6 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
                                 float(np.max(est.y)), tol=config.bisection_tol)
         scores = orthogonal_quantile_score(beta_k, est.y, est.d, g_est, h_est, tau)
         density = _ipw_density(est.y, est.d, g_est, beta_k)
-        fold_betas.append(beta_k)
-        fold_vars.append(float(np.mean(scores * scores)) / density ** 2)
-    return EstimationResult.from_folds(fold_betas, float(np.mean(fold_vars)),
-                                       data.n, "qte", config.seed, config.level)
+        return beta_k, float(np.mean(scores * scores)) / density ** 2
+
+    return crossfit(data, config.seed, fit_fold, "qte", config.level)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Dataset, derive_seed
-from .late import LateConfig, late_crossfit
+from .late import METHODS, LateConfig, late_crossfit
 from .learners import expit
 
 __all__ = [
@@ -212,7 +212,7 @@ def run_replications(dgp: DgpConfig, methods, reps: int, master_seed: int,
         raise ValueError("reps must be at least 1")
     methods = tuple(methods)
     for m in methods:
-        if m not in ("robust_np", "robust_lr", "moment", "reg_np", "reg_lr"):
+        if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")
     base_config = base_config or LateConfig()
     results = [None] * reps

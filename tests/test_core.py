@@ -1,4 +1,5 @@
-"""Tests for the shared data model: datasets, folds, intervals, seeds."""
+"""Tests for the shared data model: datasets, folds, intervals, seeds,
+and the cross-fitting loop."""
 
 import math
 
@@ -17,6 +18,8 @@ from orthoscore import (
     shifted,
     split_folds,
 )
+from orthoscore import late, plr, qte
+from orthoscore.sim import DgpConfig, gen_dataset
 
 
 class TestMakeCi:
@@ -241,3 +244,25 @@ class TestDeriveSeed:
     def test_uint64_range(self):
         for s in (derive_seed(0), derive_seed(2**31, 5, 5, 5)):
             assert 0 <= s < 2**64
+
+
+class TestCrossfit:
+    @pytest.mark.parametrize("name", ["late", "plr", "qte"])
+    def test_bad_level_rejected_before_any_fit(self, name, monkeypatch):
+        calls = []
+        for module in (late, plr, qte):
+            for learner in ("fit_logistic", "fit_least_squares", "fit_mlp"):
+                if hasattr(module, learner):
+                    monkeypatch.setattr(module, learner,
+                                        lambda *a, **k: calls.append(a))
+        iv, _ = gen_dataset(DgpConfig(n=200, seed=1))
+        plain = Dataset(iv.x, iv.y, iv.d)
+        run = {
+            "late": lambda: late.late_crossfit(
+                iv, late.LateConfig(method="robust_np", level=0.0)),
+            "plr": lambda: plr.plr_crossfit(plain, plr.PlrConfig(level=1.5)),
+            "qte": lambda: qte.qte_crossfit(plain, qte.QteConfig(level=1.0)),
+        }[name]
+        with pytest.raises(ValueError, match="level must lie in"):
+            run()
+        assert calls == []
