@@ -325,6 +325,9 @@ def cmd_check(args) -> int:
     if args.n_mc <= 0:
         _err("n-mc must be positive")
         return 2
+    if args.n_mc < 2:
+        _err("n-mc must be at least 2 (the standard error needs two draws)")
+        return 2
 
     report = run_check(args.target, n_mc=args.n_mc, seed=seed)
     print(f"target={report.target} beta0={report.beta0:.6g} "

@@ -79,16 +79,21 @@ class DgpTruth:
 
 
 def gen_covariates(n: int, p: int, rng) -> np.ndarray:
-    """Standard normal entries, each redrawn until it lands in [-1, 1]."""
+    """Standard normal entries, each redrawn until it lands in [-1, 1].
+
+    Each round redraws the entries still outside, in row-major order,
+    so the draws do not depend on how the entries are tracked.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
     x = rng.standard_normal((n, p))
-    while True:
-        out = np.abs(x) > 1.0
-        count = int(np.count_nonzero(out))
-        if count == 0:
-            return x
-        x[out] = rng.standard_normal(count)
+    flat = x.reshape(-1)
+    redo = np.flatnonzero(np.abs(flat) > 1.0)
+    while redo.size:
+        draw = rng.standard_normal(redo.size)
+        flat[redo] = draw
+        redo = redo[np.abs(draw) > 1.0]
+    return x
 
 
 def f0_true(x) -> np.ndarray:
@@ -127,9 +132,7 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     mean = np.empty(n)
     always, complier, never = u == 1, u == 2, u == 3
     mean[always] = (x1 + x2 + x3 + x4 + 2.0 * d)[always]
-    mean[complier] = np.where(d[complier] == 1.0,
-                              mu_true(x[complier], 1, config.scenario),
-                              mu_true(x[complier], 0, config.scenario))
+    mean[complier] = mu_true(x[complier], d[complier], config.scenario)
     mean[never] = (0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d)[never]
     y = mean + rng.standard_normal(n)
     data = Dataset(x, y, d, z)

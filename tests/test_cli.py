@@ -310,6 +310,10 @@ class TestCheck:
         assert main(["check", "--target", "late", "--n-mc", "0"]) == 2
         assert "n-mc must be positive" in capsys.readouterr().err
 
+    def test_single_draw_exits_2(self, capsys):
+        assert main(["check", "--target", "plr", "--n-mc", "1"]) == 2
+        assert "n-mc must be at least 2" in capsys.readouterr().err
+
     def test_unknown_target_exits_2(self, capsys):
         assert main(["check", "--target", "banana"]) == 2
         capsys.readouterr()

@@ -1,0 +1,83 @@
+"""Exact-equality tests of the orthogonality checker and its truths.
+
+The reference below is the checker as it was before nuisances were
+stored per shard: it rebuilds the family with ``core.shifted`` copies
+of the perturbed nuisance and evaluates every nuisance afresh for each
+sign.  The shipped checker must return the same floats, not merely
+close ones, for every case that ``run_check`` measures.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from orthoscore import diagnostics
+from orthoscore.core import derive_seed, shifted
+from orthoscore.ortho import check_orthogonality
+from orthoscore.sim import f0_true
+
+N_MC = 20_000
+SHARD = 4096    # five shards, the last one ragged
+
+
+def _reference_check(score, sampler, beta0, direction, which_nuisance,
+                     epsilon=1e-3, n_mc=1_000_000, seed=0, shard_size=1 << 17):
+    base = score.nuisances[which_nuisance]
+    plus = score.with_nuisances(**{which_nuisance: shifted(base, epsilon, direction)})
+    minus = score.with_nuisances(**{which_nuisance: shifted(base, -epsilon, direction)})
+    total, total_sq, count = 0.0, 0.0, 0
+    shard = 0
+    while count < n_mc:
+        m = min(shard_size, n_mc - count)
+        data = sampler(m, derive_seed(seed, shard))
+        diff = (plus.evaluate(beta0, data) - minus.evaluate(beta0, data)) / (2.0 * epsilon)
+        total += float(np.sum(diff))
+        total_sq += float(np.sum(diff * diff))
+        count += m
+        shard += 1
+    mean = total / count
+    var = max(total_sq / count - mean * mean, 0.0) * count / (count - 1)
+    return mean, float(np.sqrt(var / count))
+
+
+def _cases(target):
+    """(family, sampler, beta0, direction, nuisance) per run_check case."""
+    beta0, sampler, orth, ctrl, ctrl_nuisance, ctrl_direction = \
+        diagnostics._BUILDERS[target]()
+    cases = [(orth, sampler, beta0, direction, nuisance)
+             for nuisance in orth.nuisances
+             for _, direction in diagnostics._directions()]
+    cases.append((ctrl, sampler, beta0, ctrl_direction[1], ctrl_nuisance))
+    return cases
+
+
+@pytest.mark.parametrize("target", diagnostics.TARGETS)
+def test_checker_equals_reference_loop_on_every_case(target):
+    cases = _cases(target)
+    assert len(cases) == 7
+    for k, (family, sampler, beta0, direction, nuisance) in enumerate(cases):
+        args = (family, sampler, beta0, direction, nuisance)
+        kwargs = dict(n_mc=N_MC, seed=derive_seed(3, k), shard_size=SHARD)
+        assert check_orthogonality(*args, **kwargs) == \
+            _reference_check(*args, **kwargs), (target, k)
+
+
+def test_normal_cdf_equals_elementwise_erf():
+    t = np.random.default_rng(0).normal(scale=3.0, size=(64, 3))
+    erf = np.frompyfunc(math.erf, 1, 1)
+    want = 0.5 * (1.0 + erf(t / math.sqrt(2.0)).astype(float))
+    got = diagnostics._normal_cdf(t)
+    assert got.shape == t.shape
+    assert np.array_equal(got, want)
+
+
+def test_late_truths_follow_the_matrix_they_are_given():
+    # f_true and h_true share f0_true values per matrix; alternating
+    # between two live matrices must never serve the other's values.
+    _, sampler, orth, *_ = diagnostics._BUILDERS["late"]()
+    a, b = sampler(50, 1).x, sampler(50, 2).x
+    for x in (a, b, a, b):
+        _, _, fresh, *_ = diagnostics._BUILDERS["late"]()
+        assert np.array_equal(orth.nuisances["f"](x), f0_true(x))
+        assert np.array_equal(orth.nuisances["h"](x), fresh.nuisances["h"](x))

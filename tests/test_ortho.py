@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orthoscore.core import Dataset, FunctionEstimate
+from orthoscore.core import Dataset, FunctionEstimate, derive_seed, shifted
 from orthoscore.late import LateConfig, clip_propensity, estimate_h, \
     estimate_log_odds, robust_score
 from orthoscore.learners import expit, linear_regressor
@@ -11,6 +11,7 @@ from orthoscore.ortho import (
     CoupledModel,
     DecoupledModel,
     RatioDirection,
+    ScoreFamily,
     SequentialModel,
     build_coupled_score,
     build_decoupled_score,
@@ -479,6 +480,75 @@ class TestCheckOrthogonality:
         family = self._family_at_truth()
         with pytest.raises(ValueError, match="unknown nuisance"):
             family.with_nuisances(zirconium=FunctionEstimate.constant(0.0))
+
+    def _no_draw_sampler(self, m, seed):
+        raise AssertionError("sampled before the arguments were checked")
+
+    def test_zero_shard_size_rejected_before_sampling(self):
+        family = self._family_at_truth()
+        with pytest.raises(ValueError, match="shard_size"):
+            check_orthogonality(family, self._no_draw_sampler, 1.0,
+                                FunctionEstimate.constant(1.0), "f",
+                                n_mc=100, shard_size=0)
+
+    def test_unknown_nuisance_rejected_before_sampling(self):
+        family = self._family_at_truth()
+        with pytest.raises(ValueError,
+                           match=r"unknown nuisance names: \['zzz'\]"):
+            check_orthogonality(family, self._no_draw_sampler, 1.0,
+                                FunctionEstimate.constant(1.0), "zzz",
+                                n_mc=100)
+
+    def test_each_nuisance_once_per_shard_and_score_once_per_sign(self):
+        calls = {"f": 0, "h": 0, "dir": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def batch(x):
+                calls[name] += 1
+                return fn(x)
+            return FunctionEstimate(batch, name)
+
+        def make(nus):
+            def evaluate(beta, data):
+                calls["evaluate"] += 1
+                fv = nus["f"](data.x)
+                # Second reads of the same matrix are served from the shard.
+                assert np.array_equal(nus["f"](data.x), fv)
+                return (PLR_MODEL.d_beta_m(beta, fv, data)
+                        + PLR_MODEL.d_f_m(beta, fv, data) * nus["h"](data.x))
+            return ScoreFamily(evaluate, "linear", dict(nus), make)
+
+        family = make({"f": counted("f", lambda x: np.cos(x[:, 1])),
+                       "h": counted("h", lambda x: -0.7 * x[:, 0])})
+        direction = counted("dir", lambda x: x[:, 0])
+        for which in ("f", "h"):
+            calls.update(dict.fromkeys(calls, 0))
+            check_orthogonality(family, self._plr_sampler, 1.0, direction,
+                                which, n_mc=10_000, seed=2, shard_size=4096)
+            assert calls == {"f": 3, "h": 3, "dir": 3, "evaluate": 6}, which
+
+    def test_other_matrices_evaluated_afresh(self):
+        # A score that reads its nuisances at a transformed copy of x
+        # must see the values at that copy, as with unshared copies.
+        def make(nus):
+            def evaluate(beta, data):
+                flipped = data.x[::-1].copy()
+                fv = nus["f"](flipped)[::-1] + 0.5 * nus["f"](data.x)
+                return 2.0 * data.d * (beta * data.d + fv - data.y)
+            return ScoreFamily(evaluate, "linear", dict(nus), make)
+
+        family = make({"f": FunctionEstimate(lambda x: np.cos(x[:, 1]))})
+        direction = FunctionEstimate(lambda x: x[:, 0] + x[:, 1] ** 2)
+        base = family.nuisances["f"]
+        eps = 1e-3
+        plus = family.with_nuisances(f=shifted(base, eps, direction))
+        minus = family.with_nuisances(f=shifted(base, -eps, direction))
+        data = self._plr_sampler(3000, derive_seed(4, 0))
+        diff = (plus.evaluate(1.0, data) - minus.evaluate(1.0, data)) / (2.0 * eps)
+        mean = float(np.sum(diff)) / data.n
+        got, _ = check_orthogonality(family, self._plr_sampler, 1.0, direction,
+                                     "f", epsilon=eps, n_mc=3000, seed=4)
+        assert got == mean
 
     def test_deterministic_given_seed(self):
         family = self._family_at_truth()

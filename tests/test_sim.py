@@ -97,6 +97,23 @@ class TestGenCovariates:
         with pytest.raises(ValueError, match="p must be at least 1"):
             gen_covariates(10, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n, p, seed", [
+        (1, 4, 0), (1, 5, 3), (7, 5, 1), (1000, 4, 2), (4096, 6, 9),
+    ])
+    def test_same_draws_as_whole_array_rejection(self, n, p, seed):
+        # Reference: re-check the whole matrix after every redraw.
+        rng = np.random.default_rng(seed)
+        want = rng.standard_normal((n, p))
+        while True:
+            out = np.abs(want) > 1.0
+            count = int(np.count_nonzero(out))
+            if count == 0:
+                break
+            want[out] = rng.standard_normal(count)
+        got_rng = np.random.default_rng(seed)
+        assert np.array_equal(gen_covariates(n, p, got_rng), want)
+        assert got_rng.random() == rng.random()
+
 
 class TestGenDataset:
     def test_treatment_structure_is_exact(self, big_draw):
@@ -156,6 +173,44 @@ class TestGenDataset:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
         assert np.array_equal(a.d, b.d) and np.array_equal(a.z, b.z)
         assert np.array_equal(ta.g0, tb.g0) and np.array_equal(ta.u, tb.u)
+
+    # Recorded from the package before the complier means were computed
+    # with one mu_true call; n=8 holds compliers in both arms.
+    PINNED = {
+        ("s1", 11): dict(
+            u=[3, 2, 1, 2, 1, 1, 2, 3], d=[0, 0, 1, 1, 1, 1, 1, 0],
+            z=[1, 0, 0, 1, 1, 1, 1, 1],
+            y=[0.4262960116612075, 1.5056896461257456, 4.16095798125475,
+               5.384948990471586, 0.014437442039595128, 2.298664826112935,
+               6.573332221744896, 2.326359889787152],
+            g0=[0.49221036738790097, 0.48761016318074896, 0.4787125074823516,
+                0.48707150254034665, 0.4312852926143056, 0.4168280512261953,
+                0.5129688367654553, 0.5058481609698393],
+            x_sum=-0.03846884136706086, x5_sum=-1.6279683674059067),
+        ("s2", 12): dict(
+            u=[3, 1, 3, 2, 2, 2, 2, 2], d=[0, 1, 0, 0, 0, 1, 0, 0],
+            z=[0, 1, 1, 0, 0, 1, 0, 0],
+            y=[2.3060053090546764, 2.562653822993415, -0.38247192973069555,
+               0.694070105658624, 0.8779677470014393, 4.364280341024694,
+               0.6978638334720609, 1.9071419002436711],
+            g0=[0.4137380883057272, 0.4195668016066208, 0.4782026544139886,
+                0.590561698467834, 0.4704325969504964, 0.5429218628333412,
+                0.48548745442615676, 0.47142020792954753],
+            x_sum=2.774684646568385, x5_sum=-1.3574208270331676),
+    }
+
+    @pytest.mark.parametrize("scenario, seed", sorted(PINNED))
+    def test_pinned_draws(self, scenario, seed):
+        want = self.PINNED[(scenario, seed)]
+        data, truth = gen_dataset(DgpConfig(scenario=scenario, n=8, p=5,
+                                            seed=seed))
+        assert truth.u.tolist() == want["u"]
+        assert data.d.tolist() == want["d"]
+        assert data.z.tolist() == want["z"]
+        assert data.y.tolist() == want["y"]
+        assert truth.g0.tolist() == want["g0"]
+        assert float(data.x.sum()) == want["x_sum"]
+        assert float(data.x[:, 4].sum()) == want["x5_sum"]
 
     def test_seed_changes_draw(self):
         a, _ = gen_dataset(DgpConfig(n=500, seed=1))
