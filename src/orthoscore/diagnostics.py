@@ -119,20 +119,24 @@ def _family(make_evaluate, nuisances):
 def _late_target():
     beta0 = BETA0
 
-    def sampler(m, seed):
-        data, _ = gen_dataset(DgpConfig(scenario="s1", n=m, p=4, seed=seed))
-        return data
-
     # One slot: (weak reference to the last matrix, f0_true there).  The
     # slot empties when that matrix is freed, so it holds no shard alive.
     last = []
+
+    def remember(x, value):
+        last[:] = [(weakref.ref(x, lambda _: last.clear()), value)]
+
+    def sampler(m, seed):
+        data, truth = gen_dataset(DgpConfig(scenario="s1", n=m, p=4, seed=seed))
+        remember(data.x, truth.f0)     # gen_dataset drew z from this f0
+        return data
 
     def f0_batch(x):
         """f0_true, computed once per matrix for f_true and h_true."""
         if not last or last[0][0]() is not x:
             value = f0_true(x)
             value.setflags(write=False)
-            last[:] = [(weakref.ref(x, lambda _: last.clear()), value)]
+            remember(x, value)
         return last[0][1]
 
     f_true = FunctionEstimate(f0_batch, "true log-odds")

@@ -59,6 +59,9 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be at least 1")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
+        if self.learning_rate * self.weight_decay >= 1.0:
+            raise ValueError("weight_decay times learning_rate must be below 1, "
+                             "or the decay factor 1 - lr * decay is not positive")
 
 
 @dataclass(frozen=True)
@@ -254,18 +257,23 @@ def _loss_grad_pred(pred, targets, kind, w):
     return (expit(pred) - targets) / m
 
 
-def _backward(params, acts, dpred):
-    """Gradients of the scalar loss with respect to every parameter."""
-    grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+def _backward(params, acts, dpred, grads=None):
+    """Gradients of the scalar loss with respect to every parameter.
+
+    With ``grads`` (a ``[[w, b], ...]`` list shaped like ``params``)
+    the gradients are written into those arrays and no gradient array
+    is allocated; without it fresh arrays are returned.
+    """
+    if grads is None:
+        grads = [[np.empty_like(w), np.empty_like(b)] for w, b in params]
     w_out = params[-1][0]
-    h_last = acts[-1]
-    grads[-1][0] = h_last.T @ dpred
-    grads[-1][1] = np.array([np.sum(dpred)])
+    np.matmul(acts[-1].T, dpred, out=grads[-1][0])
+    np.sum(dpred, keepdims=True, out=grads[-1][1])
     delta = np.outer(dpred, w_out)
     for layer in range(len(params) - 2, -1, -1):
         delta = delta * (acts[layer + 1] > 0.0)
-        grads[layer][0] = delta.T @ acts[layer]
-        grads[layer][1] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[layer], out=grads[layer][0])
+        np.sum(delta, axis=0, out=grads[layer][1])
         if layer > 0:
             delta = delta @ params[layer][0]
     return grads
@@ -308,6 +316,15 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
     With ``config.weight_decay`` set, every weight matrix is shrunk by
     the factor (1 - lr * decay) after each step; biases are exempt so a
     constant signal can always be represented exactly.
+
+    Parameters, gradient and both Adam moments each live in one flat
+    buffer; the per-layer ``[w, b]`` arrays are views into them, so
+    backpropagation writes the gradient in place and each Adam step is
+    a fixed handful of whole-buffer operations.  Every element sees the
+    same operations in the same order as an array-by-array update, and
+    the decay multiplies by a vector holding (1 - lr * decay) on weight
+    entries and exactly 1.0 on bias entries, so the result is the same
+    to the last bit.  The returned estimate holds read-only copies.
     """
     arch = arch or MlpArchitecture()
     config = config or TrainConfig()
@@ -321,11 +338,20 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
 
     rng = np.random.default_rng(config.seed)
     params = _init_params(p, arch, rng, config.weight_init_scale)
-    m_state = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
-    v_state = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+    theta = _flatten(params)
+    params = _unflatten(theta, params)
+    grad = np.empty_like(theta)
+    grads = _unflatten(grad, params)
+    m_state = np.zeros_like(theta)
+    v_state = np.zeros_like(theta)
+    scratch = np.empty_like(theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
     lr = config.learning_rate
-    decay = config.weight_decay
+    shrink = None
+    if config.weight_decay > 0.0:
+        shrink = np.ones_like(theta)
+        for w, _ in _unflatten(shrink, params):
+            w[...] = 1.0 - lr * config.weight_decay
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -336,20 +362,30 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
             if not np.isfinite(_loss_value(pred, targets[idx], loss, wb)):
                 raise TrainingDiverged(epoch)
             dpred = _loss_grad_pred(pred, targets[idx], loss, wb)
-            grads = _backward(params, acts, dpred)
+            _backward(params, acts, dpred, grads)
             step += 1
             corr1 = 1.0 - b1 ** step
             corr2 = 1.0 - b2 ** step
-            for layer in range(len(params)):
-                for slot in range(2):
-                    g = grads[layer][slot]
-                    m_state[layer][slot] = b1 * m_state[layer][slot] + (1 - b1) * g
-                    v_state[layer][slot] = b2 * v_state[layer][slot] + (1 - b2) * g * g
-                    m_hat = m_state[layer][slot] / corr1
-                    v_hat = v_state[layer][slot] / corr2
-                    params[layer][slot] = params[layer][slot] - lr * m_hat / (np.sqrt(v_hat) + eps)
-                    if decay > 0.0 and slot == 0:
-                        params[layer][slot] = params[layer][slot] * (1.0 - lr * decay)
+            # Per element, in this order (rounding depends on it):
+            # m = b1 m + (1 - b1) g,  v = b2 v + ((1 - b2) g) g,
+            # theta -= (lr m_hat) / (sqrt(v_hat) + eps).  Once the
+            # moments are updated, grad is free and holds the numerator.
+            m_state *= b1
+            np.multiply(grad, 1 - b1, out=scratch)
+            m_state += scratch
+            v_state *= b2
+            np.multiply(grad, 1 - b2, out=scratch)
+            scratch *= grad
+            v_state += scratch
+            np.divide(m_state, corr1, out=grad)
+            grad *= lr
+            np.divide(v_state, corr2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += eps
+            grad /= scratch
+            theta -= grad
+            if shrink is not None:
+                theta *= shrink
     pred, _ = _forward(params, x)
     if not np.isfinite(_loss_value(pred, targets, loss, w_full)):
         raise TrainingDiverged(config.epochs - 1)

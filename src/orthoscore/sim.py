@@ -76,6 +76,7 @@ class DgpTruth:
     g0: np.ndarray      # instrument propensity at each draw
     u: np.ndarray       # stratum label: 1 always, 2 complier, 3 never
     scenario: str
+    f0: np.ndarray      # instrument log-odds f0_true(x); g0 = expit(f0)
 
 
 def gen_covariates(n: int, p: int, rng) -> np.ndarray:
@@ -124,7 +125,8 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     rng = np.random.default_rng(config.seed)
     n = config.n
     x = gen_covariates(n, config.p, rng)
-    g0 = expit(f0_true(x))
+    f0 = f0_true(x)
+    g0 = expit(f0)
     z = (rng.random(n) < g0).astype(float)
     u = rng.choice(np.array([1, 2, 3]), size=n, p=STRATUM_PROBS)
     d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
@@ -136,9 +138,10 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     mean[never] = (0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d)[never]
     y = mean + rng.standard_normal(n)
     data = Dataset(x, y, d, z)
-    g0.setflags(write=False)
-    u.setflags(write=False)
-    return data, DgpTruth(beta0=BETA0, g0=g0, u=u, scenario=config.scenario)
+    for arr in (f0, g0, u):
+        arr.setflags(write=False)
+    return data, DgpTruth(beta0=BETA0, g0=g0, u=u, scenario=config.scenario,
+                          f0=f0)
 
 
 @dataclass(frozen=True)

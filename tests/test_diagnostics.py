@@ -81,3 +81,19 @@ def test_late_truths_follow_the_matrix_they_are_given():
         _, _, fresh, *_ = diagnostics._BUILDERS["late"]()
         assert np.array_equal(orth.nuisances["f"](x), f0_true(x))
         assert np.array_equal(orth.nuisances["h"](x), fresh.nuisances["h"](x))
+
+
+def test_late_sampler_hands_its_log_odds_to_the_truths(monkeypatch):
+    # gen_dataset already evaluated f0_true on each shard; the late
+    # truths reuse that array instead of evaluating it again.
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape[0])
+        return f0_true(x)
+
+    monkeypatch.setattr(diagnostics, "f0_true", counting)
+    for family, sampler, beta0, direction, nuisance in _cases("late"):
+        check_orthogonality(family, sampler, beta0, direction, nuisance,
+                            n_mc=N_MC, seed=5, shard_size=SHARD)
+    assert calls == []

@@ -1,12 +1,23 @@
 """Tests for the nuisance learners: weighted LS, logistic, MLP."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from orthoscore import late
+from orthoscore.late import LateConfig, late_crossfit
 from orthoscore.learners import (
     MlpArchitecture,
+    MlpEstimate,
     TrainConfig,
     TrainingDiverged,
+    _check_loss_args,
+    _forward,
+    _init_params,
+    _loss_grad_pred,
+    _loss_value,
+    _validate_design,
     expit,
     fit_least_squares,
     fit_logistic,
@@ -14,6 +25,7 @@ from orthoscore.learners import (
     gradient_check,
     pipeline_train_config,
 )
+from orthoscore.sim import DgpConfig, gen_dataset
 
 
 def _wls_oracle(x, y, weights=None):
@@ -227,6 +239,13 @@ class TestWeightDecay:
         with pytest.raises(ValueError, match="weight_decay"):
             TrainConfig(weight_decay=-0.5)
 
+    @pytest.mark.parametrize("lr,decay", [(0.2, 8.0), (0.125, 8.0), (1.0, 1.0)])
+    def test_decay_step_of_one_or_more_rejected(self, lr, decay):
+        # A decay factor 1 - lr * decay <= 0 zeroes or sign-flips every
+        # weight matrix on every step.
+        with pytest.raises(ValueError, match="weight_decay"):
+            TrainConfig(learning_rate=lr, weight_decay=decay)
+
     def test_decay_shrinks_weight_scale(self):
         rng = np.random.default_rng(41)
         x = rng.normal(size=(300, 2))
@@ -272,3 +291,169 @@ class TestGradientCheck:
                              "weighted_squared_error", x, y, weights=w,
                              seed=0)
         assert err <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Reference trainer: the array-by-array Adam loop that the flat-buffer
+# trainer replaced, kept verbatim (with its allocating backward pass) so
+# that the two can be compared bit for bit.
+# ---------------------------------------------------------------------------
+
+def _reference_backward(params, acts, dpred):
+    grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+    w_out = params[-1][0]
+    h_last = acts[-1]
+    grads[-1][0] = h_last.T @ dpred
+    grads[-1][1] = np.array([np.sum(dpred)])
+    delta = np.outer(dpred, w_out)
+    for layer in range(len(params) - 2, -1, -1):
+        delta = delta * (acts[layer + 1] > 0.0)
+        grads[layer][0] = delta.T @ acts[layer]
+        grads[layer][1] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ params[layer][0]
+    return grads
+
+
+def _reference_fit_mlp(x, targets, loss="squared_error", weights=None,
+                       arch=None, config=None):
+    """Returns the trained [[w, b], ...] list."""
+    arch = arch or MlpArchitecture()
+    config = config or TrainConfig()
+    x, targets = _validate_design(x, targets)
+    n, p = x.shape
+    w_full = _check_loss_args(loss, weights, n)
+    rng = np.random.default_rng(config.seed)
+    params = _init_params(p, arch, rng, config.weight_init_scale)
+    m_state = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+    v_state = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    lr = config.learning_rate
+    decay = config.weight_decay
+    step = 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            pred, acts = _forward(params, x[idx])
+            wb = None if w_full is None else w_full[idx]
+            if not np.isfinite(_loss_value(pred, targets[idx], loss, wb)):
+                raise TrainingDiverged(epoch)
+            dpred = _loss_grad_pred(pred, targets[idx], loss, wb)
+            grads = _reference_backward(params, acts, dpred)
+            step += 1
+            corr1 = 1.0 - b1 ** step
+            corr2 = 1.0 - b2 ** step
+            for layer in range(len(params)):
+                for slot in range(2):
+                    g = grads[layer][slot]
+                    m_state[layer][slot] = b1 * m_state[layer][slot] + (1 - b1) * g
+                    v_state[layer][slot] = b2 * v_state[layer][slot] + (1 - b2) * g * g
+                    m_hat = m_state[layer][slot] / corr1
+                    v_hat = v_state[layer][slot] / corr2
+                    params[layer][slot] = params[layer][slot] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                    if decay > 0.0 and slot == 0:
+                        params[layer][slot] = params[layer][slot] * (1.0 - lr * decay)
+    pred, _ = _forward(params, x)
+    if not np.isfinite(_loss_value(pred, targets, loss, w_full)):
+        raise TrainingDiverged(config.epochs - 1)
+    return params
+
+
+def _loss_problem(loss, n, p, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    if loss == "cross_entropy_on_logits":
+        targets = (rng.random(n) < expit(x[:, 0])).astype(float)
+    else:
+        targets = np.sin(x[:, 0]) + 0.3 * rng.normal(size=n)
+    weights = rng.normal(size=n) if loss == "weighted_squared_error" else None
+    return x, targets, weights
+
+
+def _assert_same_params(got, want):
+    assert len(got) == len(want)
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+
+
+class TestFlatBufferTrainer:
+    """fit_mlp against the array-by-array reference, bit for bit."""
+
+    @pytest.mark.parametrize("loss", ["squared_error", "weighted_squared_error",
+                                      "cross_entropy_on_logits"])
+    @pytest.mark.parametrize("decay", [0.0, 8.0])
+    @pytest.mark.parametrize("arch", [MlpArchitecture(),
+                                      MlpArchitecture(depth=1, width=7)],
+                             ids=["4x80", "1x7"])
+    @pytest.mark.parametrize("n", [256, 437])    # 437: a ragged last batch
+    def test_params_equal_reference(self, loss, decay, arch, n):
+        x, targets, weights = _loss_problem(loss, n, 4, seed=61)
+        cfg = TrainConfig(epochs=5, seed=7, weight_decay=decay)
+        est = fit_mlp(x, targets, loss, weights=weights, arch=arch, config=cfg)
+        want = _reference_fit_mlp(x, targets, loss, weights, arch, cfg)
+        _assert_same_params(est.params, want)
+
+    def test_divergence_epoch_equals_reference(self):
+        # The two inputs of TestMlp.test_divergence_reported_with_epoch.
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(64, 1))
+        cases = [(rng.normal(size=64) * 1e200, TrainConfig(epochs=3, seed=0)),
+                 (rng.normal(size=64),
+                  TrainConfig(learning_rate=1e80, epochs=3, seed=0))]
+        for y, cfg in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TrainingDiverged) as got:
+                    fit_mlp(x, y, config=cfg)
+                with pytest.raises(TrainingDiverged) as want:
+                    _reference_fit_mlp(x, y, config=cfg)
+            assert got.value.epoch == want.value.epoch
+
+    @pytest.mark.parametrize("method", ["robust_np", "reg_np"])
+    def test_late_crossfit_equals_reference(self, method, monkeypatch):
+        data, _ = gen_dataset(DgpConfig(scenario="s1", n=600, p=4, seed=5))
+        cfg = LateConfig(method=method, seed=9,
+                         train=replace(pipeline_train_config(), epochs=3))
+        got = late_crossfit(data, cfg)
+
+        def reference(x, targets, loss="squared_error", weights=None,
+                      arch=None, config=None):
+            return MlpEstimate(_reference_fit_mlp(x, targets, loss, weights,
+                                                  arch, config))
+
+        monkeypatch.setattr(late, "fit_mlp", reference)
+        want = late_crossfit(data, cfg)
+        fields = ("beta_hat", "sigma2_hat", "std_err", "ci_low", "ci_high")
+        assert ([float(getattr(got, f)).hex() for f in fields]
+                == [float(getattr(want, f)).hex() for f in fields])
+        assert ([b.hex() for b in got.fold_betas]
+                == [b.hex() for b in want.fold_betas])
+
+    def test_estimate_params_are_read_only_copies(self, monkeypatch):
+        # Capture the training buffers by recording the flat vector
+        # every [w, b] view of the trainer is cut from.
+        from orthoscore import learners
+        buffers = []
+        original = learners._unflatten
+
+        def recording(flat, template):
+            buffers.append(flat)
+            return original(flat, template)
+
+        monkeypatch.setattr(learners, "_unflatten", recording)
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(128, 2))
+        y = rng.normal(size=128)
+        cfg = TrainConfig(epochs=2, seed=1, weight_decay=8.0)
+        est = fit_mlp(x, y, config=cfg)
+        assert buffers
+        before = [[w.copy(), b.copy()] for w, b in est.params]
+        for w, b in est.params:
+            for arr in (w, b):
+                assert not arr.flags.writeable
+                for buf in buffers:
+                    assert not np.shares_memory(arr, buf)
+        for buf in buffers:
+            buf[...] = np.nan
+        fit_mlp(x, 2.0 * y, config=cfg)
+        _assert_same_params(est.params, before)

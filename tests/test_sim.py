@@ -166,6 +166,12 @@ class TestGenDataset:
         assert not truth.g0.flags.writeable
         assert not truth.u.flags.writeable
 
+    def test_truth_carries_the_log_odds(self, big_draw):
+        data, truth = big_draw
+        assert np.array_equal(truth.f0, f0_true(data.x))
+        assert np.array_equal(truth.g0, expit(truth.f0))
+        assert not truth.f0.flags.writeable
+
     def test_deterministic(self):
         cfg = DgpConfig(scenario="s2", n=500, p=5, seed=21)
         a, ta = gen_dataset(cfg)
