@@ -11,6 +11,8 @@ here assumes positivity of the weight vector.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,13 @@ __all__ = [
 LOSS_KINDS = ("squared_error", "weighted_squared_error", "cross_entropy_on_logits")
 
 
+def _check_counts(config, *names):
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings shared by the iterative learners.
@@ -53,12 +62,13 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
+        _check_counts(self, "epochs", "batch_size")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be nonnegative and finite")
+        if not math.isfinite(self.weight_init_scale):
+            raise ValueError("weight_init_scale must be finite")
         if self.learning_rate * self.weight_decay >= 1.0:
             raise ValueError("weight_decay times learning_rate must be below 1, "
                              "or the decay factor 1 - lr * decay is not positive")
@@ -72,8 +82,7 @@ class MlpArchitecture:
     width: int = 80
 
     def __post_init__(self):
-        if self.depth < 1 or self.width < 1:
-            raise ValueError("depth and width must be at least 1")
+        _check_counts(self, "depth", "width")
 
 
 # Net fits inside the estimator pipelines run with weight decay on.
@@ -228,55 +237,123 @@ def _init_params(p_in: int, arch: MlpArchitecture, rng,
     return params
 
 
-def _forward(params, x):
-    """Returns per-sample predictions and the activation stack."""
+def _forward(params, x, ws=None):
+    """Per-sample predictions and the activation stack ``[x, h1, ...]``.
+
+    With a workspace the activations and predictions are written into
+    its buffers; without one (prediction) they are allocated.
+    """
     acts = [x]
-    h = x
-    for w, b in params[:-1]:
-        h = np.maximum(h @ w.T + b, 0.0)
+    hidden = ws.hidden if ws is not None else [None] * (len(params) - 1)
+    for (w, b), out in zip(params[:-1], hidden):
+        h = np.matmul(acts[-1], w.T, out=out)
+        h += b
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     w_out, b_out = params[-1]
-    pred = h @ w_out + b_out[0]
+    pred = np.matmul(acts[-1], w_out, out=None if ws is None else ws.pred)
+    pred += b_out[0]
     return pred, acts
 
 
-def _loss_value(pred, targets, kind, w):
-    if kind == "squared_error":
-        return float(np.mean((pred - targets) ** 2))
-    if kind == "weighted_squared_error":
-        return float(np.mean(w * (pred - targets) ** 2))
-    return float(np.mean(np.logaddexp(0.0, pred) - targets * pred))
+def _loss_value(pred, targets, kind, w, terms=(None, None)):
+    """Mean loss over the rows.
+
+    ``terms`` are two buffers shaped like ``pred`` that hold the per-row
+    losses; they are allocated when absent.
+    """
+    per_row, spare = terms
+    if kind == "cross_entropy_on_logits":
+        per_row = np.logaddexp(0.0, pred, out=per_row)
+        per_row -= np.multiply(targets, pred, out=spare)
+    else:
+        per_row = np.subtract(pred, targets, out=per_row)
+        np.multiply(per_row, per_row, out=per_row)
+        if kind == "weighted_squared_error":
+            np.multiply(w, per_row, out=per_row)
+    # The sum and the divide that np.mean performs, without its wrapper.
+    return float(np.add.reduce(per_row)) / pred.shape[0]
 
 
-def _loss_grad_pred(pred, targets, kind, w):
-    m = pred.shape[0]
-    if kind == "squared_error":
-        return 2.0 * (pred - targets) / m
-    if kind == "weighted_squared_error":
-        return 2.0 * w * (pred - targets) / m
-    return (expit(pred) - targets) / m
+def _loss_grad_pred(pred, targets, kind, w, out=None, spare=None):
+    """Derivative of the mean loss in each prediction.
+
+    Written into ``out``; the weighted loss also uses ``spare``.  Both
+    are shaped like ``pred`` and allocated when absent.
+    """
+    if kind == "cross_entropy_on_logits":
+        grad = np.divide(pred, 2.0, out=out)    # expit(pred), in place
+        np.tanh(grad, out=grad)
+        grad += 1.0
+        grad *= 0.5
+        grad -= targets
+    else:
+        grad = np.subtract(pred, targets, out=out)
+        if kind == "weighted_squared_error":
+            grad *= np.multiply(w, 2.0, out=spare)
+        else:
+            grad *= 2.0
+    grad /= pred.shape[0]
+    return grad
 
 
-def _backward(params, acts, dpred, grads=None):
+def _backward(params, acts, dpred, grads, ws):
     """Gradients of the scalar loss with respect to every parameter.
 
-    With ``grads`` (a ``[[w, b], ...]`` list shaped like ``params``)
-    the gradients are written into those arrays and no gradient array
-    is allocated; without it fresh arrays are returned.
+    They are written into ``grads``, a ``[[w, b], ...]`` list shaped
+    like ``params``; the two deltas and the ReLU mask are buffers of the
+    workspace ``ws``, so no array is created.
     """
-    if grads is None:
-        grads = [[np.empty_like(w), np.empty_like(b)] for w, b in params]
     w_out = params[-1][0]
     np.matmul(acts[-1].T, dpred, out=grads[-1][0])
-    np.sum(dpred, keepdims=True, out=grads[-1][1])
-    delta = np.outer(dpred, w_out)
+    np.add.reduce(dpred, keepdims=True, out=grads[-1][1])
+    delta, spare = ws.delta
+    np.multiply(dpred[:, None], w_out, out=delta)    # np.outer(dpred, w_out)
     for layer in range(len(params) - 2, -1, -1):
-        delta = delta * (acts[layer + 1] > 0.0)
+        np.greater(acts[layer + 1], 0.0, out=ws.mask)
+        delta *= ws.mask
         np.matmul(delta.T, acts[layer], out=grads[layer][0])
-        np.sum(delta, axis=0, out=grads[layer][1])
+        np.add.reduce(delta, axis=0, out=grads[layer][1])
         if layer > 0:
-            delta = delta @ params[layer][0]
-    return grads
+            np.matmul(delta, params[layer][0], out=spare)
+            delta, spare = spare, delta
+
+
+class _Workspace:
+    """Buffers of one training step on a batch of ``rows`` rows: the
+    gathered batch, activations, loss terms, deltas and ReLU mask.
+
+    A fit makes one per distinct batch size (the full batch and a ragged
+    last batch) and reuses it on every step, so a step creates no arrays.
+    """
+
+    def __init__(self, rows: int, params):
+        width, p_in = params[0][0].shape
+        self.x = np.empty((rows, p_in))
+        self.targets = np.empty(rows)
+        self.weights = np.empty(rows)
+        self.hidden = [np.empty((rows, width)) for _ in params[:-1]]
+        self.pred = np.empty(rows)
+        self.dpred = np.empty(rows)
+        self.terms = (np.empty(rows), np.empty(rows))
+        self.delta = (np.empty((rows, width)), np.empty((rows, width)))
+        self.mask = np.empty((rows, width), dtype=bool)
+
+
+def _batch_gradient(params, grads, ws, x, targets, kind, w, idx):
+    """Mean loss over the rows ``idx``; when it is finite, its gradient
+    is written into ``grads``."""
+    # The indices are valid rows; mode="raise" would gather through a
+    # temporary copy before writing to ``out``.
+    xb = np.take(x, idx, axis=0, out=ws.x, mode="clip")
+    tb = np.take(targets, idx, out=ws.targets, mode="clip")
+    wb = None if w is None else np.take(w, idx, out=ws.weights, mode="clip")
+    pred, acts = _forward(params, xb, ws)
+    loss = _loss_value(pred, tb, kind, wb, ws.terms)
+    if math.isfinite(loss):
+        dpred = _loss_grad_pred(pred, tb, kind, wb, ws.dpred, ws.terms[0])
+        _backward(params, acts, dpred, grads, ws)
+    return loss
 
 
 class MlpEstimate(FunctionEstimate):
@@ -320,11 +397,13 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
     Parameters, gradient and both Adam moments each live in one flat
     buffer; the per-layer ``[w, b]`` arrays are views into them, so
     backpropagation writes the gradient in place and each Adam step is
-    a fixed handful of whole-buffer operations.  Every element sees the
-    same operations in the same order as an array-by-array update, and
-    the decay multiplies by a vector holding (1 - lr * decay) on weight
-    entries and exactly 1.0 on bias entries, so the result is the same
-    to the last bit.  The returned estimate holds read-only copies.
+    a fixed handful of whole-buffer operations.  The batch, activations,
+    deltas and loss terms live in a workspace per batch size, so a step
+    allocates no arrays.  Every element sees the same operations in the
+    same order as an array-by-array update (the decay multiplies the
+    weight views by the scalar (1 - lr * decay); dividing by a bias
+    correction of exactly 1.0 is skipped), so the result is the same to
+    the last bit.  The returned estimate holds read-only copies.
     """
     arch = arch or MlpArchitecture()
     config = config or TrainConfig()
@@ -345,24 +424,23 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
     scratch = np.empty_like(theta)
+    full = _Workspace(config.batch_size, params)
+    ragged = n % config.batch_size
+    last = _Workspace(ragged, params) if ragged else full
     b1, b2, eps = 0.9, 0.999, 1e-8
     lr = config.learning_rate
-    shrink = None
-    if config.weight_decay > 0.0:
-        shrink = np.ones_like(theta)
-        for w, _ in _unflatten(shrink, params):
-            w[...] = 1.0 - lr * config.weight_decay
+    decayed = [w for w, _ in params] if config.weight_decay > 0.0 else []
+    shrink = 1.0 - lr * config.weight_decay
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            pred, acts = _forward(params, x[idx])
-            wb = None if w_full is None else w_full[idx]
-            if not np.isfinite(_loss_value(pred, targets[idx], loss, wb)):
+            ws = full if idx.shape[0] == config.batch_size else last
+            loss_value = _batch_gradient(params, grads, ws, x, targets,
+                                         loss, w_full, idx)
+            if not math.isfinite(loss_value):
                 raise TrainingDiverged(epoch)
-            dpred = _loss_grad_pred(pred, targets[idx], loss, wb)
-            _backward(params, acts, dpred, grads)
             step += 1
             corr1 = 1.0 - b1 ** step
             corr2 = 1.0 - b2 ** step
@@ -377,17 +455,21 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
             np.multiply(grad, 1 - b2, out=scratch)
             scratch *= grad
             v_state += scratch
-            np.divide(m_state, corr1, out=grad)
-            grad *= lr
+            # m / 1.0 is m exactly; corr1 rounds to 1.0 from step 356.
+            if corr1 == 1.0:
+                np.multiply(m_state, lr, out=grad)
+            else:
+                np.divide(m_state, corr1, out=grad)
+                grad *= lr
             np.divide(v_state, corr2, out=scratch)
             np.sqrt(scratch, out=scratch)
             scratch += eps
             grad /= scratch
             theta -= grad
-            if shrink is not None:
-                theta *= shrink
+            for w in decayed:
+                w *= shrink
     pred, _ = _forward(params, x)
-    if not np.isfinite(_loss_value(pred, targets, loss, w_full)):
+    if not math.isfinite(_loss_value(pred, targets, loss, w_full)):
         raise TrainingDiverged(config.epochs - 1)
     return MlpEstimate(params)
 
@@ -419,10 +501,11 @@ def gradient_check(arch: MlpArchitecture, loss: str, x, targets,
     w = _check_loss_args(loss, weights, x.shape[0])
     rng = np.random.default_rng(seed)
     params = _init_params(x.shape[1], arch, rng)
-    pred, acts = _forward(params, x)
-    dpred = _loss_grad_pred(pred, targets, loss, w)
-    analytic = _flatten(_backward(params, acts, dpred))
     flat = _flatten(params)
+    analytic = np.full_like(flat, np.nan)
+    _batch_gradient(params, _unflatten(analytic, params),
+                    _Workspace(x.shape[0], params), x, targets, loss, w,
+                    np.arange(x.shape[0]))
     fd = np.empty_like(flat)
     for i in range(flat.size):
         bump = np.zeros_like(flat)

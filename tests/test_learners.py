@@ -13,10 +13,7 @@ from orthoscore.learners import (
     TrainConfig,
     TrainingDiverged,
     _check_loss_args,
-    _forward,
     _init_params,
-    _loss_grad_pred,
-    _loss_value,
     _validate_design,
     expit,
     fit_least_squares,
@@ -265,6 +262,30 @@ class TestWeightDecay:
         assert pipeline_train_config().weight_decay > 0.0
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("weight_decay", float("nan")),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("weight_init_scale", float("nan")),
+        ("weight_init_scale", float("inf")),
+        ("epochs", 2.5),
+        ("batch_size", 2.5),
+    ])
+    def test_non_finite_or_fractional_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["depth", "width"])
+    def test_fractional_architecture_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            MlpArchitecture(**{field: 2.5})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert TrainConfig(epochs=np.int64(3)).epochs == 3
+        assert MlpArchitecture(depth=np.int64(2)).depth == 2
+
+
 class TestGradientCheck:
     def test_squared_error_probe(self):
         rng = np.random.default_rng(51)
@@ -295,9 +316,38 @@ class TestGradientCheck:
 
 # ---------------------------------------------------------------------------
 # Reference trainer: the array-by-array Adam loop that the flat-buffer
-# trainer replaced, kept verbatim (with its allocating backward pass) so
-# that the two can be compared bit for bit.
+# trainer replaced, kept verbatim (with its allocating forward, loss and
+# backward passes) so that the two can be compared bit for bit.
 # ---------------------------------------------------------------------------
+
+def _forward(params, x):
+    """Returns per-sample predictions and the activation stack."""
+    acts = [x]
+    h = x
+    for w, b in params[:-1]:
+        h = np.maximum(h @ w.T + b, 0.0)
+        acts.append(h)
+    w_out, b_out = params[-1]
+    pred = h @ w_out + b_out[0]
+    return pred, acts
+
+
+def _loss_value(pred, targets, kind, w):
+    if kind == "squared_error":
+        return float(np.mean((pred - targets) ** 2))
+    if kind == "weighted_squared_error":
+        return float(np.mean(w * (pred - targets) ** 2))
+    return float(np.mean(np.logaddexp(0.0, pred) - targets * pred))
+
+
+def _loss_grad_pred(pred, targets, kind, w):
+    m = pred.shape[0]
+    if kind == "squared_error":
+        return 2.0 * (pred - targets) / m
+    if kind == "weighted_squared_error":
+        return 2.0 * w * (pred - targets) / m
+    return (expit(pred) - targets) / m
+
 
 def _reference_backward(params, acts, dpred):
     grads = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
@@ -393,6 +443,44 @@ class TestFlatBufferTrainer:
         est = fit_mlp(x, targets, loss, weights=weights, arch=arch, config=cfg)
         want = _reference_fit_mlp(x, targets, loss, weights, arch, cfg)
         _assert_same_params(est.params, want)
+        assert np.array_equal(est(x), _forward(want, x)[0])
+
+    @pytest.mark.parametrize("loss", ["squared_error", "weighted_squared_error",
+                                      "cross_entropy_on_logits"])
+    @pytest.mark.parametrize("decay", [0.0, 8.0])
+    def test_params_equal_reference_past_bias_correction(self, loss, decay):
+        # 250 epochs of two batches: 500 steps, past step 356, from which
+        # 1 - 0.9**step is exactly 1.0 and the trainer skips that divide.
+        x, targets, weights = _loss_problem(loss, 128, 3, seed=64)
+        arch = MlpArchitecture(depth=1, width=7)
+        cfg = TrainConfig(epochs=250, seed=8, weight_decay=decay)
+        est = fit_mlp(x, targets, loss, weights=weights, arch=arch, config=cfg)
+        want = _reference_fit_mlp(x, targets, loss, weights, arch, cfg)
+        _assert_same_params(est.params, want)
+
+    def test_full_batch_equals_reference(self):
+        # batch_size == n: one batch per epoch and no ragged last batch.
+        x, targets, _ = _loss_problem("squared_error", 100, 3, seed=65)
+        arch = MlpArchitecture(depth=2, width=9)
+        cfg = TrainConfig(epochs=20, batch_size=100, seed=2, weight_decay=8.0)
+        est = fit_mlp(x, targets, arch=arch, config=cfg)
+        _assert_same_params(est.params,
+                            _reference_fit_mlp(x, targets, arch=arch, config=cfg))
+
+    def test_interleaved_fits_are_independent(self):
+        # A, B, A with different batch shapes: nothing of one fit's
+        # buffers may leak into the next.
+        xa, ya, _ = _loss_problem("squared_error", 200, 3, seed=66)
+        xb, yb, _ = _loss_problem("cross_entropy_on_logits", 150, 5, seed=67)
+        cfg_a = TrainConfig(epochs=4, seed=3, weight_decay=8.0)
+        cfg_b = TrainConfig(epochs=4, batch_size=32, seed=4)
+        first = fit_mlp(xa, ya, config=cfg_a)
+        fit_mlp(xb, yb, "cross_entropy_on_logits",
+                arch=MlpArchitecture(depth=2, width=11), config=cfg_b)
+        second = fit_mlp(xa, ya, config=cfg_a)
+        _assert_same_params(first.params, second.params)
+        _assert_same_params(first.params,
+                            _reference_fit_mlp(xa, ya, config=cfg_a))
 
     def test_divergence_epoch_equals_reference(self):
         # The two inputs of TestMlp.test_divergence_reported_with_epoch.
@@ -431,7 +519,8 @@ class TestFlatBufferTrainer:
 
     def test_estimate_params_are_read_only_copies(self, monkeypatch):
         # Capture the training buffers by recording the flat vector
-        # every [w, b] view of the trainer is cut from.
+        # every [w, b] view of the trainer is cut from, and every array
+        # of each step workspace.
         from orthoscore import learners
         buffers = []
         original = learners._unflatten
@@ -440,7 +529,19 @@ class TestFlatBufferTrainer:
             buffers.append(flat)
             return original(flat, template)
 
+        class RecordingWorkspace(learners._Workspace):
+            def __init__(self, rows, params):
+                super().__init__(rows, params)
+                stack = list(vars(self).values())
+                while stack:
+                    item = stack.pop()
+                    if isinstance(item, np.ndarray):
+                        buffers.append(item)
+                    else:
+                        stack.extend(item)
+
         monkeypatch.setattr(learners, "_unflatten", recording)
+        monkeypatch.setattr(learners, "_Workspace", RecordingWorkspace)
         rng = np.random.default_rng(63)
         x = rng.normal(size=(128, 2))
         y = rng.normal(size=128)
