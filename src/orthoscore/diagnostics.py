@@ -119,35 +119,38 @@ def _family(make_evaluate, nuisances):
 def _late_target():
     beta0 = BETA0
 
-    # One slot: (weak reference to the last matrix, f0_true there).  The
-    # slot empties when that matrix is freed, so it holds no shard alive.
+    # One slot: (weak reference to the last matrix, its truths there as
+    # (f0, g0, mu0)).  The slot empties when that matrix is freed, so it
+    # holds no shard alive.
     last = []
 
-    def remember(x, value):
-        last[:] = [(weakref.ref(x, lambda _: last.clear()), value)]
+    def remember(x, truths):
+        last[:] = [(weakref.ref(x, lambda _: last.clear()), truths)]
 
     def sampler(m, seed):
         data, truth = gen_dataset(DgpConfig(scenario="s1", n=m, p=4, seed=seed))
-        remember(data.x, truth.f0)     # gen_dataset drew z from this f0
+        remember(data.x, (truth.f0, truth.g0, truth.mu0))
         return data
 
-    def f0_batch(x):
-        """f0_true, computed once per matrix for f_true and h_true."""
+    def truths(x):
+        """(f0, g0, mu0) at x: the shard's record, else computed afresh."""
         if not last or last[0][0]() is not x:
-            value = f0_true(x)
-            value.setflags(write=False)
-            remember(x, value)
+            f0 = f0_true(x)
+            g0 = expit(f0)
+            mu0 = mu_true(x, 0, "s1")
+            for arr in (f0, g0, mu0):
+                arr.setflags(write=False)
+            remember(x, (f0, g0, mu0))
         return last[0][1]
 
-    f_true = FunctionEstimate(f0_batch, "true log-odds")
+    f_true = FunctionEstimate(lambda x: truths(x)[0], "true log-odds")
 
     def h_true_batch(x):
-        g = expit(f0_batch(x))
+        _, g, mu0 = truths(x)
         e_f = g / (1.0 - g)
         x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
         a = x1 + x2 + x3 + x4 + 2.0        # always-taker mean (d = 1)
         nv = 0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4   # never-taker mean (d = 0)
-        mu0 = mu_true(x, 0, "s1")
         mu1 = mu0 + 3.0                    # the arms differ by exactly 3
         e_y = 0.2 * a + 0.6 * (g * mu1 + (1.0 - g) * mu0) + 0.2 * nv
         e_yz = g * (0.2 * a + 0.6 * mu1 + 0.2 * nv)

@@ -77,6 +77,8 @@ class DgpTruth:
     u: np.ndarray       # stratum label: 1 always, 2 complier, 3 never
     scenario: str
     f0: np.ndarray      # instrument log-odds f0_true(x); g0 = expit(f0)
+    mu0: np.ndarray     # complier mean of arm 0, mu_true(x, 0, scenario);
+                        # arm 1 is mu0 + 3 at every draw
 
 
 def gen_covariates(n: int, p: int, rng) -> np.ndarray:
@@ -131,17 +133,16 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     u = rng.choice(np.array([1, 2, 3]), size=n, p=STRATUM_PROBS)
     d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
     x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    mean = np.empty(n)
-    always, complier, never = u == 1, u == 2, u == 3
-    mean[always] = (x1 + x2 + x3 + x4 + 2.0 * d)[always]
-    mean[complier] = mu_true(x[complier], d[complier], config.scenario)
-    mean[never] = (0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d)[never]
+    mu0 = mu_true(x, 0.0, config.scenario)
+    mean = np.where(u == 1, x1 + x2 + x3 + x4 + 2.0 * d,
+                    np.where(u == 2, mu0 + 3.0 * d,
+                             0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d))
     y = mean + rng.standard_normal(n)
     data = Dataset(x, y, d, z)
-    for arr in (f0, g0, u):
+    for arr in (f0, g0, u, mu0):
         arr.setflags(write=False)
     return data, DgpTruth(beta0=BETA0, g0=g0, u=u, scenario=config.scenario,
-                          f0=f0)
+                          f0=f0, mu0=mu0)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,26 @@ def _instrument_marginal(m):
     return float(wg @ expit(f0_true(grid)))
 
 
+def _scattered_dataset(config):
+    """gen_dataset as it was when each stratum mean was gathered on its
+    own rows and scattered back, with the package's current mu_true."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n
+    x = gen_covariates(n, config.p, rng)
+    g0 = expit(f0_true(x))
+    z = (rng.random(n) < g0).astype(float)
+    u = rng.choice(np.array([1, 2, 3]), size=n, p=(0.2, 0.6, 0.2))
+    d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
+    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    mean = np.empty(n)
+    always, complier, never = u == 1, u == 2, u == 3
+    mean[always] = (x1 + x2 + x3 + x4 + 2.0 * d)[always]
+    mean[complier] = mu_true(x[complier], d[complier], config.scenario)
+    mean[never] = (0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d)[never]
+    y = mean + rng.standard_normal(n)
+    return dict(y=y, d=d, z=z, u=u)
+
+
 @pytest.fixture(scope="module")
 def big_draw():
     return gen_dataset(DgpConfig(scenario="s1", n=1_000_000, p=4, seed=123))
@@ -171,6 +191,22 @@ class TestGenDataset:
         assert np.array_equal(truth.f0, f0_true(data.x))
         assert np.array_equal(truth.g0, expit(truth.f0))
         assert not truth.f0.flags.writeable
+
+    def test_truth_carries_the_arm_zero_complier_mean(self, big_draw):
+        data, truth = big_draw
+        assert np.array_equal(truth.mu0, mu_true(data.x, 0, truth.scenario))
+        assert not truth.mu0.flags.writeable
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [4097, 131_072])
+    def test_same_draws_as_stratum_gather_and_scatter(self, scenario, n):
+        cfg = DgpConfig(scenario=scenario, n=n, p=4, seed=1000 + n)
+        data, truth = gen_dataset(cfg)
+        want = _scattered_dataset(cfg)
+        assert np.array_equal(data.y, want["y"])
+        assert np.array_equal(data.d, want["d"])
+        assert np.array_equal(data.z, want["z"])
+        assert np.array_equal(truth.u, want["u"])
 
     def test_deterministic(self):
         cfg = DgpConfig(scenario="s2", n=500, p=5, seed=21)
