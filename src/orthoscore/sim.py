@@ -103,7 +103,10 @@ def f0_true(x) -> np.ndarray:
     """Instrument log-odds x1^2 x2^3 + log(x2 x3 + 4) - exp(x3 x4 / 2) - 0.5."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    return x1 ** 2 * x2 ** 3 + np.log(x2 * x3 + 4.0) - np.exp(x3 * x4 / 2.0) - 0.5
+    # Cubes are products: float64 ``** 3`` runs numpy's general pow
+    # kernel, an order of magnitude slower than two multiplies.
+    return (x1 ** 2 * (x2 * x2 * x2) + np.log(x2 * x3 + 4.0)
+            - np.exp(x3 * x4 / 2.0) - 0.5)
 
 
 def mu_true(x, t, scenario: str) -> np.ndarray:
@@ -114,7 +117,7 @@ def mu_true(x, t, scenario: str) -> np.ndarray:
     x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
     t = np.asarray(t, dtype=float)
     if scenario == "s1":
-        base = (np.cos(np.pi * x1 * x2) + x1 * x2 * x3 ** 3
+        base = (np.cos(np.pi * x1 * x2) + x1 * x2 * (x3 * x3 * x3)
                 + np.exp(x2 * x3 - 1.0) + np.log(3.0 + x3 * x4))
     else:
         base = (np.sin(np.pi * x1 * x2 / 2.0) + np.log(x2 * x3 + 1.5)
