@@ -13,7 +13,8 @@ derivative check out of band), 2 usage or data error.
 Numbers are written with full round-trip precision in machine outputs
 (CSV/JSON) and 6 significant digits in console tables.  All output
 files end with a trailing newline.  The environment variable
-ORTHOSCORE_SEED supplies the default seed when --seed is not given.
+ORTHOSCORE_SEED supplies the default seed when --seed is not given; a
+negative seed from either source is a usage error.
 """
 
 from __future__ import annotations
@@ -61,15 +62,21 @@ def _full(v) -> str:
 
 
 def _resolve_seed(value) -> int:
+    """--seed, else ORTHOSCORE_SEED, else 0; negative seeds are usage errors."""
     if value is not None:
+        if value < 0:
+            raise ValueError(f"seed must be non-negative, got {value}")
         return int(value)
     env = os.environ.get("ORTHOSCORE_SEED")
     if env is None:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise ValueError(f"ORTHOSCORE_SEED is not an integer: {env!r}")
+    if seed < 0:
+        raise ValueError(f"ORTHOSCORE_SEED must be non-negative, got {seed}")
+    return seed
 
 
 def _write_text(path: str, content: str) -> None:
@@ -125,6 +132,9 @@ def cmd_simulate(args) -> int:
         for label in labels:
             if label not in METHOD_LABELS:
                 raise ValueError(f"unknown method label: {label!r}")
+        if args.n < 4:
+            raise ValueError("n must be at least 4 (each of the two "
+                             "cross-fitting folds needs two rows)")
         if args.reps < 1:
             raise ValueError("reps must be at least 1")
         if args.jobs < 1:

@@ -126,7 +126,12 @@ def mu_true(x, t, scenario: str) -> np.ndarray:
 
 
 def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
-    """Draw one sample and its truth record."""
+    """Draw one sample and its truth record.
+
+    The truth record's arrays are read-only: ``f0`` and ``g0`` at every
+    draw, and ``mu0 = mu_true(x, 0, scenario)`` at every draw, which
+    also gives the complier means (``mu0 + 3 d``).
+    """
     rng = np.random.default_rng(config.seed)
     n = config.n
     x = gen_covariates(n, config.p, rng)

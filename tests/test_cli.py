@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import orthoscore.cli
 import orthoscore.sim
 from orthoscore.cli import METHOD_LABELS, main
 from orthoscore.cli import _read_strict_csv
@@ -110,6 +111,17 @@ class TestSimulate:
             argv[i:i + 2] = patch
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_too_few_rows_to_split_exits_2_before_any_replicate(
+            self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("no replicate may run")
+
+        monkeypatch.setattr(orthoscore.cli, "run_replications", never)
+        argv = list(SIM_ARGV)
+        argv[argv.index("--n") + 1] = "3"
+        assert main(argv) == 2
+        assert "n must be at least 4" in capsys.readouterr().err
 
     def test_failure_rate_exits_1_with_report_written(self, tmp_path,
                                                       monkeypatch, capsys):
@@ -322,6 +334,49 @@ class TestCheck:
         monkeypatch.setenv("ORTHOSCORE_SEED", "zzz")
         assert main(["check", "--target", "plr", "--n-mc", "1000"]) == 2
         assert "ORTHOSCORE_SEED" in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    """A negative seed is a usage error (exit 2) on every path."""
+
+    def test_simulate_flag(self, capsys):
+        argv = list(SIM_ARGV)
+        argv[argv.index("--seed") + 1] = "-1"
+        assert main(argv) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_check_flag(self, capsys):
+        assert main(["check", "--target", "plr", "--n-mc", "1000",
+                     "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_analyze_flag(self, iv_csv, capsys):
+        path, _ = iv_csv
+        assert main(_analyze_argv(path, seed=-1)) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err
+        assert "estimation failed" not in err
+
+    @pytest.mark.parametrize("argv", [
+        SIM_ARGV[:-2],
+        ["check", "--target", "plr", "--n-mc", "1000"],
+    ], ids=["simulate", "check"])
+    def test_env_seed(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("ORTHOSCORE_SEED", "-3")
+        assert main(argv) == 2
+        assert "ORTHOSCORE_SEED must be non-negative" in capsys.readouterr().err
+
+    def test_env_seed_for_analyze(self, iv_csv, monkeypatch, capsys):
+        path, _ = iv_csv
+        monkeypatch.setenv("ORTHOSCORE_SEED", "-3")
+        argv = _analyze_argv(path)
+        del argv[argv.index("--seed"):argv.index("--seed") + 2]
+        assert main(argv) == 2
+        assert "ORTHOSCORE_SEED must be non-negative" in capsys.readouterr().err
+
+    def test_zero_seed_still_accepted(self, monkeypatch):
+        monkeypatch.setenv("ORTHOSCORE_SEED", "0")
+        assert main(["check", "--target", "plr", "--n-mc", "1000"]) == 0
 
 
 def test_method_labels_cover_all_estimators():

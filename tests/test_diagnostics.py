@@ -15,7 +15,7 @@ import pytest
 from orthoscore import diagnostics
 from orthoscore.core import derive_seed, shifted
 from orthoscore.ortho import check_orthogonality
-from orthoscore.sim import f0_true
+from orthoscore.sim import f0_true, mu_true
 
 N_MC = 20_000
 SHARD = 4096    # five shards, the last one ragged
@@ -97,3 +97,24 @@ def test_late_sampler_hands_its_log_odds_to_the_truths(monkeypatch):
         check_orthogonality(family, sampler, beta0, direction, nuisance,
                             n_mc=N_MC, seed=5, shard_size=SHARD)
     assert calls == []
+
+
+def test_late_truths_evaluate_mu_true_only_inside_gen_dataset(monkeypatch):
+    # gen_dataset records mu_true(x, 0) for every row of the shard; the
+    # true direction reads it from the shard's truth record.
+    calls = []
+
+    def counting(x, t, scenario):
+        calls.append(x.shape[0])
+        return mu_true(x, t, scenario)
+
+    monkeypatch.setattr(diagnostics, "mu_true", counting)
+    for family, sampler, beta0, direction, nuisance in _cases("late"):
+        check_orthogonality(family, sampler, beta0, direction, nuisance,
+                            n_mc=N_MC, seed=5, shard_size=SHARD)
+    assert calls == []
+    # A matrix that is not the shard's is still evaluated afresh.
+    _, sampler, orth, *_ = diagnostics._BUILDERS["late"]()
+    x = sampler(50, 1).x.copy()
+    orth.nuisances["h"](x)
+    assert calls == [50]
