@@ -28,7 +28,6 @@ model = CoupledModel(
     d_f_m=lambda beta, fv, data: 2.0 * (beta * data.d + fv - data.y),
     d2_beta_f_m=lambda beta, fv, data: 2.0 * data.d,
     d2_ff_m=lambda beta, fv, data: np.full(data.n, 2.0),
-    solve="linear",
 )
 
 f0 = FunctionEstimate(lambda x: np.cos(x[:, 1]), label="cos(x2)")

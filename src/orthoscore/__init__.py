@@ -35,7 +35,6 @@ from .learners import (
     fit_mlp,
     gradient_check,
     linear_regressor,
-    mlp_regressor,
     pipeline_train_config,
 )
 from .ortho import (
@@ -94,7 +93,7 @@ __all__ = [
     "derive_seed", "make_ci", "normal_quantile", "shifted", "split_folds",
     "AffineEstimate", "MlpArchitecture", "MlpEstimate", "TrainConfig",
     "TrainingDiverged", "expit", "fit_least_squares", "fit_logistic",
-    "fit_mlp", "gradient_check", "linear_regressor", "mlp_regressor",
+    "fit_mlp", "gradient_check", "linear_regressor",
     "pipeline_train_config",
     "CoupledModel", "DecoupledModel", "RatioDirection", "ScoreFamily",
     "SequentialDirections", "SequentialModel", "build_coupled_score",

@@ -40,7 +40,6 @@ METHOD_LABELS = {
     "reg-np": "reg_np",
     "reg-lr": "reg_lr",
 }
-_LABEL_OF = {v: k for k, v in METHOD_LABELS.items()}
 
 _FILTER_OPS = {
     "==": lambda a, b: a == b,
@@ -210,44 +209,32 @@ def _extract_column(header, rows, name):
     return values, bad
 
 
-def cmd_analyze(args) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+def _analysis_data(args):
+    """(seed, Dataset) from the analyze arguments.
+
+    Every usage or data error raises ``ValueError`` or ``OSError``.
+    """
+    seed = _resolve_seed(args.seed)
     if args.method not in METHOD_LABELS:
-        _err(f"unknown method label: {args.method!r}")
-        return 2
+        raise ValueError(f"unknown method label: {args.method!r}")
     filter_flags = (args.filter_col, args.filter_op, args.filter_value)
     has_filter = any(f is not None for f in filter_flags)
     if has_filter and None in filter_flags:
-        _err("--filter-col, --filter-op and --filter-value must be given together")
-        return 2
+        raise ValueError("--filter-col, --filter-op and --filter-value must be given together")
     if has_filter and args.filter_op not in _FILTER_OPS:
-        _err(f"unknown filter comparator: {args.filter_op!r}")
-        return 2
+        raise ValueError(f"unknown filter comparator: {args.filter_op!r}")
 
-    try:
-        header, rows = _read_strict_csv(args.input)
-    except OSError as exc:
-        _err(str(exc))
-        return 2
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    header, rows = _read_strict_csv(args.input)
 
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covariates:
-        _err("no covariate columns given")
-        return 2
+        raise ValueError("no covariate columns given")
     used = covariates + [args.outcome, args.treatment, args.instrument]
     if has_filter:
         used.append(args.filter_col)
     for name in used:
         if name not in header:
-            _err(f"column not found: {name!r}")
-            return 2
+            raise ValueError(f"column not found: {name!r}")
 
     columns, bad_rows = {}, set()
     for name in dict.fromkeys(used):
@@ -256,27 +243,23 @@ def cmd_analyze(args) -> int:
         bad_rows.update(bad)
     if bad_rows:
         shown = sorted(bad_rows)[:10]
-        _err("missing or non-numeric values in rows: "
-             + ", ".join(str(r) for r in shown))
-        return 2
+        raise ValueError("missing or non-numeric values in rows: "
+                         + ", ".join(str(r) for r in shown))
 
     if has_filter:
         try:
             cutoff = float(args.filter_value)
         except ValueError:
-            _err(f"filter value is not numeric: {args.filter_value!r}")
-            return 2
+            raise ValueError(f"filter value is not numeric: {args.filter_value!r}") from None
         keep = _FILTER_OPS[args.filter_op](columns[args.filter_col], cutoff)
     else:
         keep = np.ones(len(rows), dtype=bool)
 
     n_kept = int(np.count_nonzero(keep))
     if n_kept == 0:
-        _err("filter selected no rows")
-        return 2
+        raise ValueError("filter selected no rows")
     if n_kept < 20:
-        _err(f"fewer than 20 rows after filtering ({n_kept})")
-        return 2
+        raise ValueError(f"fewer than 20 rows after filtering ({n_kept})")
 
     x = np.column_stack([columns[c][keep] for c in covariates])
     y = columns[args.outcome][keep]
@@ -284,12 +267,14 @@ def cmd_analyze(args) -> int:
     z = columns[args.instrument][keep]
     for name, col in ((args.treatment, d), (args.instrument, z)):
         if not np.all((col == 0.0) | (col == 1.0)):
-            _err(f"column {name!r} must be binary 0/1")
-            return 2
+            raise ValueError(f"column {name!r} must be binary 0/1")
+    return seed, Dataset(x, y, d, z)
 
+
+def cmd_analyze(args) -> int:
     try:
-        data = Dataset(x, y, d, z)
-    except ValueError as exc:
+        seed, data = _analysis_data(args)
+    except (ValueError, OSError) as exc:
         _err(str(exc))
         return 2
     config = LateConfig(method=METHOD_LABELS[args.method], seed=seed)
@@ -329,14 +314,12 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     try:
         seed = _resolve_seed(args.seed)
+        if args.n_mc <= 0:
+            raise ValueError("n-mc must be positive")
+        if args.n_mc < 2:
+            raise ValueError("n-mc must be at least 2 (the standard error needs two draws)")
     except ValueError as exc:
         _err(str(exc))
-        return 2
-    if args.n_mc <= 0:
-        _err("n-mc must be positive")
-        return 2
-    if args.n_mc < 2:
-        _err("n-mc must be at least 2 (the standard error needs two draws)")
         return 2
 
     report = run_check(args.target, n_mc=args.n_mc, seed=seed)

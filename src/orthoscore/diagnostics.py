@@ -43,7 +43,8 @@ from .learners import expit
 from .ortho import ScoreFamily, check_orthogonality
 from .plr import partialled_score
 from .qte import ipw_quantile_score, orthogonal_quantile_score
-from .sim import BETA0, DgpConfig, f0_true, gen_dataset, mu_true
+from .sim import (BETA0, STRATUM_PROBS, DgpConfig, f0_true, gen_dataset,
+                  mu_true, stratum_means)
 
 __all__ = [
     "TARGETS",
@@ -110,7 +111,7 @@ def _directions():
 def _family(make_evaluate, nuisances):
     """ScoreFamily wired for rebinding: make_evaluate(nus) -> evaluate."""
     def rebuild(nus):
-        return ScoreFamily(make_evaluate(nus), "linear", dict(nus), rebuild)
+        return ScoreFamily(make_evaluate(nus), dict(nus), rebuild)
     return rebuild(nuisances)
 
 
@@ -148,12 +149,11 @@ def _late_target():
     def h_true_batch(x):
         _, g, mu0 = truths(x)
         e_f = g / (1.0 - g)
-        x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-        a = x1 + x2 + x3 + x4 + 2.0        # always-taker mean (d = 1)
-        nv = 0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4   # never-taker mean (d = 0)
-        mu1 = mu0 + 3.0                    # the arms differ by exactly 3
-        e_y = 0.2 * a + 0.6 * (g * mu1 + (1.0 - g) * mu0) + 0.2 * nv
-        e_yz = g * (0.2 * a + 0.6 * mu1 + 0.2 * nv)
+        a, mu1, _ = stratum_means(x, mu0, 1.0)     # always-takers have d = 1
+        _, _, nv = stratum_means(x, mu0, 0.0)      # never-takers have d = 0
+        p_a, p_c, p_n = STRATUM_PROBS
+        e_y = p_a * a + p_c * (g * mu1 + (1.0 - g) * mu0) + p_n * nv
+        e_yz = g * (p_a * a + p_c * mu1 + p_n * nv)
         return (e_f - 1.0 / e_f) * e_yz - e_f * e_y
 
     h_true = FunctionEstimate(h_true_batch, "true h")

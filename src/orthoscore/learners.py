@@ -30,7 +30,6 @@ __all__ = [
     "gradient_check",
     "expit",
     "linear_regressor",
-    "mlp_regressor",
 ]
 
 LOSS_KINDS = ("squared_error", "weighted_squared_error", "cross_entropy_on_logits")
@@ -165,19 +164,19 @@ def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     return AffineEstimate(theta[0], theta[1:], label="least squares")
 
 
-def _cross_entropy(f, labels):
-    return float(np.mean(np.logaddexp(0.0, f) - labels * f))
+NEWTON_MAX_ITER = 100
+NEWTON_GRAD_TOL = 1e-8
 
 
-def fit_logistic(x, labels, max_iter: int = 100,
-                 grad_tol: float = 1e-8) -> AffineEstimate:
+def fit_logistic(x, labels) -> AffineEstimate:
     """Affine log-odds fit by damped Newton on the cross-entropy loss.
 
-    Iterates until the gradient norm falls below `grad_tol` or
-    `max_iter` steps, halving the step whenever it would increase the
-    loss, so the recorded loss path is non-increasing.  On separable
-    data the iteration simply stops at the cap with finite coefficients.
-    The returned estimate carries the loss path as `newton_losses`.
+    Iterates until the gradient norm falls below ``NEWTON_GRAD_TOL`` or
+    ``NEWTON_MAX_ITER`` steps, halving the step whenever it would
+    increase the loss, so the recorded loss path is non-increasing.  On
+    separable data the iteration simply stops at the cap with finite
+    coefficients.  The returned estimate carries the loss path as
+    `newton_losses`.
     """
     x, labels = _validate_design(x, labels)
     if not np.all((labels == 0.0) | (labels == 1.0)):
@@ -188,11 +187,11 @@ def fit_logistic(x, labels, max_iter: int = 100,
     a = np.column_stack([np.ones(n), x])
     theta = np.zeros(p + 1)
     f = a @ theta
-    losses = [_cross_entropy(f, labels)]
-    for _ in range(max_iter):
+    losses = [_loss_value(f, labels, "cross_entropy_on_logits", None)]
+    for _ in range(NEWTON_MAX_ITER):
         g = expit(f)
         grad = a.T @ (g - labels) / n
-        if np.linalg.norm(grad) <= grad_tol:
+        if np.linalg.norm(grad) <= NEWTON_GRAD_TOL:
             break
         curv = np.clip(g * (1.0 - g), 1e-12, None)
         hess = (a * curv[:, None]).T @ a / n
@@ -205,7 +204,8 @@ def fit_logistic(x, labels, max_iter: int = 100,
         moved = False
         while t > 1e-14:
             cand = theta - t * step
-            cand_loss = _cross_entropy(a @ cand, labels)
+            cand_loss = _loss_value(a @ cand, labels,
+                                    "cross_entropy_on_logits", None)
             if cand_loss <= losses[-1]:
                 theta, moved = cand, True
                 losses.append(cand_loss)
@@ -522,10 +522,3 @@ def linear_regressor():
     """Regressor callback backed by the closed-form least-squares fit."""
     return lambda x, t: fit_least_squares(x, t)
 
-
-def mlp_regressor(arch: MlpArchitecture | None = None,
-                  config: TrainConfig | None = None):
-    """Regressor callback backed by the squared-error MLP."""
-    def fit(x, t):
-        return fit_mlp(x, t, "squared_error", arch=arch, config=config)
-    return fit

@@ -73,7 +73,6 @@ class CoupledModel:
     d_f_m: Callable
     d2_beta_f_m: Callable
     d2_ff_m: Callable
-    solve: str = "monotone"
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class DecoupledModel:
     d_f_psi: Callable
     d_f_m1: Callable
     d2_ff_m1: Callable
-    solve: str = "monotone"
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,6 @@ class SequentialModel:
     d2_muf_m2: Callable
     d_f_m1: Callable
     d2_ff_m1: Callable
-    solve: str = "monotone"
 
 
 class RatioDirection(FunctionEstimate):
@@ -121,8 +118,6 @@ class RatioDirection(FunctionEstimate):
 
     def __init__(self, numerator: FunctionEstimate, denominator: FunctionEstimate,
                  clip: float = DENOM_CLIP, label: str = "direction"):
-        self.numerator = numerator
-        self.denominator = denominator
         self.clip = float(clip)
         self.clip_count = 0
 
@@ -178,10 +173,6 @@ class SequentialDirections:
     h2: RatioDirection
     h3: RatioDirection
 
-    @property
-    def clip_count(self):
-        return self.h1.clip_count + self.h2.clip_count + self.h3.clip_count
-
 
 def fit_sequential_directions(model: SequentialModel, beta_pilot: float,
                               mu_hat: FunctionEstimate, f_hat: FunctionEstimate,
@@ -211,15 +202,13 @@ def fit_sequential_directions(model: SequentialModel, beta_pilot: float,
 class ScoreFamily:
     """Per-observation score evaluator psi(beta; w) with frozen nuisances.
 
-    `evaluate(beta, data)` returns one score per observation.  `solve`
-    declares how the estimating equation behaves in beta ("linear" or
-    "monotone").  `with_nuisances` rebuilds the family with some
+    `evaluate(beta, data)` returns one score per observation.
+    `with_nuisances` rebuilds the family with some
     nuisance functions replaced, which the orthogonality checker uses
     to form perturbed copies.
     """
 
     evaluate: Callable[[float, Dataset], np.ndarray]
-    solve: str
     nuisances: Mapping[str, FunctionEstimate] = field(default_factory=dict)
     rebuild: Callable[[Mapping[str, FunctionEstimate]], "ScoreFamily"] | None = None
 
@@ -245,7 +234,7 @@ def build_coupled_score(model: CoupledModel, f_hat: FunctionEstimate,
             return (model.d_beta_m(beta, fv, data)
                     + model.d_f_m(beta, fv, data) * h(data.x))
 
-        return ScoreFamily(evaluate, model.solve, dict(nus), make)
+        return ScoreFamily(evaluate, dict(nus), make)
 
     return make({"f": f_hat, "h": h_hat})
 
@@ -260,7 +249,7 @@ def build_decoupled_score(model: DecoupledModel, f_hat: FunctionEstimate,
             fv = f(data.x)
             return model.psi(beta, fv, data) + model.d_f_m1(fv, data) * h(data.x)
 
-        return ScoreFamily(evaluate, model.solve, dict(nus), make)
+        return ScoreFamily(evaluate, dict(nus), make)
 
     return make({"f": f_hat, "h": h_hat})
 
@@ -285,7 +274,7 @@ def build_sequential_score(model: SequentialModel, mu_hat: FunctionEstimate,
                     + model.d_f_m1(fv, data) * corr_f
                     + model.d_mu_m2(mv, fv, data) * h2(data.x))
 
-        return ScoreFamily(evaluate, model.solve, dict(nus), make)
+        return ScoreFamily(evaluate, dict(nus), make)
 
     return make({"mu": mu_hat, "f": f_hat,
                  "h1": directions.h1, "h2": directions.h2, "h3": directions.h3})

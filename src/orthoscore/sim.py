@@ -42,6 +42,7 @@ __all__ = [
     "gen_covariates",
     "f0_true",
     "mu_true",
+    "stratum_means",
     "gen_dataset",
     "summarize_replicates",
     "run_replications",
@@ -125,6 +126,16 @@ def mu_true(x, t, scenario: str) -> np.ndarray:
     return base + 3.0 * t
 
 
+def stratum_means(x, mu0, d):
+    """Outcome means (always-taker, complier, never-taker) at treatment d.
+
+    ``mu0`` is the complier mean of arm 0, ``mu_true(x, 0, scenario)``.
+    """
+    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    return (x1 + x2 + x3 + x4 + 2.0 * d, mu0 + 3.0 * d,
+            0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d)
+
+
 def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     """Draw one sample and its truth record.
 
@@ -140,11 +151,9 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     z = (rng.random(n) < g0).astype(float)
     u = rng.choice(np.array([1, 2, 3]), size=n, p=STRATUM_PROBS)
     d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
-    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
     mu0 = mu_true(x, 0.0, config.scenario)
-    mean = np.where(u == 1, x1 + x2 + x3 + x4 + 2.0 * d,
-                    np.where(u == 2, mu0 + 3.0 * d,
-                             0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d))
+    always, complier, never = stratum_means(x, mu0, d)
+    mean = np.where(u == 1, always, np.where(u == 2, complier, never))
     y = mean + rng.standard_normal(n)
     data = Dataset(x, y, d, z)
     for arr in (f0, g0, u, mu0):

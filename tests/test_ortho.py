@@ -30,7 +30,6 @@ PLR_MODEL = CoupledModel(
     d_f_m=lambda b, fv, data: 2.0 * (b * data.d + fv - data.y),
     d2_beta_f_m=lambda b, fv, data: 2.0 * data.d,
     d2_ff_m=lambda b, fv, data: np.full(data.n, 2.0),
-    solve="linear",
 )
 
 
@@ -242,7 +241,6 @@ def _seq_model():
         d2_muf_m2=lambda mv, fv, data: np.full(data.n, -2.0),
         d_f_m1=lambda fv, data: 2.0 * (fv - data.x[:, 3]),
         d2_ff_m1=lambda fv, data: np.full(data.n, 2.0),
-        solve="linear",
     )
 
 
@@ -376,7 +374,6 @@ class TestSequentialScore:
             d_f_psi=lambda b, fv, d_: np.zeros(d_.n),
             d_f_m1=lambda fv, d_: expit(fv) - d_.z,
             d2_ff_m1=lambda fv, d_: expit(fv) * (1 - expit(fv)),
-            solve="linear",
         )
 
         def h1_batch(xs):
@@ -451,7 +448,7 @@ class TestCheckOrthogonality:
                 return 2.0 * data.d * (beta * data.d + nus["f"](data.x)
                                        - data.y)
 
-            return ScoreFamily(evaluate, "linear", dict(nus), make)
+            return ScoreFamily(evaluate, dict(nus), make)
 
         family = make({"f": FunctionEstimate(lambda x: np.cos(x[:, 1]))})
         deriv, se = check_orthogonality(
@@ -516,7 +513,7 @@ class TestCheckOrthogonality:
                 assert np.array_equal(nus["f"](data.x), fv)
                 return (PLR_MODEL.d_beta_m(beta, fv, data)
                         + PLR_MODEL.d_f_m(beta, fv, data) * nus["h"](data.x))
-            return ScoreFamily(evaluate, "linear", dict(nus), make)
+            return ScoreFamily(evaluate, dict(nus), make)
 
         family = make({"f": counted("f", lambda x: np.cos(x[:, 1])),
                        "h": counted("h", lambda x: -0.7 * x[:, 0])})
@@ -535,7 +532,7 @@ class TestCheckOrthogonality:
                 flipped = data.x[::-1].copy()
                 fv = nus["f"](flipped)[::-1] + 0.5 * nus["f"](data.x)
                 return 2.0 * data.d * (beta * data.d + fv - data.y)
-            return ScoreFamily(evaluate, "linear", dict(nus), make)
+            return ScoreFamily(evaluate, dict(nus), make)
 
         family = make({"f": FunctionEstimate(lambda x: np.cos(x[:, 1]))})
         direction = FunctionEstimate(lambda x: x[:, 0] + x[:, 1] ** 2)
