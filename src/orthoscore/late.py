@@ -208,8 +208,8 @@ def estimate_variance(score_fn, beta_hat: float, fold: Dataset) -> float:
 def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
     """Two-fold cross-fitted estimate with plug-in variance (see ``crossfit``).
 
-    A failure while fitting or solving fold k is re-raised as a
-    ``RuntimeError`` prefixed ``fold k:``.
+    A ``ValueError`` or ``RuntimeError`` in fold k is re-raised as a
+    ``RuntimeError`` prefixed ``fold k:``; any other exception propagates.
     """
     if data.z is None:
         raise ValueError("instrument required")
@@ -234,7 +234,7 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
                     point_fn = lambda b, ds: moment_score(b, f_hat, ds, eps)
             beta_k = solve_beta_linear(point_fn, est)
             return beta_k, estimate_variance(var_fn, beta_k, est)
-        except Exception as exc:
+        except (ValueError, RuntimeError) as exc:
             raise RuntimeError(f"fold {k}: {exc}") from exc
 
     return crossfit(data, config.seed, fit_fold, config.method, config.level)

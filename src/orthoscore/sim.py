@@ -19,7 +19,8 @@ datasets and aggregates the three study metrics:
 
 Each replicate derives its own seed from (master_seed, index), so the
 set of results is independent of execution order and of the number of
-workers.  Failed replicates are excluded from the metrics and counted.
+workers.  Replicates that fail with ``ValueError`` or ``RuntimeError``
+are excluded from the metrics and counted.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _one_replicate(dgp: DgpConfig, methods, master_seed: int, index: int,
             res = late_crossfit(data, cfg)
             out[method] = (res.beta_hat,
                            bool(res.ci_low <= truth.beta0 <= res.ci_high))
-        except Exception as exc:
+        except (ValueError, RuntimeError) as exc:
             out[method] = str(exc) or repr(exc)
     return index, out
 

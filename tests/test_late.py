@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import orthoscore.late
 from orthoscore.core import Dataset, FunctionEstimate
 from orthoscore.late import (
     LateConfig,
@@ -353,3 +354,14 @@ class TestLateCrossfit:
         data = Dataset(x, rng.normal(size=100), ones, ones)
         with pytest.raises((ValueError, RuntimeError)):
             late_crossfit(data, LateConfig(seed=0))
+
+    def test_programming_error_escapes_the_fold_wrapper(self, monkeypatch):
+        # Only estimation failures become "fold k:" RuntimeErrors; a
+        # TypeError from a bug must reach the caller as itself.
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a learner")
+
+        monkeypatch.setattr(orthoscore.late, "fit_least_squares", broken)
+        data = _iv_data(200, seed=66)
+        with pytest.raises(TypeError, match="bug in a learner"):
+            late_crossfit(data, LateConfig(method="robust_lr", seed=0))

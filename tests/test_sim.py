@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import orthoscore.late
 import orthoscore.sim
 from orthoscore.core import Dataset
 from orthoscore.late import LateConfig, late_crossfit
@@ -342,6 +343,15 @@ class TestRunReplications:
         assert math.isnan(broken.bias)
         intact = report.by_method("robust_lr")
         assert intact.failures == 0 and intact.reps_done == 4
+
+    def test_programming_error_is_not_counted_as_a_failure(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a learner")
+
+        monkeypatch.setattr(orthoscore.late, "fit_least_squares", broken)
+        with pytest.raises(TypeError, match="bug in a learner"):
+            run_replications(DgpConfig(n=120, p=4, seed=0), ("robust_lr",),
+                             reps=2, master_seed=3)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
