@@ -7,6 +7,8 @@ from orthoscore.core import Dataset, FunctionEstimate, derive_seed, shifted
 from orthoscore.late import LateConfig, clip_propensity, estimate_h, \
     estimate_log_odds, robust_score
 from orthoscore.learners import expit, linear_regressor
+from orthoscore.plr import partialled_score
+from orthoscore.qte import ipw_quantile_score, orthogonal_quantile_score
 from orthoscore.ortho import (
     CoupledModel,
     DecoupledModel,
@@ -554,3 +556,121 @@ class TestCheckOrthogonality:
         a = check_orthogonality(family, self._plr_sampler, 1.0, **args)
         b = check_orthogonality(family, self._plr_sampler, 1.0, **args)
         assert a == b
+
+
+class TestShippedScoresAreRegimeInstances:
+    """The shipped scores are the regime builders' scores, exactly."""
+
+    @staticmethod
+    def _qte_regime(tau):
+        # psi is the IPW score at g = expit(f); m1 is the cross-entropy
+        # of d on the log-odds, so d_f m1 = g - d and d2_ff m1 = g(1 - g).
+        def ind(b, data):
+            return (data.y <= b).astype(float) - tau
+
+        return DecoupledModel(
+            psi=lambda b, fv, data: ipw_quantile_score(b, data.y, data.d,
+                                                       expit(fv), tau),
+            d_f_psi=lambda b, fv, data: -data.d * np.exp(-fv) * ind(b, data),
+            d_f_m1=lambda fv, data: expit(fv) - data.d,
+            d2_ff_m1=lambda fv, data: expit(fv) * (1.0 - expit(fv)),
+        )
+
+    def test_quantile_scores_are_the_decoupled_family(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(400, 2))
+        d = (rng.random(400) < expit(0.8 * x[:, 0])).astype(float)
+        data = Dataset(x, x[:, 0] + rng.normal(size=400), d)
+        f_hat = FunctionEstimate(lambda xs: 0.8 * xs[:, 0] - 0.1)
+        h_hat = FunctionEstimate(lambda xs: np.cos(xs[:, 1]) - xs[:, 0])
+        for tau in (0.25, 0.5, 0.9):
+            model = self._qte_regime(tau)
+            family = build_decoupled_score(model, f_hat, h_hat)
+            ipw = build_decoupled_score(model, f_hat,
+                                        FunctionEstimate.constant(0.0))
+            g = expit(f_hat(data.x))
+            for beta in (-0.5, 0.0, 0.37, 1.2):
+                assert np.array_equal(
+                    family.evaluate(beta, data),
+                    orthogonal_quantile_score(beta, data.y, data.d, g,
+                                              h_hat(data.x), tau))
+                assert np.array_equal(
+                    ipw.evaluate(beta, data),
+                    ipw_quantile_score(beta, data.y, data.d, g, tau))
+
+    def test_quantile_direction_is_the_decoupled_ratio(self):
+        # Pointwise, -d_f psi / d2_ff m1 is the pseudo-outcome that
+        # qte_crossfit regresses: d (I(y <= beta) - tau) / g^2.
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(300, 2))
+        d = (rng.random(300) < expit(x[:, 0])).astype(float)
+        data = Dataset(x, rng.normal(size=300), d)
+        fv, tau, beta = x[:, 0], 0.3, 0.2
+        model = self._qte_regime(tau)
+        ratio = -model.d_f_psi(beta, fv, data) / model.d2_ff_m1(fv, data)
+        g = expit(fv)
+        shipped = data.d * ((data.y <= beta).astype(float) - tau) / g ** 2
+        np.testing.assert_allclose(ratio, shipped, rtol=1e-12, atol=1e-12)
+
+    def test_partialled_score_is_the_coupled_plr_score(self):
+        # At f = l - beta m and h = -m the coupled score of PLR_MODEL is
+        # 2 (d - m)(beta (d - m) - (y - l)) = -2 partialled_score.
+        data = _plr_data(250, seed=22)
+        m_hat = FunctionEstimate(lambda x: 0.7 * x[:, 0] - 0.2 * x[:, 1])
+        l_hat = FunctionEstimate(lambda x: np.cos(x[:, 1]) + 0.4 * x[:, 0])
+        r_d = data.d - m_hat(data.x)
+        r_y = data.y - l_hat(data.x)
+        for beta in (-1.0, 0.0, 0.8, 2.5):
+            f_hat = FunctionEstimate(lambda x, b=beta: l_hat(x) - b * m_hat(x))
+            family = build_coupled_score(PLR_MODEL, f_hat,
+                                         FunctionEstimate(lambda x: -m_hat(x)))
+            np.testing.assert_allclose(-0.5 * family.evaluate(beta, data),
+                                       partialled_score(beta, r_d, r_y),
+                                       rtol=1e-12, atol=1e-12)
+
+
+class TestSequentialAgainstTruth:
+    """check_orthogonality meets the sequential regime at a known truth.
+
+    In the toy of ``_seq_model`` the truths are f0 = 0.3 x1,
+    mu0 = x2 + f0, h10 = x2 / 2 and h20 = h30 = -(1 + 2 x1) / 2.
+    """
+
+    @staticmethod
+    def _family(drop_h3=False):
+        def fn(batch, label):
+            return FunctionEstimate(batch, label)
+
+        h2 = fn(lambda x: -(1.0 + 2.0 * x[:, 0]) / 2.0, "h20")
+
+        class Directions:
+            h1 = fn(lambda x: x[:, 1] / 2.0, "h10")
+            h3 = FunctionEstimate.constant(0.0) if drop_h3 else h2
+
+        Directions.h2 = h2
+        return build_sequential_score(
+            _seq_model(), fn(lambda x: x[:, 1] + 0.3 * x[:, 0], "mu0"),
+            fn(lambda x: 0.3 * x[:, 0], "f0"), Directions)
+
+    def test_every_nuisance_within_three_se(self):
+        family = self._family()
+        k = 0
+        for which in ("mu", "f", "h1", "h2", "h3"):
+            for direction in (FunctionEstimate.constant(1.0),
+                              FunctionEstimate(lambda x: x[:, 0]),
+                              FunctionEstimate(lambda x: np.cos(x[:, 1]))):
+                deriv, se = check_orthogonality(
+                    family, _seq_data, beta0=0.0, direction=direction,
+                    which_nuisance=which, n_mc=1_000_000, seed=derive_seed(30, k))
+                assert abs(deriv) <= 3.0 * se, (which, direction.label)
+                k += 1
+
+    def test_dropping_h3_is_detected(self):
+        # Without h3 the f-derivative is E[-2 h20(x) dir(x)], which is
+        # E[1 + 2 x1] = 1 along the constant direction.
+        deriv, se = check_orthogonality(
+            self._family(drop_h3=True), _seq_data, beta0=0.0,
+            direction=FunctionEstimate.constant(1.0), which_nuisance="f",
+            n_mc=200_000, seed=31)
+        assert abs(deriv) > 5.0 * se
+        assert deriv == pytest.approx(1.0, abs=0.05)
