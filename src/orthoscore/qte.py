@@ -86,8 +86,10 @@ def solve_monotone(score_fn, lo: float, hi: float, tol: float = 1e-8,
 
     The bracket is expanded outward by doubling (up to `max_expansions`
     times in total) until score(lo) <= 0 <= score(hi), then bisected to
-    width tol.  For a step-function score the result is a generalized
-    root: the location where the sign changes.
+    width tol.  The end where the score is nonnegative is returned: for
+    a step-function score that is within tol above the jump, so
+    I(y <= root) counts the observation at the jump whatever the units
+    of y.
     """
     lo, hi = float(lo), float(hi)
     if hi < lo:
@@ -111,7 +113,7 @@ def solve_monotone(score_fn, lo: float, hi: float, tol: float = 1e-8,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def _weighted_quantile(values, weights, q):

@@ -16,6 +16,7 @@ from orthoscore.core import Dataset
 from orthoscore.late import LateConfig, late_crossfit
 from orthoscore.learners import expit
 from orthoscore.plr import PlrConfig, plr_crossfit
+from orthoscore.qte import QteConfig, qte_crossfit
 from orthoscore.sim import DgpConfig, gen_dataset
 
 RTOL = 1e-9
@@ -116,3 +117,28 @@ def test_plr_shifts_by_the_treatment_coefficient_added_to_y(n, seed, c):
     base = _numbers(plr_crossfit(data, PlrConfig(seed=seed)))
     _close(_numbers(plr_crossfit(moved, PlrConfig(seed=seed))),
            np.asarray(base) + c)
+
+
+def _qte_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    d = (rng.random(n) < expit(0.8 * x[:, 0])).astype(float)
+    y = np.where(d == 1.0, 0.5 + x[:, 0] - x[:, 1] + rng.normal(size=n),
+                 rng.normal(size=n))
+    return Dataset(x, y, d)
+
+
+@given(n=st.integers(min_value=200, max_value=800), seed=seeds,
+       a=scales, log_b=st.floats(min_value=-2.0, max_value=3.0))
+@settings(max_examples=50, deadline=None)
+def test_qte_is_equivariant_under_increasing_affine_outcome_maps(n, seed, a, log_b):
+    # Each fold's root lies within bisection_tol above a jump of its
+    # step-function score, so a + b y moves it by at most (1 + b) tol.
+    b = 10.0 ** log_b
+    data = _qte_sample(n, seed)
+    moved = Dataset(data.x, a + b * data.y, data.d)
+    config = QteConfig(seed=seed)
+    base = np.asarray(qte_crossfit(data, config).fold_betas)
+    got = np.asarray(qte_crossfit(moved, config).fold_betas)
+    assert np.all(np.abs(got - (a + b * base))
+                  <= (1.0 + b) * config.bisection_tol), (got, a + b * base)
