@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -187,6 +186,7 @@ def normal_quantile(p: float) -> float:
     """Inverse standard-normal CDF (the standard library's, to ~1e-15)."""
     if not (0.0 < p < 1.0):
         raise ValueError("quantile level must lie in (0, 1)")
+    from statistics import NormalDist  # lazy: ~8 ms to import; 0.95 CIs never need it
     return NormalDist().inv_cdf(p)
 
 

@@ -521,4 +521,3 @@ def gradient_check(arch: MlpArchitecture, loss: str, x, targets,
 def linear_regressor():
     """Regressor callback backed by the closed-form least-squares fit."""
     return lambda x, t: fit_least_squares(x, t)
-

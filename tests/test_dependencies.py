@@ -24,7 +24,7 @@ import numpy
 import orthoscore
 orthoscore.run_check("plr", n_mc=4096, seed=1)
 data, _ = orthoscore.gen_dataset(orthoscore.DgpConfig(n=200, seed=1))
-orthoscore.late_crossfit(data, orthoscore.LateConfig(seed=1))
+orthoscore.late_crossfit(data, orthoscore.LateConfig(seed=1, level=0.9))
 
 def root(path):
     return os.path.realpath(path) + os.sep
@@ -61,5 +61,5 @@ def test_only_stdlib_and_numpy_are_loaded(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["foreign"] == {}
     # The probe saw the package, numpy and a standard-library module
-    # that only the package loads.
+    # that only the package loads (for the 0.9 interval).
     assert {"orthoscore.core", "numpy", "statistics"} <= set(report["new"])
