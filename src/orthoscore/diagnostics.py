@@ -149,8 +149,10 @@ def _late_target():
     def h_true_batch(x):
         _, g, mu0 = truths(x)
         e_f = g / (1.0 - g)
-        a, mu1, _ = stratum_means(x, mu0, 1.0)     # always-takers have d = 1
-        _, _, nv = stratum_means(x, mu0, 0.0)      # never-takers have d = 0
+        # Never-takers have d = 0, always-takers d = 1.  Keeping only the
+        # needed means holds the checker's peak memory at its former level.
+        nv = stratum_means(x, mu0, 0.0)[2]
+        a, mu1 = stratum_means(x, mu0, 1.0)[:2]
         p_a, p_c, p_n = STRATUM_PROBS
         e_y = p_a * a + p_c * (g * mu1 + (1.0 - g) * mu0) + p_n * nv
         e_yz = g * (p_a * a + p_c * mu1 + p_n * nv)

@@ -171,12 +171,11 @@ NEWTON_GRAD_TOL = 1e-8
 def fit_logistic(x, labels) -> AffineEstimate:
     """Affine log-odds fit by damped Newton on the cross-entropy loss.
 
-    Iterates until the gradient norm falls below ``NEWTON_GRAD_TOL`` or
-    ``NEWTON_MAX_ITER`` steps, halving the step whenever it would
-    increase the loss, so the recorded loss path is non-increasing.  On
-    separable data the iteration simply stops at the cap with finite
-    coefficients.  The returned estimate carries the loss path as
-    `newton_losses`.
+    Iterates until the gradient norm falls below `NEWTON_GRAD_TOL` or for
+    `NEWTON_MAX_ITER` steps, halving the step whenever it would increase
+    the loss, so the recorded loss path is non-increasing.  On separable
+    data the iteration simply stops at the cap with finite coefficients.
+    The returned estimate carries the loss path as `newton_losses`.
     """
     x, labels = _validate_design(x, labels)
     if not np.all((labels == 0.0) | (labels == 1.0)):

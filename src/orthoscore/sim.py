@@ -128,10 +128,8 @@ def mu_true(x, t, scenario: str) -> np.ndarray:
 
 
 def stratum_means(x, mu0, d):
-    """Outcome means (always-taker, complier, never-taker) at treatment d.
-
-    ``mu0`` is the complier mean of arm 0, ``mu_true(x, 0, scenario)``.
-    """
+    """Outcome means (always-taker, complier, never-taker) at treatment d,
+    given the complier mean of arm 0, ``mu0 = mu_true(x, 0, scenario)``."""
     x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
     return (x1 + x2 + x3 + x4 + 2.0 * d, mu0 + 3.0 * d,
             0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d)

@@ -61,8 +61,8 @@ def _plr_sample(n, seed):
     return Dataset(x, y, d, real_treatment=True)
 
 
-def _orthogonal(p, seed):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))
+def _orthogonal(p, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)))
     return q
 
 
@@ -91,7 +91,8 @@ def test_late_is_affine_equivariant_in_the_outcome(n, seed, a, b):
 @settings(max_examples=50, deadline=None)
 def test_late_is_invariant_to_orthogonal_covariate_maps(n, seed):
     data = _iv_sample(n, seed)
-    moved = Dataset(data.x @ _orthogonal(data.p, seed), data.y, data.d, data.z)
+    q = _orthogonal(data.p, np.random.default_rng(seed))
+    moved = Dataset(data.x @ q, data.y, data.d, data.z)
     for method in LATE_METHODS:
         _close(_late(moved, method, seed), _late(data, method, seed))
 
@@ -101,9 +102,8 @@ def test_late_is_invariant_to_orthogonal_covariate_maps(n, seed):
 def test_late_is_invariant_to_affine_covariate_maps(n, seed):
     data = _iv_sample(n, seed)
     rng = np.random.default_rng(seed)
-    scale = rng.uniform(0.5, 2.0, size=data.p)
-    moved = Dataset(data.x @ _orthogonal(data.p, seed) * scale
-                    + rng.normal(size=data.p), data.y, data.d, data.z)
+    a = _orthogonal(data.p, rng) * rng.uniform(0.5, 2.0, size=data.p)
+    moved = Dataset(data.x @ a + rng.normal(size=data.p), data.y, data.d, data.z)
     for method in LATE_METHODS:
         _close(_late(moved, method, seed), _late(data, method, seed),
                rtol=AFFINE_RTOL)

@@ -1,5 +1,7 @@
 """Tests for the generic orthogonal-score builders and the FD checker."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from orthoscore.core import Dataset, FunctionEstimate, derive_seed, shifted
 from orthoscore.late import LateConfig, clip_propensity, estimate_h, \
     estimate_log_odds, robust_score
 from orthoscore.learners import expit, linear_regressor
-from orthoscore.plr import partialled_score
-from orthoscore.qte import ipw_quantile_score, orthogonal_quantile_score
 from orthoscore.ortho import (
     CoupledModel,
     DecoupledModel,
@@ -23,6 +23,8 @@ from orthoscore.ortho import (
     fit_decoupled_direction,
     fit_sequential_directions,
 )
+from orthoscore.plr import partialled_score
+from orthoscore.qte import ipw_quantile_score, orthogonal_quantile_score
 
 # Partially linear regression as a coupled criterion:
 #   m(beta, f; w) = (beta*d + f(x) - y)^2
@@ -638,19 +640,13 @@ class TestSequentialAgainstTruth:
 
     @staticmethod
     def _family(drop_h3=False):
-        def fn(batch, label):
-            return FunctionEstimate(batch, label)
-
-        h2 = fn(lambda x: -(1.0 + 2.0 * x[:, 0]) / 2.0, "h20")
-
-        class Directions:
-            h1 = fn(lambda x: x[:, 1] / 2.0, "h10")
-            h3 = FunctionEstimate.constant(0.0) if drop_h3 else h2
-
-        Directions.h2 = h2
+        h2 = FunctionEstimate(lambda x: -(1.0 + 2.0 * x[:, 0]) / 2.0, "h20")
+        directions = SimpleNamespace(
+            h1=FunctionEstimate(lambda x: x[:, 1] / 2.0, "h10"), h2=h2,
+            h3=FunctionEstimate.constant(0.0) if drop_h3 else h2)
         return build_sequential_score(
-            _seq_model(), fn(lambda x: x[:, 1] + 0.3 * x[:, 0], "mu0"),
-            fn(lambda x: 0.3 * x[:, 0], "f0"), Directions)
+            _seq_model(), FunctionEstimate(lambda x: x[:, 1] + 0.3 * x[:, 0], "mu0"),
+            FunctionEstimate(lambda x: 0.3 * x[:, 0], "f0"), directions)
 
     def test_every_nuisance_within_three_se(self):
         family = self._family()
