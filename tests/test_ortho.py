@@ -561,7 +561,7 @@ class TestCheckOrthogonality:
 
 
 class TestShippedScoresAreRegimeInstances:
-    """The shipped scores are the regime builders' scores, exactly."""
+    """Each shipped score is the score of a generic regime, exactly."""
 
     @staticmethod
     def _qte_regime(tau):
