@@ -81,7 +81,7 @@ def orthogonal_quantile_score(beta, y, d, g, h_values, tau) -> np.ndarray:
 
 
 def solve_monotone(score_fn, lo: float, hi: float, tol: float = 1e-8,
-                   max_expansions: int = 60, expand: bool = True) -> float:
+                   max_expansions: int = 60) -> float:
     """Bisection root of a nondecreasing empirical mean score.
 
     The bracket is expanded outward by doubling (up to `max_expansions`
@@ -90,21 +90,11 @@ def solve_monotone(score_fn, lo: float, hi: float, tol: float = 1e-8,
     a step-function score that is within tol above the jump, so
     I(y <= root) counts the observation at the jump whatever the units
     of y.
-
-    With expand=False the bracket is the whole parameter space and is
-    never widened.  A score that keeps one sign on it has no root there,
-    and the end where |score| is least is returned: lo if score(lo) > 0,
-    hi if score(hi) < 0.
     """
     lo, hi = float(lo), float(hi)
     if hi < lo:
         lo, hi = hi, lo
     f_lo, f_hi = score_fn(lo), score_fn(hi)
-    if not expand:
-        if f_lo > 0.0:
-            return lo
-        if f_hi < 0.0:
-            return hi
     expansions = 0
     while f_lo > 0.0 or f_hi < 0.0:
         if expansions >= max_expansions:
@@ -181,7 +171,7 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
         pilot = solve_monotone(
             lambda b: float(np.mean(ipw_quantile_score(b, train.y, train.d,
                                                        g_train, tau))),
-            *bracket, tol=config.bisection_tol, expand=False)
+            *bracket, tol=config.bisection_tol)
         pseudo = train.d * ((train.y <= pilot).astype(float) - tau) / g_train ** 2
         h_hat = _fit_h(train.x, pseudo, config, k)
 
@@ -192,12 +182,8 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
             return float(np.mean(orthogonal_quantile_score(
                 b, est.y, est.d, g_est, h_est, tau)))
 
-        # The correction (g - d) h can shift the whole step function off
-        # zero; the estimate is then the end of [min y, max y] nearest a
-        # root, the least |mean score| on the range of the outcomes.
         beta_k = solve_monotone(mean_score, float(np.min(est.y)),
-                                float(np.max(est.y)), tol=config.bisection_tol,
-                                expand=False)
+                                float(np.max(est.y)), tol=config.bisection_tol)
         scores = orthogonal_quantile_score(beta_k, est.y, est.d, g_est, h_est, tau)
         density = _ipw_density(est.y, est.d, g_est, beta_k)
         return beta_k, float(np.mean(scores * scores)) / density ** 2

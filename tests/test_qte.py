@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orthoscore.core import SEED_SPLIT, Dataset, derive_seed, split_folds
+from orthoscore.core import Dataset
 from orthoscore.learners import MlpArchitecture
 from orthoscore.qte import (QteConfig, ipw_quantile_score,
                             orthogonal_quantile_score, qte_crossfit,
@@ -58,15 +58,6 @@ class TestSolveMonotone:
     def test_tol_bounds_final_width(self):
         root = solve_monotone(lambda b: b - 2.0, 0.0, 10.0, tol=1e-3)
         assert abs(root - 2.0) <= 1e-3
-
-    def test_fixed_bracket_still_bisects_a_sign_change(self):
-        root = solve_monotone(lambda b: b - 2.0, 0.0, 10.0, expand=False)
-        assert root == pytest.approx(2.0, abs=1e-7)
-
-    def test_fixed_bracket_returns_end_of_least_score(self):
-        # No root in [0, 1]: the end where |score| is least, unexpanded.
-        assert solve_monotone(lambda b: b + 5.0, 0.0, 1.0, expand=False) == 0.0
-        assert solve_monotone(lambda b: b - 5.0, 0.0, 1.0, expand=False) == 1.0
 
 
 class TestScores:
@@ -200,19 +191,6 @@ class TestQteCrossfit:
         assert res.n == 800
         assert res.seed == 9
         assert res.level == 0.9
-
-    def test_rootless_fold_gives_the_end_of_the_outcome_range(self):
-        # On this sample the fitted correction (g - d) h keeps the first
-        # fold's orthogonal score below zero on all of [min y, max y].
-        rng = np.random.default_rng(182)
-        x = rng.normal(size=(472, 2))
-        d = (rng.random(472) < 1.0 / (1.0 + np.exp(-0.8 * x[:, 0]))).astype(float)
-        y = np.where(d == 1.0, 0.5 + x[:, 0] - x[:, 1] + rng.normal(size=472),
-                     rng.normal(size=472))
-        res = qte_crossfit(Dataset(x, y, d), QteConfig(seed=182))
-        split = split_folds(472, derive_seed(182, SEED_SPLIT))
-        assert res.fold_betas[0] == np.max(y[split.indices(0)])
-        assert np.isfinite(res.std_err) and res.std_err > 0.0
 
     def test_mlp_learner_runs(self):
         data = _randomized_data(400, seed=41)
