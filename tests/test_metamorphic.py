@@ -9,7 +9,7 @@ uses RTOL, far below any statistical difference.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthoscore.core import Dataset
@@ -67,7 +67,7 @@ def _orthogonal(p, rng):
 
 
 @given(n=sizes, seed=seeds)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_recoding_the_instrument_negates_the_estimate(n, seed):
     data = _iv_sample(n, seed)
     flipped = Dataset(data.x, data.y, data.d, 1.0 - data.z)
@@ -76,7 +76,7 @@ def test_recoding_the_instrument_negates_the_estimate(n, seed):
 
 
 @given(n=sizes, seed=seeds, a=scales, b=scales)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_late_is_affine_equivariant_in_the_outcome(n, seed, a, b):
     data = _iv_sample(n, seed)
     moved = Dataset(data.x, a + b * data.y, data.d, data.z)
@@ -88,7 +88,7 @@ def test_late_is_affine_equivariant_in_the_outcome(n, seed, a, b):
 
 
 @given(n=sizes, seed=seeds)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_late_is_invariant_to_orthogonal_covariate_maps(n, seed):
     data = _iv_sample(n, seed)
     q = _orthogonal(data.p, np.random.default_rng(seed))
@@ -98,7 +98,7 @@ def test_late_is_invariant_to_orthogonal_covariate_maps(n, seed):
 
 
 @given(n=sizes, seed=seeds)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_late_is_invariant_to_affine_covariate_maps(n, seed):
     data = _iv_sample(n, seed)
     rng = np.random.default_rng(seed)
@@ -110,7 +110,7 @@ def test_late_is_invariant_to_affine_covariate_maps(n, seed):
 
 
 @given(n=sizes, seed=seeds, c=scales)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_plr_shifts_by_the_treatment_coefficient_added_to_y(n, seed, c):
     data = _plr_sample(n, seed)
     moved = Dataset(data.x, data.y + c * data.d, data.d, real_treatment=True)
@@ -128,17 +128,36 @@ def _qte_sample(n, seed):
     return Dataset(x, y, d)
 
 
+def _qte_fold_betas(data, config):
+    try:
+        return np.asarray(qte_crossfit(data, config).fold_betas)
+    except ValueError as exc:
+        return str(exc)
+
+
 @given(n=st.integers(min_value=200, max_value=800), seed=seeds,
        a=scales, log_b=st.floats(min_value=-2.0, max_value=3.0))
-@settings(max_examples=50, deadline=None)
+# Before solve_monotone returned hi, these moved a fold estimate by
+# 0.29 and 2.28 (units of a + b y).
+@example(n=400, seed=3, a=0.0, log_b=1.0)
+@example(n=400, seed=4, a=0.0, log_b=1.0)
+# The fitted correction (g - d) h keeps fold 0's orthogonal score below
+# zero on all of [min y, max y], in any units: both raise.
+@example(n=472, seed=182, a=1.3, log_b=0.0)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_qte_is_equivariant_under_increasing_affine_outcome_maps(n, seed, a, log_b):
     # Each fold's root lies within bisection_tol above a jump of its
     # step-function score, so a + b y moves it by at most (1 + b) tol.
+    # A fold without a root in the outcome range has none in any units,
+    # and both estimates fail the same way.
     b = 10.0 ** log_b
     data = _qte_sample(n, seed)
     moved = Dataset(data.x, a + b * data.y, data.d)
     config = QteConfig(seed=seed)
-    base = np.asarray(qte_crossfit(data, config).fold_betas)
-    got = np.asarray(qte_crossfit(moved, config).fold_betas)
+    base = _qte_fold_betas(data, config)
+    got = _qte_fold_betas(moved, config)
+    if isinstance(base, str) or isinstance(got, str):
+        assert got == base == "root not bracketed", (got, base)
+        return
     assert np.all(np.abs(got - (a + b * base))
                   <= (1.0 + b) * config.bisection_tol), (got, a + b * base)
