@@ -5,9 +5,9 @@ Quantiles of a potential outcome
 Beyond average effects: the tau-th quantile of the treated-arm
 potential outcome Y(1), identified under ignorability by reweighting
 the treated observations with the inverse propensity.  The estimator
-solves a monotone estimating equation by bisection and carries an
-orthogonalizing correction, so a sloppy propensity model costs only
-second-order error.
+solves a monotone estimating equation exactly (its root is a sample
+value of the outcome) and carries an orthogonalizing correction, so a
+sloppy propensity model costs only second-order error.
 """
 
 import numpy as np

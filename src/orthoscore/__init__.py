@@ -34,7 +34,6 @@ from .learners import (
     fit_logistic,
     fit_mlp,
     gradient_check,
-    linear_regressor,
     pipeline_train_config,
 )
 from .ortho import (
@@ -93,8 +92,7 @@ __all__ = [
     "derive_seed", "make_ci", "normal_quantile", "shifted", "split_folds",
     "AffineEstimate", "MlpArchitecture", "MlpEstimate", "TrainConfig",
     "TrainingDiverged", "expit", "fit_least_squares", "fit_logistic",
-    "fit_mlp", "gradient_check", "linear_regressor",
-    "pipeline_train_config",
+    "fit_mlp", "gradient_check", "pipeline_train_config",
     "CoupledModel", "DecoupledModel", "RatioDirection", "ScoreFamily",
     "SequentialDirections", "SequentialModel", "build_coupled_score",
     "build_decoupled_score", "build_sequential_score", "check_orthogonality",

@@ -181,6 +181,9 @@ def _read_strict_csv(path: str):
     if any('"' in line for line in lines):
         raise ValueError("quoted fields are not supported")
     header = [c.strip() for c in lines[0].split(",")]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"duplicate column name: {name!r}")
     rows = []
     for i, line in enumerate(lines[1:], start=1):
         if line == "":

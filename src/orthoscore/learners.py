@@ -29,7 +29,6 @@ __all__ = [
     "fit_mlp",
     "gradient_check",
     "expit",
-    "linear_regressor",
 ]
 
 LOSS_KINDS = ("squared_error", "weighted_squared_error", "cross_entropy_on_logits")
@@ -515,8 +514,3 @@ def gradient_check(arch: MlpArchitecture, loss: str, x, targets,
                  - _loss_value(dn, targets, loss, w)) / (2.0 * fd_step)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     return float(np.max(np.abs(analytic - fd) / denom))
-
-
-def linear_regressor():
-    """Regressor callback backed by the closed-form least-squares fit."""
-    return lambda x, t: fit_least_squares(x, t)

@@ -37,7 +37,7 @@ and returns one value per observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -209,12 +209,10 @@ class ScoreFamily:
     """
 
     evaluate: Callable[[float, Dataset], np.ndarray]
-    nuisances: Mapping[str, FunctionEstimate] = field(default_factory=dict)
-    rebuild: Callable[[Mapping[str, FunctionEstimate]], "ScoreFamily"] | None = None
+    nuisances: Mapping[str, FunctionEstimate]
+    rebuild: Callable[[Mapping[str, FunctionEstimate]], "ScoreFamily"]
 
     def with_nuisances(self, **replacements) -> "ScoreFamily":
-        if self.rebuild is None:
-            raise ValueError("this score family does not support rebinding")
         unknown = set(replacements) - set(self.nuisances)
         if unknown:
             raise ValueError(f"unknown nuisance names: {sorted(unknown)}")
@@ -340,8 +338,7 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
         raise ValueError("n_mc must be at least 2")
     if shard_size < 1:
         raise ValueError("shard_size must be at least 1")
-    # Rejects an unknown nuisance name or a family without rebinding
-    # before anything is drawn.
+    # Rejects an unknown nuisance name before anything is drawn.
     score.with_nuisances(**{which_nuisance: direction})
     total, total_sq, count = 0.0, 0.0, 0
     shard = 0

@@ -15,11 +15,10 @@ estimated by a pilot-then-correct pass.  ``qte_crossfit`` hands one
 fold step to ``core.crossfit``: on the training half, solve the plain
 IPW equation for a pilot quantile and regress the pseudo-outcome
 d (I(y <= pilot) - tau) / g^2 on x; on the estimation half, solve the
-orthogonal equation by bisection (the empirical score is a
-nondecreasing step function of beta).  The variance divides the mean
-squared score by the squared density of Y(1) at beta-hat, estimated by
-a Gaussian kernel on the IPW-weighted treated outcomes with Silverman
-bandwidth.
+orthogonal equation exactly (its empirical mean is a nondecreasing step
+function of beta).  The variance divides the mean squared score by the
+squared density of Y(1) at beta-hat, estimated by a Gaussian kernel on
+the IPW-weighted treated outcomes with Silverman bandwidth.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
 class QteConfig:
     tau: float = 0.5
     clip_epsilon: float = 0.01
-    bisection_tol: float = 1e-8
     learner: str = "linear"  # linear | mlp
     arch: MlpArchitecture = field(default_factory=MlpArchitecture)
     train: TrainConfig = field(default_factory=pipeline_train_config)
@@ -60,8 +58,6 @@ class QteConfig:
             raise ValueError("tau must lie in (0, 1)")
         if not (0.0 < self.clip_epsilon < 0.5):
             raise ValueError("clip_epsilon must lie in (0, 0.5)")
-        if self.bisection_tol <= 0.0:
-            raise ValueError("bisection_tol must be positive")
         if self.learner not in ("linear", "mlp"):
             raise ValueError("learner must be linear or mlp")
 
@@ -80,40 +76,25 @@ def orthogonal_quantile_score(beta, y, d, g, h_values, tau) -> np.ndarray:
     return ipw_quantile_score(beta, y, d, g, tau) + (g - d) * np.asarray(h_values, dtype=float)
 
 
-def solve_monotone(score_fn, lo: float, hi: float, tol: float = 1e-8,
-                   max_expansions: int = 60) -> float:
-    """Bisection root of a nondecreasing empirical mean score.
+def solve_monotone(score_fn, y) -> float:
+    """Least sample value of y at which a nondecreasing mean score is >= 0.
 
-    The bracket is expanded outward by doubling (up to `max_expansions`
-    times in total) until score(lo) <= 0 <= score(hi), then bisected to
-    width tol.  The end where the score is nonnegative is returned: for
-    a step-function score that is within tol above the jump, so
-    I(y <= root) counts the observation at the jump whatever the units
-    of y.
+    This is the exact root: the empirical score is a step function of
+    beta that jumps only at sample outcomes.  Raises when the score is
+    negative at max(y) or positive below every sample value, so that no
+    root exists.
     """
-    lo, hi = float(lo), float(hi)
-    if hi < lo:
-        lo, hi = hi, lo
-    f_lo, f_hi = score_fn(lo), score_fn(hi)
-    expansions = 0
-    while f_lo > 0.0 or f_hi < 0.0:
-        if expansions >= max_expansions:
-            raise ValueError("root not bracketed")
-        width = max(hi - lo, 1.0)
-        if f_lo > 0.0:
-            lo -= width
-            f_lo = score_fn(lo)
-        else:
-            hi += width
-            f_hi = score_fn(hi)
-        expansions += 1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if score_fn(mid) < 0.0:
-            lo = mid
+    values = np.unique(y)
+    if score_fn(values[-1]) < 0.0 or score_fn(-np.inf) > 0.0:
+        raise ValueError("root not bracketed")
+    lo, hi = 0, values.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if score_fn(values[mid]) < 0.0:
+            lo = mid + 1
         else:
             hi = mid
-    return hi
+    return float(values[lo])
 
 
 def _weighted_quantile(values, weights, q):
@@ -167,11 +148,10 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
         else:
             f_hat = fit_logistic(train.x, train.d)
         g_train = clip_propensity(expit(f_hat(train.x)), eps)
-        bracket = (float(np.min(train.y)), float(np.max(train.y)))
         pilot = solve_monotone(
             lambda b: float(np.mean(ipw_quantile_score(b, train.y, train.d,
                                                        g_train, tau))),
-            *bracket, tol=config.bisection_tol)
+            train.y)
         pseudo = train.d * ((train.y <= pilot).astype(float) - tau) / g_train ** 2
         h_hat = _fit_h(train.x, pseudo, config, k)
 
@@ -182,8 +162,7 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
             return float(np.mean(orthogonal_quantile_score(
                 b, est.y, est.d, g_est, h_est, tau)))
 
-        beta_k = solve_monotone(mean_score, float(np.min(est.y)),
-                                float(np.max(est.y)), tol=config.bisection_tol)
+        beta_k = solve_monotone(mean_score, est.y)
         scores = orthogonal_quantile_score(beta_k, est.y, est.d, g_est, h_est, tau)
         density = _ipw_density(est.y, est.d, g_est, beta_k)
         return beta_k, float(np.mean(scores * scores)) / density ** 2

@@ -150,8 +150,7 @@ def test_criterion_7_oracle_equivalences():
             return float(np.mean(orthogonal_quantile_score(
                 b, y, ones, ones, zeros, tau)))
 
-        root = solve_monotone(mean_score, float(y.min()), float(y.max()),
-                              tol=1e-10)
+        root = solve_monotone(mean_score, y)
         worst_qte = max(worst_qte, abs(root - _sample_quantile(y, tau)))
 
     # Weighted least squares vs pseudoinverse normal equations, with

@@ -269,6 +269,21 @@ class TestAnalyze:
         assert main(_analyze_argv(path, p=1)) == 2
         assert "expected 4" in capsys.readouterr().err
 
+    def test_duplicate_column_name_rejected(self, tmp_path, capsys):
+        # Without the check the first x1 was read and the second ignored.
+        rng = np.random.default_rng(0)
+        rows = []
+        for i in range(40):
+            z = i % 2
+            d = int(rng.random() < 0.2 + 0.6 * z)
+            rows.append(f"{rng.normal() + d!r},{d},{z},"
+                        f"{rng.normal()!r},{rng.normal()!r}")
+        path = tmp_path / "dup.csv"
+        path.write_text("y,d,z,x1,x1\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        assert main(_analyze_argv(path, p=1)) == 2
+        assert capsys.readouterr().err == "error: duplicate column name: 'x1'\n"
+
     def test_empty_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")

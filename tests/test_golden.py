@@ -30,10 +30,11 @@ ESTIMATES = {
                2.7077290855018754, (2.4070128199793324, 1.4877212011013443)),
     "plr": (1.0276932223241848, 0.848164814782123, 0.9469691210836313,
             1.1084173235647383, (0.9762767242476463, 1.0791097204007234)),
-    # Re-recorded when solve_monotone began returning the bracket end
-    # where the mean score is nonnegative (was the bracket midpoint).
-    "qte": (0.5626706456783863, 10.564922832578407, 0.30259143772622155,
-            0.8227498536305511, (0.2992615029821114, 0.8260797883746613)),
+    # Re-recorded when solve_monotone began returning the exact root, the
+    # least sample value with a nonnegative mean score (each fold moved
+    # down by under 1e-8 to that sample value).
+    "qte": (0.5626706387850756, 10.56492282499779, 0.3025914309262178,
+            0.8227498466439334, (0.29926149626897747, 0.8260797813011738)),
 }
 
 # (derivative, std_error) per case of run_check(target, 50_000, seed=7)

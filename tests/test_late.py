@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import orthoscore.late
-from orthoscore.core import Dataset, FunctionEstimate
+from orthoscore.core import (SEED_SPLIT, Dataset, FunctionEstimate, derive_seed,
+                             split_folds)
 from orthoscore.late import (
     LateConfig,
     clip_propensity,
@@ -354,6 +355,18 @@ class TestLateCrossfit:
         data = Dataset(x, rng.normal(size=100), ones, ones)
         with pytest.raises((ValueError, RuntimeError)):
             late_crossfit(data, LateConfig(seed=0))
+
+    @pytest.mark.parametrize("method", ["robust_lr", "moment", "reg_lr"])
+    def test_constant_instrument_in_a_training_fold(self, method):
+        # z varies over the sample, which passes the degenerate-instrument
+        # check, but it is 0 on all of fold 0's training half.
+        data = _iv_data(300, seed=67)
+        split = split_folds(data.n, derive_seed(4, SEED_SPLIT))
+        z = np.zeros(data.n)
+        z[split.indices(0)] = 1.0
+        data = Dataset(data.x, data.y, data.d, z)
+        with pytest.raises(RuntimeError, match="fold 0: degenerate labels"):
+            late_crossfit(data, LateConfig(method=method, seed=4))
 
     def test_programming_error_escapes_the_fold_wrapper(self, monkeypatch):
         # Only estimation failures become "fold k:" RuntimeErrors; a

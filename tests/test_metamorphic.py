@@ -146,9 +146,9 @@ def _qte_fold_betas(data, config):
 @example(n=472, seed=182, a=1.3, log_b=0.0)
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_qte_is_equivariant_under_increasing_affine_outcome_maps(n, seed, a, log_b):
-    # Each fold's root lies within bisection_tol above a jump of its
-    # step-function score, so a + b y moves it by at most (1 + b) tol.
-    # A fold without a root in the outcome range has none in any units,
+    # Each fold's root is the sample value at a jump of its step-function
+    # score, and I(y <= beta) depends only on the order of y, so a + b y
+    # moves it exactly.  A fold without a root has none in any units,
     # and both estimates fail the same way.
     b = 10.0 ** log_b
     data = _qte_sample(n, seed)
@@ -159,5 +159,4 @@ def test_qte_is_equivariant_under_increasing_affine_outcome_maps(n, seed, a, log
     if isinstance(base, str) or isinstance(got, str):
         assert got == base == "root not bracketed", (got, base)
         return
-    assert np.all(np.abs(got - (a + b * base))
-                  <= (1.0 + b) * config.bisection_tol), (got, a + b * base)
+    assert np.array_equal(got, a + b * base), (got, a + b * base)

@@ -8,7 +8,7 @@ import pytest
 from orthoscore.core import Dataset, FunctionEstimate, derive_seed, shifted
 from orthoscore.late import LateConfig, clip_propensity, estimate_h, \
     estimate_log_odds, robust_score
-from orthoscore.learners import expit, linear_regressor
+from orthoscore.learners import expit, fit_least_squares
 from orthoscore.ortho import (
     CoupledModel,
     DecoupledModel,
@@ -52,8 +52,7 @@ class TestCoupledDirection:
         data = _plr_data(300, seed=1)
         f_hat = FunctionEstimate.constant(0.0)
         h = fit_coupled_direction(PLR_MODEL, 0.5, f_hat, data,
-                                  linear_regressor())
-        from orthoscore.learners import fit_least_squares
+                                  fit_least_squares)
         d_fit = fit_least_squares(data.x, data.d)
         np.testing.assert_allclose(h(data.x), -d_fit(data.x), atol=1e-10)
 
@@ -66,7 +65,7 @@ class TestCoupledDirection:
         )
         data = _plr_data(100, seed=2)
         h = fit_coupled_direction(model, 0.0, FunctionEstimate.constant(0.0),
-                                  data, linear_regressor())
+                                  data, fit_least_squares)
         np.testing.assert_allclose(h(data.x), 0.0, atol=1e-12)
 
     def test_independent_bernoulli_gives_flat_direction(self):
@@ -77,7 +76,7 @@ class TestCoupledDirection:
         data = Dataset(x, rng.normal(size=n), d, None, real_treatment=True)
         h = fit_coupled_direction(PLR_MODEL, 0.0,
                                   FunctionEstimate.constant(0.0), data,
-                                  linear_regressor())
+                                  fit_least_squares)
         probe = rng.normal(size=(50, 2))
         np.testing.assert_allclose(h(probe), -0.3, atol=0.02)
 
@@ -91,7 +90,7 @@ class TestCoupledDirection:
         data = _plr_data(50, seed=4)
         with pytest.raises(ValueError, match="direction undefined"):
             fit_coupled_direction(model, 0.0, FunctionEstimate.constant(0.0),
-                                  data, linear_regressor())
+                                  data, fit_least_squares)
 
 
 class TestCoupledScore:
@@ -158,7 +157,7 @@ class TestDecoupledDirection:
         data = _plr_data(100, seed=7)
         h = fit_decoupled_direction(model, 0.0,
                                     FunctionEstimate.constant(0.0), data,
-                                    linear_regressor())
+                                    fit_least_squares)
         np.testing.assert_allclose(h(data.x), 0.0, atol=1e-12)
 
     def test_constant_means_give_constant_direction(self):
@@ -171,7 +170,7 @@ class TestDecoupledDirection:
         model = _qte_model(tau=0.5)
         f_hat = FunctionEstimate.constant(0.0)
         h = fit_decoupled_direction(model, 0.0, f_hat, data,
-                                    linear_regressor())
+                                    fit_least_squares)
         # Closed form at f=0: num = E[-d(I(y<=0)-.5)] = -.5*.25... the
         # exact level is checked by Monte Carlo flatness instead.
         probe = rng.normal(size=(40, 2))
@@ -192,7 +191,7 @@ class TestDecoupledDirection:
         model = _qte_model(tau=0.5)
         f_hat = FunctionEstimate(lambda xs: 0.8 * xs[:, 0])
         h = fit_decoupled_direction(model, 0.0, f_hat, data,
-                                    linear_regressor())
+                                    fit_least_squares)
         fv = f_hat(data.x)
         num_t = model.d_f_psi(0.0, fv, data)
         den_t = model.d2_ff_m1(fv, data)
@@ -269,7 +268,6 @@ class TestSequentialDirections:
         def regressor(x, t):
             # Regress on the structural covariates only, so the
             # pseudo-outcome columns cannot leak into the fit.
-            from orthoscore.learners import fit_least_squares
             fit = fit_least_squares(x[:, :2], t)
             return FunctionEstimate(lambda xs: fit(xs[:, :2]))
 
@@ -297,7 +295,7 @@ class TestSequentialDirections:
         dirs = fit_sequential_directions(model, 0.0,
                                          FunctionEstimate.constant(0.0),
                                          FunctionEstimate.constant(0.0),
-                                         data, linear_regressor())
+                                         data, fit_least_squares)
         np.testing.assert_allclose(dirs.h2(data.x), 0.0, atol=1e-12)
         np.testing.assert_allclose(dirs.h3(data.x), 0.0, atol=1e-12)
 
@@ -316,7 +314,7 @@ class TestSequentialDirections:
         dirs = fit_sequential_directions(model, 0.0,
                                          FunctionEstimate.constant(0.0),
                                          FunctionEstimate.constant(0.0),
-                                         data, linear_regressor())
+                                         data, fit_least_squares)
         np.testing.assert_allclose(dirs.h3(data.x), 0.0, atol=1e-12)
         assert np.max(np.abs(dirs.h2(data.x))) > 0.1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orthoscore.core import Dataset
-from orthoscore.learners import MlpArchitecture
+from orthoscore.learners import MlpArchitecture, expit
 from orthoscore.qte import (QteConfig, ipw_quantile_score,
                             orthogonal_quantile_score, qte_crossfit,
                             solve_monotone)
@@ -24,18 +24,11 @@ def _sample_quantile(y, tau):
 
 
 class TestSolveMonotone:
-    def test_linear_score_root(self):
-        root = solve_monotone(lambda b: b - 2.0, 0.0, 10.0)
-        assert root == pytest.approx(2.0, abs=1e-7)
-
-    def test_reversed_bracket_is_swapped(self):
-        root = solve_monotone(lambda b: b - 2.0, 10.0, 0.0)
-        assert root == pytest.approx(2.0, abs=1e-7)
-
     def test_step_function_jump_location(self):
-        # Pure sign step: the generalized root is the jump at zero.
-        root = solve_monotone(lambda b: 1.0 if b >= 0.0 else -1.0, -5.0, 5.0)
-        assert root == pytest.approx(0.0, abs=1e-7)
+        # Pure sign step: the root is the sample value at the jump.
+        y = np.array([2.0, -5.0, 0.0, 5.0, -1.0])
+        root = solve_monotone(lambda b: 1.0 if b >= 0.0 else -1.0, y)
+        assert root == 0.0
 
     def test_five_point_median(self):
         y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -45,19 +38,15 @@ class TestSolveMonotone:
             return float(np.mean(ipw_quantile_score(b, y, ones, ones, 0.5)))
 
         # Empirical CDF crosses 1/2 at the third order statistic.
-        assert solve_monotone(mean_score, 0.0, 6.0) == pytest.approx(3.0, abs=1e-6)
-
-    def test_bracket_expands_to_reach_root(self):
-        root = solve_monotone(lambda b: b - 100.0, 0.0, 1.0)
-        assert root == pytest.approx(100.0, abs=1e-6)
+        assert solve_monotone(mean_score, y) == 3.0
 
     def test_unbracketable_score_raises(self):
+        y = np.array([0.0, 1.0])
+        # Positive below every sample value, and negative at max(y).
         with pytest.raises(ValueError, match="root not bracketed"):
-            solve_monotone(lambda b: 1.0, 0.0, 1.0, max_expansions=8)
-
-    def test_tol_bounds_final_width(self):
-        root = solve_monotone(lambda b: b - 2.0, 0.0, 10.0, tol=1e-3)
-        assert abs(root - 2.0) <= 1e-3
+            solve_monotone(lambda b: 1.0, y)
+        with pytest.raises(ValueError, match="root not bracketed"):
+            solve_monotone(lambda b: -1.0, y)
 
 
 class TestScores:
@@ -133,9 +122,7 @@ class TestQuantileReduction:
             def mean_score(b):
                 return float(np.mean(orthogonal_quantile_score(b, y, d, g, h, tau)))
 
-            root = solve_monotone(mean_score, float(y.min()), float(y.max()),
-                                  tol=1e-10)
-            assert root == pytest.approx(_sample_quantile(y, tau), abs=1e-8)
+            assert solve_monotone(mean_score, y) == _sample_quantile(y, tau)
 
 
 def _randomized_data(n, seed, median1=0.0):
@@ -192,6 +179,18 @@ class TestQteCrossfit:
         assert res.seed == 9
         assert res.level == 0.9
 
+    def test_constant_treated_outcome_hits_the_bandwidth_floor(self):
+        # Every treated y is 2.0, so the IPW spread is zero and the
+        # kernel density falls back to its floor bandwidth.
+        rng = np.random.default_rng(5)
+        n = 400
+        x = rng.normal(size=(n, 2))
+        d = (rng.random(n) < expit(0.8 * x[:, 0])).astype(float)
+        y = np.where(d == 1.0, 2.0, rng.normal(size=n))
+        res = qte_crossfit(Dataset(x, y, d), QteConfig(seed=1))
+        assert res.fold_betas == (2.0, 2.0)
+        assert np.isfinite(res.sigma2_hat) and res.sigma2_hat > 0.0
+
     def test_mlp_learner_runs(self):
         data = _randomized_data(400, seed=41)
         cfg = QteConfig(learner="mlp", arch=MlpArchitecture(depth=2, width=8),
@@ -221,7 +220,6 @@ class TestQteCrossfit:
         {"tau": 0.0},
         {"tau": 1.0},
         {"clip_epsilon": 0.6},
-        {"bisection_tol": 0.0},
         {"learner": "banana"},
     ])
     def test_config_validation(self, kwargs):
