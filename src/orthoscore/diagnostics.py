@@ -108,13 +108,6 @@ def _directions():
     )
 
 
-def _family(make_evaluate, nuisances):
-    """ScoreFamily wired for rebinding: make_evaluate(nus) -> evaluate."""
-    def rebuild(nus):
-        return ScoreFamily(make_evaluate(nus), dict(nus), rebuild)
-    return rebuild(nuisances)
-
-
 # ---------------------------------------------------------------- late
 
 def _late_target():
@@ -160,16 +153,10 @@ def _late_target():
 
     h_true = FunctionEstimate(h_true_batch, "true h")
 
-    def make_orth(nus):
-        f, h = nus["f"], nus["h"]
-        return lambda beta, data: robust_score(beta, f, h, data)
-
-    def make_ctrl(nus):
-        f = nus["f"]
-        return lambda beta, data: moment_score(beta, f, data)
-
-    orth = _family(make_orth, {"f": f_true, "h": h_true})
-    ctrl = _family(make_ctrl, {"f": f_true})
+    orth = ScoreFamily(lambda beta, data, v: robust_score(beta, v["f"], v["h"], data),
+                       {"f": f_true, "h": h_true})
+    ctrl = ScoreFamily(lambda beta, data, v: moment_score(beta, v["f"], data),
+                       {"f": f_true})
     ctrl_dir = FunctionEstimate.constant(1.0, "constant")
     return beta0, sampler, orth, ctrl, "f", ("constant", ctrl_dir)
 
@@ -198,17 +185,10 @@ def _plr_target():
         lambda x: beta0 * expit(x[:, 0]) + _plr_background(x), "true l")
     b_true = FunctionEstimate(_plr_background, "true background")
 
-    def make_orth(nus):
-        m_fn, l_fn = nus["m"], nus["l"]
-        return lambda beta, data: partialled_score(
-            beta, data.d - m_fn(data.x), data.y - l_fn(data.x))
-
-    def make_ctrl(nus):
-        b_fn = nus["b"]
-        return lambda beta, data: data.d * (data.y - beta * data.d - b_fn(data.x))
-
-    orth = _family(make_orth, {"m": m_true, "l": l_true})
-    ctrl = _family(make_ctrl, {"b": b_true})
+    orth = ScoreFamily(lambda beta, data, v: partialled_score(
+        beta, data.d - v["m"], data.y - v["l"]), {"m": m_true, "l": l_true})
+    ctrl = ScoreFamily(lambda beta, data, v: data.d * (data.y - beta * data.d - v["b"]),
+                       {"b": b_true})
     ctrl_dir = FunctionEstimate.constant(1.0, "constant")
     return beta0, sampler, orth, ctrl, "b", ("constant", ctrl_dir)
 
@@ -241,18 +221,10 @@ def _qte_target():
 
     h_true = FunctionEstimate(h_true_batch, "true h")
 
-    def make_orth(nus):
-        f, h = nus["f"], nus["h"]
-        return lambda beta, data: orthogonal_quantile_score(
-            beta, data.y, data.d, expit(f(data.x)), h(data.x), tau)
-
-    def make_ctrl(nus):
-        f = nus["f"]
-        return lambda beta, data: ipw_quantile_score(
-            beta, data.y, data.d, expit(f(data.x)), tau)
-
-    orth = _family(make_orth, {"f": f_true, "h": h_true})
-    ctrl = _family(make_ctrl, {"f": f_true})
+    orth = ScoreFamily(lambda beta, data, v: orthogonal_quantile_score(
+        beta, data.y, data.d, expit(v["f"]), v["h"], tau), {"f": f_true, "h": h_true})
+    ctrl = ScoreFamily(lambda beta, data, v: ipw_quantile_score(
+        beta, data.y, data.d, expit(v["f"]), tau), {"f": f_true})
     ctrl_dir = FunctionEstimate(lambda x: x[:, 0] - x[:, 1], "x1 - x2")
     return beta0, sampler, orth, ctrl, "f", ("x1 - x2", ctrl_dir)
 

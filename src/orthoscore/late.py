@@ -137,30 +137,36 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     return fit_least_squares(train.x, pseudo)
 
 
-def robust_score(beta: float, f_hat: FunctionEstimate, h_hat: FunctionEstimate,
-                 data: Dataset, clip_epsilon: float = 0.01) -> np.ndarray:
-    """Orthogonal score (kappa1-kappa0)y - (g-z)/(g(1-g)) h(x) - beta."""
-    g = clip_propensity(expit(f_hat(data.x)), clip_epsilon)
+def robust_score(beta: float, f, h, data: Dataset,
+                 clip_epsilon: float = 0.01) -> np.ndarray:
+    """Orthogonal score (kappa1-kappa0)y - (g-z)/(g(1-g)) h - beta.
+
+    `f` and `h` hold the log-odds and the direction at `data.x`.
+    """
+    g = clip_propensity(expit(f), clip_epsilon)
     k0, k1 = kappa(data.d, data.z, g)
-    correction = (g - data.z) / (g * (1.0 - g)) * h_hat(data.x)
+    correction = (g - data.z) / (g * (1.0 - g)) * h
     return (k1 - k0) * data.y - correction - beta
 
 
-def moment_score(beta: float, f_hat: FunctionEstimate, data: Dataset,
+def moment_score(beta: float, f, data: Dataset,
                  clip_epsilon: float = 0.01) -> np.ndarray:
-    """Plain reweighting score (kappa1 - kappa0) y - beta."""
-    g = clip_propensity(expit(f_hat(data.x)), clip_epsilon)
+    """Plain reweighting score (kappa1 - kappa0) y - beta; `f` at `data.x`."""
+    g = clip_propensity(expit(f), clip_epsilon)
     k0, k1 = kappa(data.d, data.z, g)
     return (k1 - k0) * data.y - beta
 
 
-def regression_score(beta: float, f_hat: FunctionEstimate,
-                     mu0_hat: FunctionEstimate, mu1_hat: FunctionEstimate,
-                     data: Dataset, clip_epsilon: float = 0.01) -> np.ndarray:
-    """Imputation score kappa1 mu1(x) - kappa0 mu0(x) - beta."""
-    g = clip_propensity(expit(f_hat(data.x)), clip_epsilon)
+def regression_score(beta: float, f, mu0, mu1, data: Dataset,
+                     clip_epsilon: float = 0.01) -> np.ndarray:
+    """Imputation score kappa1 mu1 - kappa0 mu0 - beta.
+
+    `f`, `mu0` and `mu1` hold the log-odds and the fitted response
+    functions at `data.x`.
+    """
+    g = clip_propensity(expit(f), clip_epsilon)
     k0, k1 = kappa(data.d, data.z, g)
-    return k1 * mu1_hat(data.x) - k0 * mu0_hat(data.x) - beta
+    return k1 * mu1 - k0 * mu0 - beta
 
 
 def fit_larf(train: Dataset, f_hat: FunctionEstimate, t: int,
@@ -220,18 +226,18 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
     def fit_fold(train, est, k):
         try:
             f_hat = estimate_log_odds(train, config, k)
+            f = f_hat(est.x)
             if config.method in ("reg_np", "reg_lr"):
-                mu0 = fit_larf(train, f_hat, 0, config, k)
-                mu1 = fit_larf(train, f_hat, 1, config, k)
+                mu0 = fit_larf(train, f_hat, 0, config, k)(est.x)
+                mu1 = fit_larf(train, f_hat, 1, config, k)(est.x)
                 point_fn = var_fn = lambda b, ds: regression_score(
-                    b, f_hat, mu0, mu1, ds, eps)
+                    b, f, mu0, mu1, ds, eps)
             else:
                 # The moment method needs h-hat only for its variance estimate.
-                h_hat = estimate_h(train, f_hat, config, k)
-                point_fn = var_fn = lambda b, ds: robust_score(
-                    b, f_hat, h_hat, ds, eps)
+                h = estimate_h(train, f_hat, config, k)(est.x)
+                point_fn = var_fn = lambda b, ds: robust_score(b, f, h, ds, eps)
                 if config.method == "moment":
-                    point_fn = lambda b, ds: moment_score(b, f_hat, ds, eps)
+                    point_fn = lambda b, ds: moment_score(b, f, ds, eps)
             beta_k = solve_beta_linear(point_fn, est)
             return beta_k, estimate_variance(var_fn, beta_k, est)
         except (ValueError, RuntimeError) as exc:

@@ -42,7 +42,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import Dataset, FunctionEstimate, derive_seed, shifted
+from .core import Dataset, FunctionEstimate, derive_seed
 
 __all__ = [
     "CoupledModel",
@@ -200,56 +200,46 @@ def fit_sequential_directions(model: SequentialModel, beta_pilot: float,
 
 @dataclass(frozen=True)
 class ScoreFamily:
-    """Per-observation score evaluator psi(beta; w) with frozen nuisances.
+    """Per-observation score psi(beta; w) with frozen nuisance functions.
 
-    `evaluate(beta, data)` returns one score per observation.
-    `with_nuisances` rebuilds the family with some
-    nuisance functions replaced, which the orthogonality checker uses
-    to form perturbed copies.
+    `score(beta, data, values)` receives `values`, a dict mapping each
+    nuisance name to its values at `data.x`.  `evaluate(beta, data)`
+    evaluates every nuisance at `data.x` and calls `score`.
+    `with_nuisances` returns the family with some nuisance functions
+    replaced.
     """
 
-    evaluate: Callable[[float, Dataset], np.ndarray]
+    score: Callable[[float, Dataset, Mapping[str, np.ndarray]], np.ndarray]
     nuisances: Mapping[str, FunctionEstimate]
-    rebuild: Callable[[Mapping[str, FunctionEstimate]], "ScoreFamily"]
+
+    def evaluate(self, beta: float, data: Dataset) -> np.ndarray:
+        return self.score(beta, data, {name: fn(data.x)
+                                       for name, fn in self.nuisances.items()})
 
     def with_nuisances(self, **replacements) -> "ScoreFamily":
         unknown = set(replacements) - set(self.nuisances)
         if unknown:
             raise ValueError(f"unknown nuisance names: {sorted(unknown)}")
-        merged = dict(self.nuisances)
-        merged.update(replacements)
-        return self.rebuild(merged)
+        return ScoreFamily(self.score, {**self.nuisances, **replacements})
 
 
 def build_coupled_score(model: CoupledModel, f_hat: FunctionEstimate,
                         h_hat: FunctionEstimate) -> ScoreFamily:
     """psi*(beta; w) = d_beta m + d_f m * h(x) at the fitted nuisances."""
-    def make(nus):
-        f, h = nus["f"], nus["h"]
+    def score(beta, data, v):
+        return (model.d_beta_m(beta, v["f"], data)
+                + model.d_f_m(beta, v["f"], data) * v["h"])
 
-        def evaluate(beta, data):
-            fv = f(data.x)
-            return (model.d_beta_m(beta, fv, data)
-                    + model.d_f_m(beta, fv, data) * h(data.x))
-
-        return ScoreFamily(evaluate, dict(nus), make)
-
-    return make({"f": f_hat, "h": h_hat})
+    return ScoreFamily(score, {"f": f_hat, "h": h_hat})
 
 
 def build_decoupled_score(model: DecoupledModel, f_hat: FunctionEstimate,
                           h_hat: FunctionEstimate) -> ScoreFamily:
     """psi*(beta; w) = psi + d_f m1 * h(x) at the fitted nuisances."""
-    def make(nus):
-        f, h = nus["f"], nus["h"]
+    def score(beta, data, v):
+        return model.psi(beta, v["f"], data) + model.d_f_m1(v["f"], data) * v["h"]
 
-        def evaluate(beta, data):
-            fv = f(data.x)
-            return model.psi(beta, fv, data) + model.d_f_m1(fv, data) * h(data.x)
-
-        return ScoreFamily(evaluate, dict(nus), make)
-
-    return make({"f": f_hat, "h": h_hat})
+    return ScoreFamily(score, {"f": f_hat, "h": h_hat})
 
 
 def build_sequential_score(model: SequentialModel, mu_hat: FunctionEstimate,
@@ -260,34 +250,15 @@ def build_sequential_score(model: SequentialModel, mu_hat: FunctionEstimate,
     `directions` is a SequentialDirections record or any object with
     h1/h2/h3 FunctionEstimate attributes.
     """
-    def make(nus):
-        mu, f = nus["mu"], nus["f"]
-        h1, h2, h3 = nus["h1"], nus["h2"], nus["h3"]
+    def score(beta, data, v):
+        fv, mv = v["f"], v["mu"]
+        return (model.psi(beta, mv, fv, data)
+                + model.d_f_m1(fv, data) * (v["h1"] + v["h3"])
+                + model.d_mu_m2(mv, fv, data) * v["h2"])
 
-        def evaluate(beta, data):
-            fv = f(data.x)
-            mv = mu(data.x)
-            corr_f = h1(data.x) + h3(data.x)
-            return (model.psi(beta, mv, fv, data)
-                    + model.d_f_m1(fv, data) * corr_f
-                    + model.d_mu_m2(mv, fv, data) * h2(data.x))
-
-        return ScoreFamily(evaluate, dict(nus), make)
-
-    return make({"mu": mu_hat, "f": f_hat,
-                 "h1": directions.h1, "h2": directions.h2, "h3": directions.h3})
-
-
-def _bound(fn: FunctionEstimate, x) -> FunctionEstimate:
-    """fn with its value at the matrix object `x` computed once, now.
-
-    Called on any other matrix, fn is evaluated as usual.  The stored
-    array is read-only, so a caller that writes into it fails instead
-    of corrupting later reads.
-    """
-    value = fn(x)
-    value.setflags(write=False)
-    return FunctionEstimate(lambda arg: value if arg is x else fn(arg), fn.label)
+    return ScoreFamily(score, {"mu": mu_hat, "f": f_hat,
+                               "h1": directions.h1, "h2": directions.h2,
+                               "h3": directions.h3})
 
 
 def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
@@ -298,17 +269,21 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
     The nuisances and the direction are evaluated before the score
     runs, not on first use: stored arrays allocated among the score's
     temporaries fragment the heap and raised the checker's peak
-    resident memory by about 2 MB.  Every array built here is released
-    on return, before the next shard is drawn.
+    resident memory by about 2 MB.  The stored arrays are read-only, so
+    a score that writes into its inputs fails instead of corrupting the
+    other sign.  Every array built here is released on return, before
+    the next shard is drawn.
     """
-    nuisances = {name: _bound(fn, data.x) for name, fn in score.nuisances.items()}
-    base, step = nuisances[which_nuisance], _bound(direction, data.x)
+    values = {name: fn(data.x) for name, fn in score.nuisances.items()}
+    step = direction(data.x)
+    for arr in (*values.values(), step):
+        arr.setflags(write=False)
+    base = values[which_nuisance]
 
     def at(s):
-        moved = {**nuisances, which_nuisance: shifted(base, s, step)}
-        return score.with_nuisances(**moved).evaluate(beta0, data)
+        return score.score(beta0, data, {**values, which_nuisance: base + s * step})
 
-    diff = (at(epsilon) - at(-epsilon)) / (2.0 * epsilon)
+    diff = (at(float(epsilon)) - at(float(-epsilon))) / (2.0 * epsilon)
     return float(np.sum(diff)), float(np.sum(diff * diff))
 
 
@@ -329,8 +304,7 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
     Per shard, each nuisance of the family and the direction are
     evaluated once, at the shard's covariate matrix, and the score
     once per sign; the shifted nuisance is formed from the stored
-    arrays with the arithmetic of ``core.shifted``.  Nuisances called
-    on any other matrix are evaluated as usual.
+    arrays with the arithmetic of ``core.shifted``.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")

@@ -116,9 +116,7 @@ def _ipw_density(y, d, g, at: float) -> float:
     sd = float(np.sqrt(np.average((yt - mean) ** 2, weights=w)))
     iqr = _weighted_quantile(yt, w, 0.75) - _weighted_quantile(yt, w, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    bandwidth = 0.9 * spread * n_t ** (-0.2)
-    if bandwidth <= 0.0:
-        bandwidth = 1e-6 * (1.0 + abs(at))
+    bandwidth = max(0.9 * spread * n_t ** (-0.2), 1e-6 * (1.0 + abs(at)))
     u = (at - yt) / bandwidth
     kern = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     return float(np.sum(w * kern) / (bandwidth * np.sum(w)))

@@ -25,7 +25,6 @@ are excluded from the metrics and counted.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -243,6 +242,9 @@ def run_replications(dgp: DgpConfig, methods, reps: int, master_seed: int,
         for i in range(reps):
             results[i] = _one_replicate(dgp, methods, master_seed, i, base_config)[1]
     else:
+        # Imported here: the pool's modules would otherwise load on every
+        # import of the package.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_one_replicate, dgp, methods, master_seed, i,
                                    base_config) for i in range(reps)]

@@ -5,8 +5,9 @@ check and one cross-fitted estimate.  Every module loaded on the way
 must come from the standard library, numpy or the package itself.  A
 module is judged by the file it was loaded from, not by its name:
 numpy's compiled modules register helper modules such as
-``cython_runtime``, and ``multiprocessing`` registers ``__mp_main__``;
-those have no file and are part of the interpreter or numpy.
+``cython_runtime``, and ``multiprocessing``, once a pool runs, registers
+``__mp_main__``; those have no file and are part of the interpreter or
+numpy.
 """
 
 import json
@@ -63,3 +64,6 @@ def test_only_stdlib_and_numpy_are_loaded(tmp_path):
     # The probe saw the package, numpy and a standard-library module
     # that only the package loads (for the 0.9 interval).
     assert {"orthoscore.core", "numpy", "statistics"} <= set(report["new"])
+    # The process pool is loaded only by run_replications(jobs > 1).
+    assert [name for name in report["new"]
+            if name.split(".")[0] in ("multiprocessing", "concurrent")] == []

@@ -175,8 +175,7 @@ class TestScores:
     def test_robust_hand_value(self):
         x = np.zeros((1, 1))
         data = Dataset(x, np.array([3.0]), np.array([1.0]), np.array([1.0]))
-        val = robust_score(0.0, FunctionEstimate.constant(0.0),
-                           FunctionEstimate.constant(1.0), data)
+        val = robust_score(0.0, np.array([0.0]), np.array([1.0]), data)
         # kappa diff = 2, correction = ((0.5-1)/0.25)*1 = -2, so
         # 2*3 - (-2) - 0 = 8.
         assert val[0] == pytest.approx(8.0)
@@ -184,45 +183,43 @@ class TestScores:
     def test_moment_hand_value(self):
         x = np.zeros((1, 1))
         data = Dataset(x, np.array([3.0]), np.array([1.0]), np.array([1.0]))
-        val = moment_score(0.0, FunctionEstimate.constant(0.0), data)
+        val = moment_score(0.0, np.array([0.0]), data)
         assert val[0] == pytest.approx(6.0)
 
     def test_moment_zero_outcome_is_minus_beta(self):
         data = _iv_data(50, seed=31)
         data = Dataset(data.x, np.zeros(50), data.d, data.z)
-        val = moment_score(0.7, FunctionEstimate.constant(0.2), data)
+        val = moment_score(0.7, np.full(50, 0.2), data)
         np.testing.assert_allclose(val, -0.7, atol=1e-12)
 
     def test_robust_with_zero_direction_is_moment(self):
         data = _iv_data(200, seed=32)
-        f_hat = FunctionEstimate(lambda x: 0.3 * x[:, 0])
-        a = robust_score(0.5, f_hat, FunctionEstimate.constant(0.0), data)
-        b = moment_score(0.5, f_hat, data)
+        f = 0.3 * data.x[:, 0]
+        a = robust_score(0.5, f, np.zeros(data.n), data)
+        b = moment_score(0.5, f, data)
         np.testing.assert_array_equal(a, b)
 
     def test_regression_hand_value(self):
         x = np.zeros((1, 1))
         data = Dataset(x, np.array([9.9]), np.array([1.0]), np.array([1.0]))
-        val = regression_score(0.25, FunctionEstimate.constant(0.0),
-                               FunctionEstimate.constant(1.5),
-                               FunctionEstimate.constant(2.0), data)
+        val = regression_score(0.25, np.array([0.0]), np.array([1.5]),
+                               np.array([2.0]), data)
         # kappa1 = 2, kappa0 = 0: 2*2.0 - 0*1.5 - 0.25 = 3.75.
         assert val[0] == pytest.approx(3.75)
 
     def test_regression_zero_larfs_is_minus_beta(self):
         data = _iv_data(60, seed=33)
-        zero = FunctionEstimate.constant(0.0)
-        val = regression_score(1.1, FunctionEstimate.constant(0.0), zero,
-                               zero, data)
+        zero = np.zeros(data.n)
+        val = regression_score(1.1, zero, zero, zero, data)
         np.testing.assert_allclose(val, -1.1, atol=1e-12)
 
     def test_regression_score_with_y_as_larf_is_moment(self):
         # Replacing both fitted response surfaces by the observed y
         # collapses the regression score onto the moment score.
         data = _iv_data(100, seed=34)
-        f_hat = FunctionEstimate(lambda x: 0.1 * x[:, 0])
-        m = moment_score(0.3, f_hat, data)
-        g = clip_propensity(expit(f_hat(data.x)), 0.01)
+        f = 0.1 * data.x[:, 0]
+        m = moment_score(0.3, f, data)
+        g = clip_propensity(expit(f), 0.01)
         k0, k1 = kappa(data.d, data.z, g)
         reg_with_y = k1 * data.y - k0 * data.y - 0.3
         np.testing.assert_allclose(m, reg_with_y, atol=1e-12)
@@ -275,11 +272,11 @@ class TestSolveAndVariance:
 
     def test_estimating_equation_zeroed(self):
         data = _iv_data(500, seed=52)
-        f_hat = FunctionEstimate.constant(0.1)
-        h_hat = FunctionEstimate.constant(0.5)
+        f = np.full(data.n, 0.1)
+        h = np.full(data.n, 0.5)
 
         def fn(b, fold):
-            return robust_score(b, f_hat, h_hat, fold)
+            return robust_score(b, f, h, fold)
 
         beta = solve_beta_linear(fn, data)
         assert abs(np.mean(fn(beta, data))) < 1e-10
@@ -367,6 +364,25 @@ class TestLateCrossfit:
         data = Dataset(data.x, data.y, data.d, z)
         with pytest.raises(RuntimeError, match="fold 0: degenerate labels"):
             late_crossfit(data, LateConfig(method=method, seed=4))
+
+    @pytest.mark.parametrize("method", ["robust_lr", "moment", "reg_lr"])
+    def test_constant_treatment_in_a_training_fold(self, method):
+        # d is 0 on all of fold 0's training half.  The log-odds and h
+        # fits need no variation in d; the arm-1 LARF fit has all-zero
+        # kappa weights there.
+        data, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        split = split_folds(data.n, derive_seed(5, SEED_SPLIT))
+        d = data.d.copy()
+        d[split.indices(1)] = 0.0
+        data = Dataset(data.x, data.y, d, data.z)
+        config = LateConfig(method=method, seed=5)
+        if method == "reg_lr":
+            with pytest.raises(RuntimeError,
+                               match="fold 0: degenerate weighted design"):
+                late_crossfit(data, config)
+        else:
+            res = late_crossfit(data, config)
+            assert np.all(np.isfinite([res.beta_hat, res.sigma2_hat]))
 
     def test_programming_error_escapes_the_fold_wrapper(self, monkeypatch):
         # Only estimation failures become "fold k:" RuntimeErrors; a

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from orthoscore.core import Dataset, FunctionEstimate, derive_seed, shifted
+from orthoscore.core import Dataset, FunctionEstimate, derive_seed
 from orthoscore.late import LateConfig, clip_propensity, estimate_h, \
     estimate_log_odds, robust_score
 from orthoscore.learners import expit, fit_least_squares
@@ -385,7 +385,7 @@ class TestSequentialScore:
         family = build_decoupled_score(model, f_hat,
                                        FunctionEstimate(h1_batch))
         beta = 0.7
-        expected = robust_score(beta, f_hat, h_hat, data,
+        expected = robust_score(beta, f_hat(data.x), h_hat(data.x), data,
                                 clip_epsilon=eps)
         np.testing.assert_allclose(family.evaluate(beta, data), expected,
                                    atol=1e-12)
@@ -443,16 +443,11 @@ class TestCheckOrthogonality:
     def test_non_orthogonal_control_detected(self):
         # The unpartialled score d*(beta*d + f(x) - y) is sensitive to
         # f perturbations: its derivative is E[2d * dir(x)] != 0.
-        def make(nus):
-            from orthoscore.ortho import ScoreFamily
+        def score(beta, data, v):
+            return 2.0 * data.d * (beta * data.d + v["f"] - data.y)
 
-            def evaluate(beta, data):
-                return 2.0 * data.d * (beta * data.d + nus["f"](data.x)
-                                       - data.y)
-
-            return ScoreFamily(evaluate, dict(nus), make)
-
-        family = make({"f": FunctionEstimate(lambda x: np.cos(x[:, 1]))})
+        family = ScoreFamily(score,
+                             {"f": FunctionEstimate(lambda x: np.cos(x[:, 1]))})
         deriv, se = check_orthogonality(
             family, self._plr_sampler, beta0=1.0,
             direction=FunctionEstimate(lambda x: x[:, 0]),
@@ -507,18 +502,13 @@ class TestCheckOrthogonality:
                 return fn(x)
             return FunctionEstimate(batch, name)
 
-        def make(nus):
-            def evaluate(beta, data):
-                calls["evaluate"] += 1
-                fv = nus["f"](data.x)
-                # Second reads of the same matrix are served from the shard.
-                assert np.array_equal(nus["f"](data.x), fv)
-                return (PLR_MODEL.d_beta_m(beta, fv, data)
-                        + PLR_MODEL.d_f_m(beta, fv, data) * nus["h"](data.x))
-            return ScoreFamily(evaluate, dict(nus), make)
+        def score(beta, data, v):
+            calls["evaluate"] += 1
+            return (PLR_MODEL.d_beta_m(beta, v["f"], data)
+                    + PLR_MODEL.d_f_m(beta, v["f"], data) * v["h"])
 
-        family = make({"f": counted("f", lambda x: np.cos(x[:, 1])),
-                       "h": counted("h", lambda x: -0.7 * x[:, 0])})
+        family = ScoreFamily(score, {"f": counted("f", lambda x: np.cos(x[:, 1])),
+                                     "h": counted("h", lambda x: -0.7 * x[:, 0])})
         direction = counted("dir", lambda x: x[:, 0])
         for which in ("f", "h"):
             calls.update(dict.fromkeys(calls, 0))
@@ -526,28 +516,18 @@ class TestCheckOrthogonality:
                                 which, n_mc=10_000, seed=2, shard_size=4096)
             assert calls == {"f": 3, "h": 3, "dir": 3, "evaluate": 6}, which
 
-    def test_other_matrices_evaluated_afresh(self):
-        # A score that reads its nuisances at a transformed copy of x
-        # must see the values at that copy, as with unshared copies.
-        def make(nus):
-            def evaluate(beta, data):
-                flipped = data.x[::-1].copy()
-                fv = nus["f"](flipped)[::-1] + 0.5 * nus["f"](data.x)
-                return 2.0 * data.d * (beta * data.d + fv - data.y)
-            return ScoreFamily(evaluate, dict(nus), make)
+    def test_score_cannot_write_into_stored_values(self):
+        # h is shared by both signs when f is perturbed; writing into it
+        # would change the second sign's score.
+        def score(beta, data, v):
+            v["h"] *= 2.0
+            return PLR_MODEL.d_beta_m(beta, v["f"], data)
 
-        family = make({"f": FunctionEstimate(lambda x: np.cos(x[:, 1]))})
-        direction = FunctionEstimate(lambda x: x[:, 0] + x[:, 1] ** 2)
-        base = family.nuisances["f"]
-        eps = 1e-3
-        plus = family.with_nuisances(f=shifted(base, eps, direction))
-        minus = family.with_nuisances(f=shifted(base, -eps, direction))
-        data = self._plr_sampler(3000, derive_seed(4, 0))
-        diff = (plus.evaluate(1.0, data) - minus.evaluate(1.0, data)) / (2.0 * eps)
-        mean = float(np.sum(diff)) / data.n
-        got, _ = check_orthogonality(family, self._plr_sampler, 1.0, direction,
-                                     "f", epsilon=eps, n_mc=3000, seed=4)
-        assert got == mean
+        family = ScoreFamily(score, self._family_at_truth().nuisances)
+        with pytest.raises(ValueError, match="read-only"):
+            check_orthogonality(family, self._plr_sampler, 1.0,
+                                FunctionEstimate.constant(1.0), "f",
+                                n_mc=100, seed=0)
 
     def test_deterministic_given_seed(self):
         family = self._family_at_truth()

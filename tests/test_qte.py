@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from orthoscore.core import Dataset
+from orthoscore.core import SEED_SPLIT, Dataset, derive_seed, split_folds
 from orthoscore.learners import MlpArchitecture, expit
-from orthoscore.qte import (QteConfig, ipw_quantile_score,
+from orthoscore.qte import (QteConfig, _ipw_density, ipw_quantile_score,
                             orthogonal_quantile_score, qte_crossfit,
                             solve_monotone)
+from orthoscore.sim import DgpConfig, gen_dataset
 
 
 def _sample_quantile(y, tau):
@@ -191,6 +192,19 @@ class TestQteCrossfit:
         assert res.fold_betas == (2.0, 2.0)
         assert np.isfinite(res.sigma2_hat) and res.sigma2_hat > 0.0
 
+    @pytest.mark.parametrize("c", [2.0, 1000.0, -3.7, 0.1])
+    def test_point_mass_density_uses_the_floor_bandwidth(self, c):
+        # Unequal IPW weights leave rounding dust in the spread of a
+        # point mass; the floor must apply whatever the dust is.
+        expected = 1.0 / (1e-6 * (1.0 + abs(c)) * np.sqrt(2.0 * np.pi))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = 400
+            g = expit(0.8 * rng.normal(size=n))
+            d = (rng.random(n) < g).astype(float)
+            got = _ipw_density(np.full(n, c), d, g, c)
+            assert got == pytest.approx(expected, rel=1e-12), seed
+
     def test_mlp_learner_runs(self):
         data = _randomized_data(400, seed=41)
         cfg = QteConfig(learner="mlp", arch=MlpArchitecture(depth=2, width=8),
@@ -215,6 +229,16 @@ class TestQteCrossfit:
                        d=np.ones(n))
         with pytest.raises(ValueError, match="degenerate"):
             qte_crossfit(data, QteConfig())
+
+    def test_constant_treatment_in_a_training_fold(self):
+        # d varies over the sample but is 0 on all of fold 0's training
+        # half, so the propensity fit there has one label.
+        data, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        split = split_folds(data.n, derive_seed(5, SEED_SPLIT))
+        d = data.d.copy()
+        d[split.indices(1)] = 0.0
+        with pytest.raises(ValueError, match="degenerate labels"):
+            qte_crossfit(Dataset(data.x, data.y, d), QteConfig(seed=5))
 
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0},
