@@ -166,14 +166,19 @@ class FoldSplit:
         return np.flatnonzero(self.fold_assignment == fold)
 
 
+def require_splittable(n: int) -> None:
+    """Raise unless n rows can be split into two folds of at least two."""
+    if n < 4:
+        raise ValueError("sample too small to split")
+
+
 def split_folds(n: int, seed: int) -> FoldSplit:
     """Uniformly random balanced split into two folds.
 
     Fold sizes are n//2 and n - n//2 (equal for even n, differing by
     one for odd n).  Reproducible from the seed.
     """
-    if n < 4:
-        raise ValueError("sample too small to split")
+    require_splittable(n)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     assignment = np.zeros(n, dtype=np.int8)

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (SEED_LATE_H, SEED_LATE_LARF, SEED_LATE_LOG_ODDS, Dataset,
-                   EstimationResult, FunctionEstimate, crossfit, derive_seed)
+                   EstimationResult, FunctionEstimate, crossfit, derive_seed,
+                   require_splittable)
 from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
                        fit_logistic, fit_mlp, pipeline_train_config)
 
@@ -219,6 +220,7 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
     """
     if data.z is None:
         raise ValueError("instrument required")
+    require_splittable(data.n)
     if np.all(data.z == data.z[0]):
         raise ValueError("degenerate instrument")
     eps = config.clip_epsilon

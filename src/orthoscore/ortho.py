@@ -37,6 +37,7 @@ and returns one value per observation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -305,9 +306,16 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
     evaluated once, at the shard's covariate matrix, and the score
     once per sign; the shifted nuisance is formed from the stored
     arrays with the arithmetic of ``core.shifted``.
+
+    Before anything is drawn, raises ``ValueError`` for an epsilon that
+    is not positive and finite, an n_mc that is not an integer (numpy
+    integers included) of at least 2, a shard_size below 1, or an
+    unknown nuisance name.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be positive and finite")
+    if not isinstance(n_mc, (int, np.integer)):
+        raise ValueError("n_mc must be an integer")
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2")
     if shard_size < 1:

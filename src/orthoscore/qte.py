@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (SEED_QTE_H, SEED_QTE_LOG_ODDS, Dataset, EstimationResult,
-                   crossfit, derive_seed)
+                   crossfit, derive_seed, require_splittable)
 from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
                        fit_logistic, fit_mlp, pipeline_train_config)
 from .late import clip_propensity
@@ -133,6 +133,7 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
     """Two-fold cross-fitted tau-quantile of Y(1) with plug-in variance."""
     if data.z is not None:
         raise ValueError("expected no instrument")
+    require_splittable(data.n)
     if np.all(data.d == data.d[0]):
         raise ValueError("degenerate treatment arms")
     tau, eps = config.tau, config.clip_epsilon

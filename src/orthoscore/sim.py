@@ -51,6 +51,10 @@ __all__ = [
 BETA0 = 1.8
 SCENARIOS = ("s1", "s2")
 STRATUM_PROBS = (0.2, 0.6, 0.2)  # always-taker, complier, never-taker
+# Normalized as Generator.choice normalizes p, so that drawing against it
+# reproduces choice's labels and generator state (see gen_dataset).
+_STRATUM_CDF = np.cumsum(STRATUM_PROBS)
+_STRATUM_CDF /= _STRATUM_CDF[-1]
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,13 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     f0 = f0_true(x)
     g0 = expit(f0)
     z = (rng.random(n) < g0).astype(float)
-    u = rng.choice(np.array([1, 2, 3]), size=n, p=STRATUM_PROBS)
+    # Generator.choice(p=...) draws one uniform per row and counts the
+    # cdf entries at or below it (the last is 1, above every uniform).
+    # Comparing against the first two gives the same labels and leaves
+    # the generator in the same state, without choice's argument checks
+    # and sorted search.
+    r = rng.random(n)
+    u = 1 + (r >= _STRATUM_CDF[0]) + (r >= _STRATUM_CDF[1])
     d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
     mu0 = mu_true(x, 0.0, config.scenario)
     always, complier, never = stratum_means(x, mu0, d)

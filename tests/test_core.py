@@ -266,3 +266,50 @@ class TestCrossfit:
         with pytest.raises(ValueError, match="level must lie in"):
             run()
         assert calls == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["late", "plr", "qte"])
+    def test_tiny_sample_too_small_to_split(self, name, n):
+        # Constant treatment and instrument: a size check that ran after
+        # the degeneracy checks would report those instead, and one that
+        # ran after reading row 0 would fail with IndexError at n = 0.
+        ones = np.ones(n)
+        x = np.arange(4.0 * n).reshape(n, 4)
+        run = {
+            "late": lambda: late.late_crossfit(Dataset(x, ones, ones, ones),
+                                               late.LateConfig(method="robust_lr")),
+            "plr": lambda: plr.plr_crossfit(Dataset(x, ones, ones)),
+            "qte": lambda: qte.qte_crossfit(Dataset(x, ones, ones), qte.QteConfig()),
+        }[name]
+        with pytest.raises(ValueError, match="^sample too small to split$"):
+            run()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_smallest_splits_are_two_and_the_rest(self, n):
+        for seed in range(20):
+            fs = split_folds(n, seed)
+            assert (len(fs.indices(0)), len(fs.indices(1))) == (2, n - 2)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("name, error, message", [
+        ("robust_lr", RuntimeError, "fold 0: underdetermined"),
+        ("moment", RuntimeError, "fold 0: underdetermined"),
+        ("reg_lr", RuntimeError, "fold 0: underdetermined"),
+        ("plr", ValueError, "underdetermined"),
+        ("qte", ValueError, "underdetermined"),
+    ])
+    def test_smallest_splits_fail_with_the_fit_error(self, n, name, error, message):
+        # Two or three training rows cannot determine a linear fit in
+        # four covariates and an intercept.
+        iv, _ = gen_dataset(DgpConfig(n=n, seed=1))
+        plain = Dataset(iv.x, iv.y, iv.d)
+        if name == "plr":
+            run = lambda: plr.plr_crossfit(plain)
+        elif name == "qte":
+            run = lambda: qte.qte_crossfit(plain, qte.QteConfig())
+        else:
+            run = lambda: late.late_crossfit(iv, late.LateConfig(method=name))
+        with pytest.raises(Exception) as info:
+            run()
+        assert type(info.value) is error
+        assert str(info.value) == message

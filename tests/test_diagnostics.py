@@ -4,7 +4,9 @@ The reference below is the checker as it was before nuisances were
 stored per shard: it rebuilds the family with ``core.shifted`` copies
 of the perturbed nuisance and evaluates every nuisance afresh for each
 sign.  The shipped checker must return the same floats, not merely
-close ones, for every case that ``run_check`` measures.
+close ones, for every case that ``run_check`` measures.  The normal
+CDF of the qte truth is held to its accuracy contract against the
+per-row ``math.erf`` formula.
 """
 
 import math
@@ -64,12 +66,30 @@ def test_checker_equals_reference_loop_on_every_case(target):
 
 
 def test_normal_cdf_equals_elementwise_erf():
-    t = np.random.default_rng(0).normal(scale=3.0, size=(64, 3))
+    # The per-row math.erf formula is the reference; the table-and-Taylor
+    # evaluation must stay within 2.5e-16 of it, keep the shape, and
+    # give 0.5, NaN, 1 and 0 exactly at 0, NaN, +inf and -inf.
     erf = np.frompyfunc(math.erf, 1, 1)
-    want = 0.5 * (1.0 + erf(t / math.sqrt(2.0)).astype(float))
+
+    def want(t):
+        return 0.5 * (1.0 + erf(t / math.sqrt(2.0)).astype(float))
+
+    t = np.random.default_rng(0).normal(scale=3.0, size=(64, 3))
     got = diagnostics._normal_cdf(t)
     assert got.shape == t.shape
-    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - want(t))) <= 2.5e-16
+
+    rng = np.random.default_rng(1)
+    t = np.concatenate([rng.normal(scale=s, size=250_000) for s in (1.0, 2.0, 4.0)]
+                       + [rng.uniform(-40.0, 40.0, size=250_000),
+                          np.linspace(-40.0, 40.0, 80_001)])
+    assert np.max(np.abs(diagnostics._normal_cdf(t) - want(t))) <= 2.5e-16
+
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    got = diagnostics._normal_cdf(special)
+    assert got[0] == got[1] == 0.5
+    assert np.isnan(got[2])
+    assert got[3] == 1.0 and got[4] == 0.0
 
 
 def test_late_truths_follow_the_matrix_they_are_given():
@@ -118,3 +138,34 @@ def test_late_truths_evaluate_mu_true_only_inside_gen_dataset(monkeypatch):
     x = sampler(50, 1).x.copy()
     orth.nuisances["h"](x)
     assert calls == [50]
+
+
+@pytest.mark.parametrize("target, counted", [
+    ("plr", ("expit", "_plr_background")),
+    ("qte", ("expit",)),
+])
+def test_truths_read_what_the_sampler_computed(target, counted, monkeypatch):
+    # Each shard's sampler evaluates these once; the truths of both score
+    # families read its record.  A matrix that is not the shard's is
+    # evaluated afresh, to the same values.
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in counted:
+        monkeypatch.setattr(diagnostics, name, counting(name, getattr(diagnostics, name)))
+    _, sampler, orth, ctrl, *_ = diagnostics._BUILDERS[target]()
+    truths = [*orth.nuisances.values(), *ctrl.nuisances.values()]
+    for seed in range(3):
+        data = sampler(SHARD, seed)
+        assert sorted(calls) == sorted(counted * (seed + 1))
+        shard_values = [fn(data.x) for fn in truths]
+        assert sorted(calls) == sorted(counted * (seed + 1))
+    x = data.x.copy()
+    for fn, recorded in zip(truths, shard_values):
+        assert np.array_equal(fn(x), recorded)
+    assert sorted(calls) == sorted(counted * 4)

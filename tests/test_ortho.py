@@ -485,6 +485,30 @@ class TestCheckOrthogonality:
                                 FunctionEstimate.constant(1.0), "f",
                                 n_mc=100, shard_size=0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(epsilon=float("nan")), "epsilon"),
+        (dict(epsilon=float("inf")), "epsilon"),
+        (dict(epsilon=-float("inf")), "epsilon"),
+        (dict(n_mc=float("inf")), "n_mc"),
+        (dict(n_mc=1000.5), "n_mc"),
+        (dict(n_mc=1000.0), "n_mc"),
+    ])
+    def test_non_finite_epsilon_and_non_integer_n_mc_rejected_before_sampling(
+            self, kwargs, match):
+        # n_mc = inf used to draw forever and 1000.5 to fail inside the
+        # sampler; the sampler here fails the test if it is ever called.
+        family = self._family_at_truth()
+        with pytest.raises(ValueError, match=match):
+            check_orthogonality(family, self._no_draw_sampler, 1.0,
+                                FunctionEstimate.constant(1.0), "f",
+                                **{"n_mc": 100, **kwargs})
+
+    def test_numpy_integer_n_mc_accepted(self):
+        family = self._family_at_truth()
+        args = (family, self._plr_sampler, 1.0, FunctionEstimate(lambda x: x[:, 0]), "f")
+        assert check_orthogonality(*args, n_mc=np.int64(3000), seed=2) == \
+            check_orthogonality(*args, n_mc=3000, seed=2)
+
     def test_unknown_nuisance_rejected_before_sampling(self):
         family = self._family_at_truth()
         with pytest.raises(ValueError,

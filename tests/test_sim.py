@@ -209,6 +209,19 @@ class TestGenDataset:
         assert np.array_equal(data.z, want["z"])
         assert np.array_equal(truth.u, want["u"])
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [1, 2, 7, 4097, 131_072])
+    def test_strata_are_generator_choice_draws(self, seed, n):
+        # The reference draws the strata with Generator.choice; equal
+        # outcomes show the outcome noise, the generator's next draw, is
+        # equal too.
+        cfg = DgpConfig(n=n, seed=seed)
+        data, truth = gen_dataset(cfg)
+        want = _scattered_dataset(cfg)
+        assert truth.u.dtype == want["u"].dtype
+        assert np.array_equal(truth.u, want["u"])
+        assert np.array_equal(data.y, want["y"])
+
     def test_deterministic(self):
         cfg = DgpConfig(scenario="s2", n=500, p=5, seed=21)
         a, ta = gen_dataset(cfg)
