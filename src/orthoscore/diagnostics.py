@@ -44,8 +44,9 @@ from .learners import expit
 from .ortho import ScoreFamily, check_orthogonality
 from .plr import partialled_score
 from .qte import ipw_quantile_score, orthogonal_quantile_score
-from .sim import (BETA0, STRATUM_PROBS, DgpConfig, f0_true, gen_dataset,
-                  mu_true, stratum_means)
+from .sim import (BETA0, STRATUM_PROBS, DgpConfig, always_taker_mean,
+                  complier_mean, f0_true, gen_dataset, mu_true,
+                  never_taker_mean)
 
 __all__ = [
     "TARGETS",
@@ -197,16 +198,37 @@ def _late_target():
     f_true = FunctionEstimate(lambda x: truths(x)[0], "true log-odds")
 
     def h_true_batch(x):
+        # (e^f - e^-f) E[YZ|x] - e^f E[Y|x] with e^f = g / (1 - g),
+        #   E[Y|x]  = p_a a + p_c (g mu1 + (1 - g) mu0) + p_n nv,
+        #   E[YZ|x] = g (p_a a + p_c mu1 + p_n nv),
+        # formed in six arrays, in place, in the order written here.
+        # Always-takers have d = 1, never-takers d = 0.
         _, g, mu0 = truths(x)
-        e_f = g / (1.0 - g)
-        # Never-takers have d = 0, always-takers d = 1.  Keeping only the
-        # needed means holds the checker's peak memory at its former level.
-        nv = stratum_means(x, mu0, 0.0)[2]
-        a, mu1 = stratum_means(x, mu0, 1.0)[:2]
         p_a, p_c, p_n = STRATUM_PROBS
-        e_y = p_a * a + p_c * (g * mu1 + (1.0 - g) * mu0) + p_n * nv
-        e_yz = g * (p_a * a + p_c * mu1 + p_n * nv)
-        return (e_f - 1.0 / e_f) * e_yz - e_f * e_y
+        always = always_taker_mean(x, 1.0)
+        always *= p_a
+        never = never_taker_mean(x, 0.0)
+        never *= p_n
+        mu1 = complier_mean(mu0, 1.0)
+        e_yz = mu1 * p_c
+        e_yz += always
+        e_yz += never
+        e_yz *= g
+        scratch = 1.0 - g
+        e_f = g / scratch
+        scratch *= mu0                      # (1 - g) mu0
+        mu1 *= g
+        mu1 += scratch
+        mu1 *= p_c                          # p_c (g mu1 + (1 - g) mu0)
+        e_y = always
+        e_y += mu1
+        e_y += never
+        h = np.divide(1.0, e_f, out=scratch)
+        np.subtract(e_f, h, out=h)          # e^f - e^-f
+        h *= e_yz
+        e_y *= e_f
+        h -= e_y
+        return h
 
     h_true = FunctionEstimate(h_true_batch, "true h")
 

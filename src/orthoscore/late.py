@@ -17,9 +17,11 @@ score variants are provided:
 ``late_crossfit`` hands one fold step to ``core.crossfit``: fit the
 nuisances on the training half, solve the configured score on the
 estimation half.  All three scores are linear in beta with slope -1,
-so the solve is a fold mean.  Confidence intervals use the robust-score
-variance for the moment method too (the two estimators share one
-asymptotic variance); regression methods use their own residuals.
+so the solve is a fold mean.  Each score returns a fresh array formed
+in place, in the order of its formula, and writes none of its inputs.
+Confidence intervals use the robust-score variance for the moment
+method too (the two estimators share one asymptotic variance);
+regression methods use their own residuals.
 """
 
 from __future__ import annotations
@@ -88,15 +90,26 @@ def kappa(d, z, g):
 
     kappa0 = (1-d) * ((1-z) - (1-g)) / ((1-g) g)
     kappa1 = d * (z - g) / ((1-g) g)
+
+    `d`, `z` and `g` are per-observation arrays of one length, or
+    scalars.  The weights are fresh arrays formed in place, in the order
+    of the formulas (a product may swap its factors, which leaves every
+    value unchanged); the inputs are never written.
     """
     d = np.asarray(d, dtype=float)
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
     if np.any(g <= 0.0) or np.any(g >= 1.0):
         raise ValueError("g must lie strictly inside (0, 1)")
-    denom = (1.0 - g) * g
-    k0 = (1.0 - d) * ((1.0 - z) - (1.0 - g)) / denom
-    k1 = d * (z - g) / denom
+    denom = 1.0 - g
+    k0 = 1.0 - z
+    k0 -= denom
+    k0 *= 1.0 - d
+    denom *= g
+    k0 /= denom
+    k1 = z - g
+    k1 *= d
+    k1 /= denom
     return k0, k1
 
 
@@ -146,8 +159,16 @@ def robust_score(beta: float, f, h, data: Dataset,
     """
     g = clip_propensity(expit(f), clip_epsilon)
     k0, k1 = kappa(data.d, data.z, g)
-    correction = (g - data.z) / (g * (1.0 - g)) * h
-    return (k1 - k0) * data.y - correction - beta
+    k1 -= k0
+    k1 *= data.y
+    denom = np.subtract(1.0, g, out=k0)
+    denom *= g                          # g (1-g)
+    correction = g - data.z
+    correction /= denom
+    correction *= h
+    k1 -= correction
+    k1 -= beta
+    return k1
 
 
 def moment_score(beta: float, f, data: Dataset,
@@ -155,7 +176,10 @@ def moment_score(beta: float, f, data: Dataset,
     """Plain reweighting score (kappa1 - kappa0) y - beta; `f` at `data.x`."""
     g = clip_propensity(expit(f), clip_epsilon)
     k0, k1 = kappa(data.d, data.z, g)
-    return (k1 - k0) * data.y - beta
+    k1 -= k0
+    k1 *= data.y
+    k1 -= beta
+    return k1
 
 
 def regression_score(beta: float, f, mu0, mu1, data: Dataset,
@@ -167,7 +191,11 @@ def regression_score(beta: float, f, mu0, mu1, data: Dataset,
     """
     g = clip_propensity(expit(f), clip_epsilon)
     k0, k1 = kappa(data.d, data.z, g)
-    return k1 * mu1 - k0 * mu0 - beta
+    k1 *= mu1
+    k0 *= mu0
+    k1 -= k0
+    k1 -= beta
+    return k1
 
 
 def fit_larf(train: Dataset, f_hat: FunctionEstimate, t: int,

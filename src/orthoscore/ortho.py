@@ -272,8 +272,12 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
     temporaries fragment the heap and raised the checker's peak
     resident memory by about 2 MB.  The stored arrays are read-only, so
     a score that writes into its inputs fails instead of corrupting the
-    other sign.  Every array built here is released on return, before
-    the next shard is drawn.
+    other sign.  The shifted nuisance, the central difference and its
+    square are formed in place, in the order of ``(plus - minus) /
+    (2 epsilon)``; the difference goes into the plus-sign result only
+    when that is a writable float64 array of the minus result's shape,
+    so a read-only array a score returns is never written.  Every array
+    built here is released on return, before the next shard is drawn.
     """
     values = {name: fn(data.x) for name, fn in score.nuisances.items()}
     step = direction(data.x)
@@ -282,10 +286,21 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
     base = values[which_nuisance]
 
     def at(s):
-        return score.score(beta0, data, {**values, which_nuisance: base + s * step})
+        shifted = step * s
+        shifted += base                     # base + s * step
+        return score.score(beta0, data, {**values, which_nuisance: shifted})
 
-    diff = (at(float(epsilon)) - at(float(-epsilon))) / (2.0 * epsilon)
-    return float(np.sum(diff)), float(np.sum(diff * diff))
+    plus = at(float(epsilon))
+    minus = at(float(-epsilon))
+    if (isinstance(plus, np.ndarray) and plus.flags.writeable
+            and plus.dtype == np.float64 and plus.shape == np.shape(minus)):
+        diff = np.subtract(plus, minus, out=plus)
+        diff /= 2.0 * epsilon
+    else:
+        diff = (plus - minus) / (2.0 * epsilon)
+    total = float(np.sum(diff))
+    diff *= diff
+    return total, float(np.sum(diff))
 
 
 def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
@@ -309,8 +324,9 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
 
     Before anything is drawn, raises ``ValueError`` for an epsilon that
     is not positive and finite, an n_mc that is not an integer (numpy
-    integers included) of at least 2, a shard_size below 1, or an
-    unknown nuisance name.
+    integers included) of at least 2, a shard_size that is not an
+    integer (a bool included) of at least 1, or an unknown nuisance
+    name.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be positive and finite")
@@ -318,6 +334,9 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
         raise ValueError("n_mc must be an integer")
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2")
+    if (isinstance(shard_size, bool)
+            or not isinstance(shard_size, (int, np.integer))):
+        raise ValueError("shard_size must be an integer")
     if shard_size < 1:
         raise ValueError("shard_size must be at least 1")
     # Rejects an unknown nuisance name before anything is drawn.

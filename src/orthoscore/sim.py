@@ -42,7 +42,9 @@ __all__ = [
     "gen_covariates",
     "f0_true",
     "mu_true",
-    "stratum_means",
+    "always_taker_mean",
+    "complier_mean",
+    "never_taker_mean",
     "gen_dataset",
     "summarize_replicates",
     "run_replications",
@@ -96,12 +98,19 @@ def gen_covariates(n: int, p: int, rng) -> np.ndarray:
         raise ValueError("p must be at least 1")
     x = rng.standard_normal((n, p))
     flat = x.reshape(-1)
-    redo = np.flatnonzero(np.abs(flat) > 1.0)
+    redo = np.flatnonzero(_outside_unit(flat))
     while redo.size:
         draw = rng.standard_normal(redo.size)
         flat[redo] = draw
-        redo = redo[np.abs(draw) > 1.0]
+        redo = redo[_outside_unit(draw)]
     return x
+
+
+def _outside_unit(v):
+    """|v| > 1 as two comparisons, without a full-size copy of |v|."""
+    out = v > 1.0
+    out |= v < -1.0
+    return out
 
 
 def f0_true(x) -> np.ndarray:
@@ -130,12 +139,36 @@ def mu_true(x, t, scenario: str) -> np.ndarray:
     return base + 3.0 * t
 
 
-def stratum_means(x, mu0, d):
-    """Outcome means (always-taker, complier, never-taker) at treatment d,
-    given the complier mean of arm 0, ``mu0 = mu_true(x, 0, scenario)``."""
-    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    return (x1 + x2 + x3 + x4 + 2.0 * d, mu0 + 3.0 * d,
-            0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d)
+# The outcome mean of each compliance stratum at treatment d.  Each is
+# formed in one fresh array, in place, in the order its formula is
+# written, so the values do not depend on which rows are evaluated or on
+# how many.  Inputs are never written.
+
+def always_taker_mean(x, d):
+    """x1 + x2 + x3 + x4 + 2 d."""
+    mean = x[:, 0] + x[:, 1]
+    mean += x[:, 2]
+    mean += x[:, 3]
+    mean += 2.0 * d
+    return mean
+
+
+def complier_mean(mu0, d):
+    """mu0 + 3 d, given the arm-0 mean ``mu0 = mu_true(x, 0, scenario)``."""
+    mean = np.multiply(d, 3.0)
+    mean += mu0
+    return mean
+
+
+def never_taker_mean(x, d):
+    """0.6 x1 + 0.8 x2 + x3 + 1.2 x4 - 2 d."""
+    mean = x[:, 0] * 0.6
+    term = x[:, 1] * 0.8
+    mean += term
+    mean += x[:, 2]
+    mean += np.multiply(x[:, 3], 1.2, out=term)
+    mean -= 2.0 * d
+    return mean
 
 
 def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
@@ -158,11 +191,19 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     # and sorted search.
     r = rng.random(n)
     u = 1 + (r >= _STRATUM_CDF[0]) + (r >= _STRATUM_CDF[1])
+    del r                   # freed before mu_true's temporaries
     d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
     mu0 = mu_true(x, 0.0, config.scenario)
-    always, complier, never = stratum_means(x, mu0, d)
-    mean = np.where(u == 1, always, np.where(u == 2, complier, never))
-    y = mean + rng.standard_normal(n)
+    # The noise is the last draw; each row's own stratum mean is added
+    # to it (noise + mean is mean + noise, bit for bit).  Always-takers
+    # have d = 1 and never-takers d = 0.
+    y = rng.standard_normal(n)
+    rows = np.flatnonzero(u == 1)
+    y[rows] += always_taker_mean(x[rows], 1.0)
+    rows = np.flatnonzero(u == 2)
+    y[rows] += complier_mean(mu0[rows], d[rows])
+    rows = np.flatnonzero(u == 3)
+    y[rows] += never_taker_mean(x[rows], 0.0)
     data = Dataset(x, y, d, z)
     for arr in (f0, g0, u, mu0):
         arr.setflags(write=False)

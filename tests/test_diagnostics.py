@@ -10,12 +10,14 @@ per-row ``math.erf`` formula.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orthoscore import diagnostics
 from orthoscore.core import derive_seed, shifted
+from orthoscore.learners import expit
 from orthoscore.ortho import check_orthogonality
 from orthoscore.sim import f0_true, mu_true
 
@@ -169,3 +171,84 @@ def test_truths_read_what_the_sampler_computed(target, counted, monkeypatch):
     for fn, recorded in zip(truths, shard_values):
         assert np.array_equal(fn(x), recorded)
     assert sorted(calls) == sorted(counted * 4)
+
+
+def _late_h_reference(x, g, mu0):
+    """The true late direction as it was written with whole-expression
+    arrays and every stratum mean at both treatments."""
+    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    e_f = g / (1.0 - g)
+    nv = 0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * 0.0
+    a = x1 + x2 + x3 + x4 + 2.0 * 1.0
+    mu1 = mu0 + 3.0 * 1.0
+    p_a, p_c, p_n = 0.2, 0.6, 0.2
+    e_y = p_a * a + p_c * (g * mu1 + (1.0 - g) * mu0) + p_n * nv
+    e_yz = g * (p_a * a + p_c * mu1 + p_n * nv)
+    return (e_f - 1.0 / e_f) * e_yz - e_f * e_y
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, (
+        f"{bad.size} values differ, the first at {bad[0]}: "
+        f"{float(got.flat[bad[0]]).hex()} != {float(want.flat[bad[0]]).hex()}")
+
+
+@pytest.mark.parametrize("m", [1, 7, SHARD + 1, 1 << 17])
+def test_late_h_true_has_the_bits_of_its_formula(m):
+    _, sampler, orth, *_ = diagnostics._BUILDERS["late"]()
+    h_true = orth.nuisances["h"]
+    for seed in (0, 1):
+        x = sampler(m, seed).x
+        g = expit(f0_true(x))
+        _assert_same_bits(h_true(x), _late_h_reference(x, g, mu_true(x, 0, "s1")))
+        # A writable matrix that is not the shard's is evaluated afresh
+        # and comes back unchanged.
+        foreign = x.copy()
+        _assert_same_bits(h_true(foreign), _late_h_reference(x, g, mu_true(x, 0, "s1")))
+        _assert_same_bits(foreign, x)
+
+
+# tracemalloc peak of one 131,072-row late shard, over the seven cases,
+# in 1 MiB arrays: the shard's data and truth record (10; x counts 4),
+# the stored h and direction, the plus-sign score and the minus-sign
+# shifted nuisance (4), and the robust score's own four, plus 64 KiB for
+# Python objects.  Forming every expression in its own array peaked at
+# 19 MiB.  The sampler alone peaks at 14 MiB (16.5 MiB when all three
+# stratum means were formed on every row).
+LATE_SHARD_PEAK = 18 * 2**20 + 64 * 2**10
+LATE_SAMPLER_PEAK = 14 * 2**20 + 64 * 2**10
+
+
+def test_one_late_shard_stays_within_its_memory_bound():
+    m = 1 << 17
+    beta0, sampler, orth, ctrl, ctrl_nuisance, ctrl_direction = \
+        diagnostics._BUILDERS["late"]()
+    cases = [(orth, direction, nuisance)
+             for nuisance in orth.nuisances
+             for _, direction in diagnostics._directions()]
+    cases.append((ctrl, ctrl_direction[1], ctrl_nuisance))
+    # The first call builds what later calls reuse (such as numpy's
+    # lazily loaded modules); it is not part of a shard's cost.
+    check_orthogonality(orth, sampler, beta0, cases[0][1], "f", n_mc=64,
+                        shard_size=64)
+    tracemalloc.start()
+    try:
+        sampler(m, 3)
+        sampler_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler_peak <= LATE_SAMPLER_PEAK, sampler_peak / 2**20
+    peaks = []
+    for family, direction, nuisance in cases:
+        tracemalloc.start()
+        try:
+            check_orthogonality(family, sampler, beta0, direction, nuisance,
+                                n_mc=m, shard_size=m, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= LATE_SHARD_PEAK, [p / 2**20 for p in peaks]

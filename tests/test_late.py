@@ -225,6 +225,122 @@ class TestScores:
         np.testing.assert_allclose(m, reg_with_y, atol=1e-12)
 
 
+def _assert_same_bits(got, want, what=""):
+    """Equal shapes and float64 bit patterns; a mismatch is shown in hex."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64, what
+    assert got.shape == want.shape, what
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, (
+        f"{what}: {bad.size} values differ, the first at {bad[0]}: "
+        f"{float(got.flat[bad[0]]).hex()} != {float(want.flat[bad[0]]).hex()}")
+
+
+# The weights and scores as they were written before they were formed
+# in place.  The shipped versions must give the same bits.
+
+def _kappa_reference(d, z, g):
+    denom = (1.0 - g) * g
+    k0 = (1.0 - d) * ((1.0 - z) - (1.0 - g)) / denom
+    k1 = d * (z - g) / denom
+    return k0, k1
+
+
+def _clipped_reference(f, eps):
+    return np.clip(np.asarray(expit(f), dtype=float), eps, 1.0 - eps)
+
+
+def _robust_reference(beta, f, h, data, eps):
+    g = _clipped_reference(f, eps)
+    k0, k1 = _kappa_reference(data.d, data.z, g)
+    correction = (g - data.z) / (g * (1.0 - g)) * h
+    return (k1 - k0) * data.y - correction - beta
+
+
+def _moment_reference(beta, f, data, eps):
+    g = _clipped_reference(f, eps)
+    k0, k1 = _kappa_reference(data.d, data.z, g)
+    return (k1 - k0) * data.y - beta
+
+
+def _regression_reference(beta, f, mu0, mu1, data, eps):
+    g = _clipped_reference(f, eps)
+    k0, k1 = _kappa_reference(data.d, data.z, g)
+    return k1 * mu1 - k0 * mu0 - beta
+
+
+class TestInPlaceScoresMatchTheirFormulas:
+    """Every (d, z) pair, log-odds far enough out that the propensity is
+    clipped at both bounds, and writable inputs that must come back
+    unchanged."""
+
+    @staticmethod
+    def _inputs(seed):
+        rng = np.random.default_rng(seed)
+        pairs = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+        f_grid = np.concatenate([[-40.0, -9.0, 9.0, 40.0],
+                                 rng.normal(scale=3.0, size=12)])
+        d = np.repeat(pairs[:, 0], f_grid.size)
+        z = np.repeat(pairs[:, 1], f_grid.size)
+        f = np.tile(f_grid, pairs.shape[0])
+        n = f.size
+        data = Dataset(rng.normal(size=(n, 2)), rng.normal(scale=4.0, size=n), d, z)
+        arrays = dict(f=f, h=rng.normal(size=n), mu0=rng.normal(size=n),
+                      mu1=rng.normal(size=n))
+        return data, arrays
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [0.01, 0.2])
+    def test_scores(self, seed, eps):
+        data, v = self._inputs(seed)
+        g = _clipped_reference(v["f"], eps)
+        assert np.any(g == eps) and np.any(g == 1.0 - eps)
+        before = {name: arr.copy() for name, arr in v.items()}
+        for beta in (0.0, -1.7, 2.5):
+            got = {
+                "robust": robust_score(beta, v["f"], v["h"], data, eps),
+                "moment": moment_score(beta, v["f"], data, eps),
+                "regression": regression_score(beta, v["f"], v["mu0"], v["mu1"],
+                                               data, eps),
+            }
+            want = {
+                "robust": _robust_reference(beta, v["f"], v["h"], data, eps),
+                "moment": _moment_reference(beta, v["f"], data, eps),
+                "regression": _regression_reference(beta, v["f"], v["mu0"],
+                                                    v["mu1"], data, eps),
+            }
+            for name in got:
+                _assert_same_bits(got[name], want[name], f"{name} at {beta}")
+                assert got[name].flags.writeable
+                assert not any(np.shares_memory(got[name], arr)
+                               for arr in (*v.values(), data.y, data.d, data.z))
+        for name, arr in v.items():
+            _assert_same_bits(arr, before[name], name)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kappa(self, seed):
+        data, v = self._inputs(seed)
+        d, z = data.d.copy(), data.z.copy()
+        g = _clipped_reference(v["f"], 0.01)
+        g_before = g.copy()
+        k0, k1 = kappa(d, z, g)
+        want0, want1 = _kappa_reference(d, z, g)
+        _assert_same_bits(k0, want0)
+        _assert_same_bits(k1, want1)
+        _assert_same_bits(d, data.d)
+        _assert_same_bits(z, data.z)
+        _assert_same_bits(g, g_before)
+        assert not np.shares_memory(k0, k1)
+
+    def test_kappa_on_scalars(self):
+        for d, z in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
+            for g in (0.01, 0.3, 0.99):
+                got = kappa(d, z, g)
+                want = _kappa_reference(np.float64(d), np.float64(z), np.float64(g))
+                assert [float(k).hex() for k in got] == \
+                    [float(k).hex() for k in want], (d, z, g)
+
+
 class TestFitLarf:
     def test_constant_outcome(self):
         data = _iv_data(500, seed=41)

@@ -485,6 +485,26 @@ class TestCheckOrthogonality:
                                 FunctionEstimate.constant(1.0), "f",
                                 n_mc=100, shard_size=0)
 
+    @pytest.mark.parametrize("shard_size", [1.5, 4096.0, np.float64(4096),
+                                            True, False, np.bool_(True), "4096"])
+    def test_non_integer_shard_size_rejected_before_sampling(self, shard_size):
+        # 1.5 and True used to fail inside the sampler with a TypeError;
+        # the sampler here fails the test if it is ever called.
+        family = self._family_at_truth()
+        with pytest.raises(ValueError, match="shard_size must be an integer"):
+            check_orthogonality(family, self._no_draw_sampler, 1.0,
+                                FunctionEstimate.constant(1.0), "f",
+                                n_mc=100, shard_size=shard_size)
+
+    def test_numpy_integer_shard_size_accepted(self):
+        family = self._family_at_truth()
+        args = (family, self._plr_sampler, 1.0,
+                FunctionEstimate(lambda x: x[:, 0]), "f")
+        for shard_size in (np.int64(1024), np.int32(1024), np.uint16(1024)):
+            assert check_orthogonality(*args, n_mc=3000, seed=2,
+                                       shard_size=shard_size) == \
+                check_orthogonality(*args, n_mc=3000, seed=2, shard_size=1024)
+
     @pytest.mark.parametrize("kwargs, match", [
         (dict(epsilon=float("nan")), "epsilon"),
         (dict(epsilon=float("inf")), "epsilon"),
@@ -552,6 +572,33 @@ class TestCheckOrthogonality:
             check_orthogonality(family, self._plr_sampler, 1.0,
                                 FunctionEstimate.constant(1.0), "f",
                                 n_mc=100, seed=0)
+
+    def test_read_only_score_results_are_not_written(self):
+        # The central difference is formed in place in the plus-sign
+        # result only when the score hands back an array it may write.
+        returned = []
+
+        def read_only(beta, data, v):
+            out = data.d * v["f"]
+            out.setflags(write=False)
+            returned.append((out, out.copy()))
+            return out
+
+        nuisances = {"f": FunctionEstimate(lambda x: np.cos(x[:, 1])),
+                     "h": FunctionEstimate(lambda x: x[:, 0])}
+        args = (self._plr_sampler, 1.0, FunctionEstimate(lambda x: x[:, 0]))
+        kwargs = dict(n_mc=10_000, seed=2, shard_size=4096)
+        writable = ScoreFamily(lambda beta, data, v: data.d * v["f"], nuisances)
+        assert check_orthogonality(ScoreFamily(read_only, nuisances), *args, "f",
+                                   **kwargs) == \
+            check_orthogonality(writable, *args, "f", **kwargs)
+        assert len(returned) == 6
+        for out, copy in returned:
+            assert np.array_equal(out, copy)
+        # A score may return a stored nuisance itself; perturbing another
+        # nuisance leaves it the same on both signs.
+        stored = ScoreFamily(lambda beta, data, v: v["f"], nuisances)
+        assert check_orthogonality(stored, *args, "h", **kwargs) == (0.0, 0.0)
 
     def test_deterministic_given_seed(self):
         family = self._family_at_truth()

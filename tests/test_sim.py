@@ -58,6 +58,51 @@ def _scattered_dataset(config):
     return dict(y=y, d=d, z=z, u=u)
 
 
+def _assert_same_bits(got, want, what=""):
+    """Equal shapes and float64 bit patterns; a mismatch is shown in hex."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64, what
+    assert got.shape == want.shape, what
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, (
+        f"{what}: {bad.size} values differ, the first at {bad[0]}: "
+        f"{float(got.flat[bad[0]]).hex()} != {float(want.flat[bad[0]]).hex()}")
+
+
+def _covariates_reference(n, p, rng):
+    """gen_covariates as it was written with a full-size |x| per round."""
+    x = rng.standard_normal((n, p))
+    flat = x.reshape(-1)
+    redo = np.flatnonzero(np.abs(flat) > 1.0)
+    while redo.size:
+        draw = rng.standard_normal(redo.size)
+        flat[redo] = draw
+        redo = redo[np.abs(draw) > 1.0]
+    return x
+
+
+def _where_dataset(config):
+    """gen_dataset as it was when all three stratum means were formed on
+    every row and picked by nested np.where."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n
+    x = _covariates_reference(n, config.p, rng)
+    g0 = expit(f0_true(x))
+    z = (rng.random(n) < g0).astype(float)
+    r = rng.random(n)
+    cdf = orthoscore.sim._STRATUM_CDF
+    u = 1 + (r >= cdf[0]) + (r >= cdf[1])
+    d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
+    mu0 = mu_true(x, 0.0, config.scenario)
+    x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    always = x1 + x2 + x3 + x4 + 2.0 * d
+    complier = mu0 + 3.0 * d
+    never = 0.6 * x1 + 0.8 * x2 + x3 + 1.2 * x4 - 2.0 * d
+    mean = np.where(u == 1, always, np.where(u == 2, complier, never))
+    y = mean + rng.standard_normal(n)
+    return dict(x=x, y=y, d=d, z=z, u=u, mu0=mu0, next=rng.random())
+
+
 @pytest.fixture(scope="module")
 def big_draw():
     return gen_dataset(DgpConfig(scenario="s1", n=1_000_000, p=4, seed=123))
@@ -117,6 +162,15 @@ class TestGenCovariates:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError, match="p must be at least 1"):
             gen_covariates(10, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 4097, 131_072])
+    def test_same_bits_as_the_full_size_abs_build(self, n, seed):
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = gen_covariates(n, 4, got_rng)
+        _assert_same_bits(got, _covariates_reference(n, 4, want_rng))
+        assert got_rng.random().hex() == want_rng.random().hex()
 
     @pytest.mark.parametrize("n, p, seed", [
         (1, 4, 0), (1, 5, 3), (7, 5, 1), (1000, 4, 2), (4096, 6, 9),
@@ -221,6 +275,19 @@ class TestGenDataset:
         assert truth.u.dtype == want["u"].dtype
         assert np.array_equal(truth.u, want["u"])
         assert np.array_equal(data.y, want["y"])
+
+    @pytest.mark.parametrize("scenario", ["s1", "s2"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, p", [(1, 4), (2, 4), (7, 5), (4097, 4),
+                                      (131_072, 4)])
+    def test_same_bits_as_the_nested_where_build(self, scenario, seed, n, p):
+        cfg = DgpConfig(scenario=scenario, n=n, p=p, seed=seed)
+        data, truth = gen_dataset(cfg)
+        want = _where_dataset(cfg)
+        for name in ("x", "y", "d", "z"):
+            _assert_same_bits(getattr(data, name), want[name], name)
+        _assert_same_bits(truth.mu0, want["mu0"])
+        assert np.array_equal(truth.u, want["u"])
 
     def test_deterministic(self):
         cfg = DgpConfig(scenario="s2", n=500, p=5, seed=21)
