@@ -20,7 +20,6 @@ from .core import (
     derive_seed,
     make_ci,
     normal_quantile,
-    shifted,
     split_folds,
 )
 from .learners import (
@@ -89,7 +88,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "EstimationResult", "FoldSplit", "FunctionEstimate",
-    "derive_seed", "make_ci", "normal_quantile", "shifted", "split_folds",
+    "derive_seed", "make_ci", "normal_quantile", "split_folds",
     "AffineEstimate", "MlpArchitecture", "MlpEstimate", "TrainConfig",
     "TrainingDiverged", "expit", "fit_least_squares", "fit_logistic",
     "fit_mlp", "gradient_check", "pipeline_train_config",

@@ -8,13 +8,15 @@ estimate in the library (log-odds, correction directions, regression
 fits) is one.  ``split_folds`` produces the balanced two-way random
 partition, ``crossfit`` runs the cross-fitting algorithm over it for
 every estimator, and ``make_ci`` builds the normal-approximation
-confidence interval from a variance estimate.
+confidence interval from a variance estimate.  ``require_count`` is
+the one check of integer settings (sizes, counts, worker numbers).
 
 All randomness flows through explicit integer seeds.  ``derive_seed``
 is the single place where child seeds (per replicate, per fold, per
 shard) are derived from a master seed, so any unit of work is
 individually reproducible.  The ``SEED_*`` table names the tag each
-estimator step appends to its master seed.
+estimator step, and each replicate's data and method, appends to its
+master seed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
     "make_ci",
     "normal_quantile",
     "derive_seed",
-    "shifted",
+    "require_count",
 ]
 
 # Two-sided 95% standard-normal quantile, fixed so that reported
@@ -50,6 +52,17 @@ SEED_LATE_LARF = 30         # + arm (0 or 1)
 SEED_PLR = 40
 SEED_QTE_H = 50
 SEED_QTE_LOG_ODDS = 51
+# Replication study: derive_seed(master_seed, replicate, tag).
+SEED_REPLICATE_DATA = 0
+SEED_REPLICATE_METHOD = 1   # + method index
+
+
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Raise unless value is an integer (numpy's too, bools not) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
 
 def _check_binary(name, values):
@@ -116,8 +129,7 @@ class FunctionEstimate:
     """A frozen fitted function of the covariates.
 
     Wraps a deterministic vectorized implementation: calling the object
-    on an (n, p) matrix returns an (n,) vector, and ``evaluate`` maps a
-    single length-p vector to a float.  Identical input must yield
+    on an (n, p) matrix returns an (n,) vector.  Identical input must yield
     identical output, and finite input must yield finite output; the
     learners are responsible for returning parameters that satisfy this.
     """
@@ -133,10 +145,6 @@ class FunctionEstimate:
         out = np.asarray(self._batch(x), dtype=float)
         return out.reshape(x.shape[0])
 
-    def evaluate(self, x_vector) -> float:
-        x = np.asarray(x_vector, dtype=float).ravel()
-        return float(self(x[None, :])[0])
-
     def __repr__(self):
         return f"FunctionEstimate({self.label})"
 
@@ -147,20 +155,11 @@ class FunctionEstimate:
                                 label or f"const {c:g}")
 
 
-def shifted(base: FunctionEstimate, scale: float,
-            direction: FunctionEstimate) -> FunctionEstimate:
-    """base + scale * direction, as a new FunctionEstimate."""
-    s = float(scale)
-    return FunctionEstimate(lambda x: base(x) + s * direction(x),
-                            label=f"{base.label}{s:+g}*{direction.label}")
-
-
 @dataclass(frozen=True)
 class FoldSplit:
     """Balanced random 2-way partition of indices 0..n-1."""
 
     fold_assignment: np.ndarray
-    seed: int
 
     def indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_assignment == fold)
@@ -184,7 +183,7 @@ def split_folds(n: int, seed: int) -> FoldSplit:
     assignment = np.zeros(n, dtype=np.int8)
     assignment[order[n // 2:]] = 1
     assignment.setflags(write=False)
-    return FoldSplit(fold_assignment=assignment, seed=int(seed))
+    return FoldSplit(fold_assignment=assignment)
 
 
 def normal_quantile(p: float) -> float:

@@ -12,12 +12,11 @@ here assumes positivity of the weight vector.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionEstimate
+from .core import FunctionEstimate, require_count
 
 __all__ = [
     "TrainConfig",
@@ -32,13 +31,6 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("squared_error", "weighted_squared_error", "cross_entropy_on_logits")
-
-
-def _check_counts(config, *names):
-    for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -56,17 +48,15 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     seed: int = 0
-    weight_init_scale: float = 1.0
     weight_decay: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
-        _check_counts(self, "epochs", "batch_size")
+        require_count("epochs", self.epochs)
+        require_count("batch_size", self.batch_size)
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError("weight_decay must be nonnegative and finite")
-        if not math.isfinite(self.weight_init_scale):
-            raise ValueError("weight_init_scale must be finite")
         if self.learning_rate * self.weight_decay >= 1.0:
             raise ValueError("weight_decay times learning_rate must be below 1, "
                              "or the decay factor 1 - lr * decay is not positive")
@@ -80,7 +70,8 @@ class MlpArchitecture:
     width: int = 80
 
     def __post_init__(self):
-        _check_counts(self, "depth", "width")
+        require_count("depth", self.depth)
+        require_count("width", self.width)
 
 
 # Net fits inside the estimator pipelines run with weight decay on.
@@ -221,16 +212,15 @@ def fit_logistic(x, labels) -> AffineEstimate:
 # Multilayer perceptron
 # ---------------------------------------------------------------------------
 
-def _init_params(p_in: int, arch: MlpArchitecture, rng,
-                 scale: float = 1.0) -> list:
+def _init_params(p_in: int, arch: MlpArchitecture, rng) -> list:
     """He-style initialization: N(0, 2/fan_in) weights, zero biases."""
     params = []
     fan_in = p_in
     for _ in range(arch.depth):
-        w = rng.standard_normal((arch.width, fan_in)) * np.sqrt(2.0 / fan_in) * scale
+        w = rng.standard_normal((arch.width, fan_in)) * np.sqrt(2.0 / fan_in)
         params.append([w, np.zeros(arch.width)])
         fan_in = arch.width
-    w_out = rng.standard_normal(fan_in) * np.sqrt(2.0 / fan_in) * scale
+    w_out = rng.standard_normal(fan_in) * np.sqrt(2.0 / fan_in)
     params.append([w_out, np.zeros(1)])
     return params
 
@@ -407,6 +397,8 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
     config = config or TrainConfig()
     x, targets = _validate_design(x, targets)
     n, p = x.shape
+    if p == 0:
+        raise ValueError("no covariate columns")
     if n < config.batch_size:
         raise ValueError("batch size exceeds sample size")
     w_full = _check_loss_args(loss, weights, n)
@@ -414,7 +406,7 @@ def fit_mlp(x, targets, loss: str = "squared_error", weights=None,
         raise ValueError("labels must be 0/1")
 
     rng = np.random.default_rng(config.seed)
-    params = _init_params(p, arch, rng, config.weight_init_scale)
+    params = _init_params(p, arch, rng)
     theta = _flatten(params)
     params = _unflatten(theta, params)
     grad = np.empty_like(theta)
@@ -486,14 +478,16 @@ def _unflatten(flat, template):
     return out
 
 
+FD_STEP = 1e-5
+
+
 def gradient_check(arch: MlpArchitecture, loss: str, x, targets,
-                   weights=None, seed: int = 0,
-                   fd_step: float = 1e-5) -> float:
+                   weights=None, seed: int = 0) -> float:
     """Max relative error of backprop against central finite differences.
 
     Initializes a seeded net at random parameters, computes the full
     analytic gradient of the batch loss, then perturbs every parameter
-    coordinate by +-fd_step and compares.
+    coordinate by +-FD_STEP and compares.
     """
     x, targets = _validate_design(x, targets)
     w = _check_loss_args(loss, weights, x.shape[0])
@@ -507,10 +501,10 @@ def gradient_check(arch: MlpArchitecture, loss: str, x, targets,
     fd = np.empty_like(flat)
     for i in range(flat.size):
         bump = np.zeros_like(flat)
-        bump[i] = fd_step
+        bump[i] = FD_STEP
         up, _ = _forward(_unflatten(flat + bump, params), x)
         dn, _ = _forward(_unflatten(flat - bump, params), x)
         fd[i] = (_loss_value(up, targets, loss, w)
-                 - _loss_value(dn, targets, loss, w)) / (2.0 * fd_step)
+                 - _loss_value(dn, targets, loss, w)) / (2.0 * FD_STEP)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
     return float(np.max(np.abs(analytic - fd) / denom))

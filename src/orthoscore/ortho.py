@@ -43,7 +43,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import Dataset, FunctionEstimate, derive_seed
+from .core import Dataset, FunctionEstimate, derive_seed, require_count
 
 __all__ = [
     "CoupledModel",
@@ -112,39 +112,38 @@ class SequentialModel:
 class RatioDirection(FunctionEstimate):
     """Direction h(x) = -num(x)/den(x) with a sign-preserving floor.
 
-    Denominator values with magnitude below `clip` are replaced by
-    clip * sign (zeros count as positive).  Activations are counted in
-    `clip_count`; on well-behaved designs it must stay 0.
+    Denominator values with magnitude below `DENOM_CLIP` are replaced by
+    DENOM_CLIP * sign (zeros count as positive).  Activations are counted
+    in `clip_count`; on well-behaved designs it must stay 0.
     """
 
     def __init__(self, numerator: FunctionEstimate, denominator: FunctionEstimate,
-                 clip: float = DENOM_CLIP, label: str = "direction"):
-        self.clip = float(clip)
+                 label: str = "direction"):
         self.clip_count = 0
 
         def batch(x):
             num = numerator(x)
             den = denominator(x)
-            small = np.abs(den) < self.clip
+            small = np.abs(den) < DENOM_CLIP
             self.clip_count += int(np.count_nonzero(small))
-            den = np.where(den >= 0.0, np.maximum(den, self.clip),
-                           np.minimum(den, -self.clip))
+            den = np.where(den >= 0.0, np.maximum(den, DENOM_CLIP),
+                           np.minimum(den, -DENOM_CLIP))
             return -num / den
 
         super().__init__(batch, label)
 
 
-def _fit_ratio(x, num_targets, den_targets, regressor, clip, label):
+def _fit_ratio(x, num_targets, den_targets, regressor, label):
     num_fit = regressor(x, np.asarray(num_targets, dtype=float))
     den_fit = regressor(x, np.asarray(den_targets, dtype=float))
     if np.max(np.abs(den_fit(x))) == 0.0:
         raise ValueError("direction undefined")
-    return RatioDirection(num_fit, den_fit, clip=clip, label=label), den_fit
+    return RatioDirection(num_fit, den_fit, label=label), den_fit
 
 
 def fit_coupled_direction(model: CoupledModel, beta_pilot: float,
                           f_hat: FunctionEstimate, data: Dataset,
-                          regressor, clip: float = DENOM_CLIP) -> RatioDirection:
+                          regressor) -> RatioDirection:
     """Estimate h0 for the coupled regime on one fold.
 
     Regresses the cross-derivative and curvature pseudo-outcomes of m,
@@ -153,18 +152,18 @@ def fit_coupled_direction(model: CoupledModel, beta_pilot: float,
     fv = f_hat(data.x)
     num = model.d2_beta_f_m(beta_pilot, fv, data)
     den = model.d2_ff_m(beta_pilot, fv, data)
-    direction, _ = _fit_ratio(data.x, num, den, regressor, clip, "coupled h")
+    direction, _ = _fit_ratio(data.x, num, den, regressor, "coupled h")
     return direction
 
 
 def fit_decoupled_direction(model: DecoupledModel, beta_pilot: float,
                             f_hat: FunctionEstimate, data: Dataset,
-                            regressor, clip: float = DENOM_CLIP) -> RatioDirection:
+                            regressor) -> RatioDirection:
     """Estimate h0 for the decoupled regime on one fold."""
     fv = f_hat(data.x)
     num = model.d_f_psi(beta_pilot, fv, data)
     den = model.d2_ff_m1(fv, data)
-    direction, _ = _fit_ratio(data.x, num, den, regressor, clip, "decoupled h")
+    direction, _ = _fit_ratio(data.x, num, den, regressor, "decoupled h")
     return direction
 
 
@@ -177,8 +176,7 @@ class SequentialDirections:
 
 def fit_sequential_directions(model: SequentialModel, beta_pilot: float,
                               mu_hat: FunctionEstimate, f_hat: FunctionEstimate,
-                              data: Dataset, regressor,
-                              clip: float = DENOM_CLIP) -> SequentialDirections:
+                              data: Dataset, regressor) -> SequentialDirections:
     """Estimate (h10, h20, h30) on one fold.
 
     h10 and h20 come from ratio-of-regression recipes; h30 reuses the
@@ -189,13 +187,12 @@ def fit_sequential_directions(model: SequentialModel, beta_pilot: float,
     mv = mu_hat(data.x)
     m1_curv = model.d2_ff_m1(fv, data)
     h1, den1_fit = _fit_ratio(data.x, model.d_f_psi(beta_pilot, mv, fv, data),
-                              m1_curv, regressor, clip, "sequential h1")
+                              m1_curv, regressor, "sequential h1")
     h2, _ = _fit_ratio(data.x, model.d_mu_psi(beta_pilot, mv, fv, data),
-                       model.d2_mumu_m2(mv, fv, data), regressor, clip,
-                       "sequential h2")
+                       model.d2_mumu_m2(mv, fv, data), regressor, "sequential h2")
     num3 = model.d2_muf_m2(mv, fv, data) * h2(data.x)
     num3_fit = regressor(data.x, num3)
-    h3 = RatioDirection(num3_fit, den1_fit, clip=clip, label="sequential h3")
+    h3 = RatioDirection(num3_fit, den1_fit, label="sequential h3")
     return SequentialDirections(h1=h1, h2=h2, h3=h3)
 
 
@@ -206,8 +203,6 @@ class ScoreFamily:
     `score(beta, data, values)` receives `values`, a dict mapping each
     nuisance name to its values at `data.x`.  `evaluate(beta, data)`
     evaluates every nuisance at `data.x` and calls `score`.
-    `with_nuisances` returns the family with some nuisance functions
-    replaced.
     """
 
     score: Callable[[float, Dataset, Mapping[str, np.ndarray]], np.ndarray]
@@ -216,12 +211,6 @@ class ScoreFamily:
     def evaluate(self, beta: float, data: Dataset) -> np.ndarray:
         return self.score(beta, data, {name: fn(data.x)
                                        for name, fn in self.nuisances.items()})
-
-    def with_nuisances(self, **replacements) -> "ScoreFamily":
-        unknown = set(replacements) - set(self.nuisances)
-        if unknown:
-            raise ValueError(f"unknown nuisance names: {sorted(unknown)}")
-        return ScoreFamily(self.score, {**self.nuisances, **replacements})
 
 
 def build_coupled_score(model: CoupledModel, f_hat: FunctionEstimate,
@@ -320,27 +309,19 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
     Per shard, each nuisance of the family and the direction are
     evaluated once, at the shard's covariate matrix, and the score
     once per sign; the shifted nuisance is formed from the stored
-    arrays with the arithmetic of ``core.shifted``.
+    arrays as base + epsilon * direction.
 
     Before anything is drawn, raises ``ValueError`` for an epsilon that
-    is not positive and finite, an n_mc that is not an integer (numpy
-    integers included) of at least 2, a shard_size that is not an
-    integer (a bool included) of at least 1, or an unknown nuisance
+    is not positive and finite, an n_mc or shard_size that fails
+    ``core.require_count`` (at least 2 and 1), or an unknown nuisance
     name.
     """
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError("epsilon must be positive and finite")
-    if not isinstance(n_mc, (int, np.integer)):
-        raise ValueError("n_mc must be an integer")
-    if n_mc < 2:
-        raise ValueError("n_mc must be at least 2")
-    if (isinstance(shard_size, bool)
-            or not isinstance(shard_size, (int, np.integer))):
-        raise ValueError("shard_size must be an integer")
-    if shard_size < 1:
-        raise ValueError("shard_size must be at least 1")
-    # Rejects an unknown nuisance name before anything is drawn.
-    score.with_nuisances(**{which_nuisance: direction})
+    require_count("n_mc", n_mc, minimum=2)
+    require_count("shard_size", shard_size)
+    if which_nuisance not in score.nuisances:
+        raise ValueError(f"unknown nuisance names: {[which_nuisance]}")
     total, total_sq, count = 0.0, 0.0, 0
     shard = 0
     while count < n_mc:

@@ -25,11 +25,12 @@ are excluded from the metrics and counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, derive_seed
+from .core import (SEED_REPLICATE_DATA, SEED_REPLICATE_METHOD, Dataset,
+                   derive_seed, require_count)
 from .late import METHODS, LateConfig, late_crossfit
 from .learners import expit
 
@@ -69,10 +70,8 @@ class DgpConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario: {self.scenario!r}")
-        if self.p < 4:
-            raise ValueError("p must be at least 4")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        require_count("p", self.p, minimum=4)
+        require_count("n", self.n)
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ def gen_covariates(n: int, p: int, rng) -> np.ndarray:
     Each round redraws the entries still outside, in row-major order,
     so the draws do not depend on how the entries are tracked.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    require_count("p", p)
     x = rng.standard_normal((n, p))
     flat = x.reshape(-1)
     redo = np.flatnonzero(_outside_unit(flat))
@@ -238,7 +236,7 @@ class SimulationReport:
 
 
 def summarize_replicates(method: str, betas, covered, failures: int,
-                         n: int, beta0: float = BETA0) -> MethodSummary:
+                         n: int) -> MethodSummary:
     """Study metrics over the successful replicates of one method."""
     betas = np.asarray(betas, dtype=float)
     covered = np.asarray(covered, dtype=bool)
@@ -246,7 +244,7 @@ def summarize_replicates(method: str, betas, covered, failures: int,
     if r == 0:
         return MethodSummary(method, float("nan"), float("nan"),
                              float("nan"), 0, failures)
-    err = betas - beta0
+    err = betas - BETA0
     return MethodSummary(method=method,
                          bias=float(abs(np.mean(err))),
                          smse=float(np.sqrt(n) * np.mean(err * err)),
@@ -255,14 +253,14 @@ def summarize_replicates(method: str, betas, covered, failures: int,
                          failures=int(failures))
 
 
-def _one_replicate(dgp: DgpConfig, methods, master_seed: int, index: int,
-                   base_config: LateConfig):
+def _one_replicate(dgp: DgpConfig, methods, master_seed: int, index: int):
     """Run every method on one fresh dataset; return per-method outcomes."""
-    data, truth = gen_dataset(replace(dgp, seed=derive_seed(master_seed, index, 0)))
+    data, truth = gen_dataset(replace(dgp, seed=derive_seed(
+        master_seed, index, SEED_REPLICATE_DATA)))
     out = {}
     for mi, method in enumerate(methods):
-        cfg = replace(base_config, method=method,
-                      seed=derive_seed(master_seed, index, 1 + mi))
+        cfg = LateConfig(method=method, seed=derive_seed(
+            master_seed, index, SEED_REPLICATE_METHOD + mi))
         try:
             res = late_crossfit(data, cfg)
             out[method] = (res.beta_hat,
@@ -273,32 +271,30 @@ def _one_replicate(dgp: DgpConfig, methods, master_seed: int, index: int,
 
 
 def run_replications(dgp: DgpConfig, methods, reps: int, master_seed: int,
-                     jobs: int = 1,
-                     base_config: LateConfig | None = None) -> SimulationReport:
+                     jobs: int = 1) -> SimulationReport:
     """Replay the study `reps` times and aggregate the metrics.
 
     `jobs` > 1 fans replicates out to a process pool; results are
     reduced in replicate order, so the report is identical for any
     worker count.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    require_count("reps", reps)
+    require_count("jobs", jobs)
     methods = tuple(methods)
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")
-    base_config = base_config or LateConfig()
     results = [None] * reps
-    if jobs <= 1:
+    if jobs == 1:
         for i in range(reps):
-            results[i] = _one_replicate(dgp, methods, master_seed, i, base_config)[1]
+            results[i] = _one_replicate(dgp, methods, master_seed, i)[1]
     else:
         # Imported here: the pool's modules would otherwise load on every
         # import of the package.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_one_replicate, dgp, methods, master_seed, i,
-                                   base_config) for i in range(reps)]
+            futures = [pool.submit(_one_replicate, dgp, methods, master_seed, i)
+                       for i in range(reps)]
             for fut in futures:
                 index, out = fut.result()
                 results[index] = out

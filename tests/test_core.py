@@ -15,7 +15,6 @@ from orthoscore import (
     derive_seed,
     make_ci,
     normal_quantile,
-    shifted,
     split_folds,
 )
 from orthoscore import late, plr, qte
@@ -196,7 +195,7 @@ class TestFunctionEstimate:
         fn = FunctionEstimate(lambda x: x[:, 0] ** 2)
         x = np.array([[2.0, 1.0], [3.0, -1.0]])
         np.testing.assert_allclose(fn(x), [4.0, 9.0])
-        assert fn.evaluate([3.0, -1.0]) == 9.0
+        assert fn(np.array([[3.0, -1.0]]))[0] == 9.0
 
     def test_batch_requires_matrix(self):
         fn = FunctionEstimate(lambda x: x[:, 0])
@@ -206,13 +205,6 @@ class TestFunctionEstimate:
     def test_constant_factory(self):
         c = FunctionEstimate.constant(2.5)
         np.testing.assert_allclose(c(np.zeros((4, 3))), 2.5)
-
-    def test_shifted_combination(self):
-        base = FunctionEstimate(lambda x: x[:, 0])
-        direction = FunctionEstimate.constant(1.0)
-        moved = shifted(base, -0.5, direction)
-        x = np.array([[2.0], [0.0]])
-        np.testing.assert_allclose(moved(x), [1.5, -0.5])
 
 
 class TestEstimationResult:

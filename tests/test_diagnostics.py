@@ -1,12 +1,12 @@
 """Exact-equality tests of the orthogonality checker and its truths.
 
 The reference below is the checker as it was before nuisances were
-stored per shard: it rebuilds the family with ``core.shifted`` copies
-of the perturbed nuisance and evaluates every nuisance afresh for each
-sign.  The shipped checker must return the same floats, not merely
-close ones, for every case that ``run_check`` measures.  The normal
-CDF of the qte truth is held to its accuracy contract against the
-per-row ``math.erf`` formula.
+stored per shard: it rebuilds the family with shifted copies (base +
+scale * direction) of the perturbed nuisance and evaluates every
+nuisance afresh for each sign.  The shipped checker must return the
+same floats, not merely close ones, for every case that ``run_check``
+measures.  The normal CDF of the qte truth is held to its accuracy
+contract against the per-row ``math.erf`` formula.
 """
 
 import math
@@ -16,20 +16,26 @@ import numpy as np
 import pytest
 
 from orthoscore import diagnostics
-from orthoscore.core import derive_seed, shifted
+from orthoscore.core import FunctionEstimate, derive_seed
 from orthoscore.learners import expit
-from orthoscore.ortho import check_orthogonality
+from orthoscore.ortho import ScoreFamily, check_orthogonality
 from orthoscore.sim import f0_true, mu_true
 
 N_MC = 20_000
 SHARD = 4096    # five shards, the last one ragged
 
 
+def _shifted_family(score, which_nuisance, scale, direction):
+    """``score`` with nuisance ``which_nuisance`` set to base + scale * direction."""
+    base = score.nuisances[which_nuisance]
+    moved = FunctionEstimate(lambda x: base(x) + scale * direction(x))
+    return ScoreFamily(score.score, {**score.nuisances, which_nuisance: moved})
+
+
 def _reference_check(score, sampler, beta0, direction, which_nuisance,
                      epsilon=1e-3, n_mc=1_000_000, seed=0, shard_size=1 << 17):
-    base = score.nuisances[which_nuisance]
-    plus = score.with_nuisances(**{which_nuisance: shifted(base, epsilon, direction)})
-    minus = score.with_nuisances(**{which_nuisance: shifted(base, -epsilon, direction)})
+    plus = _shifted_family(score, which_nuisance, epsilon, direction)
+    minus = _shifted_family(score, which_nuisance, -epsilon, direction)
     total, total_sq, count = 0.0, 0.0, 0
     shard = 0
     while count < n_mc:

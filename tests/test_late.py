@@ -106,7 +106,7 @@ class TestEstimateLogOdds:
         data = Dataset(x, rng.normal(size=n), z, z)
         f_hat = estimate_log_odds(data, LateConfig(method="robust_lr",
                                                    seed=0))
-        assert expit(f_hat.evaluate([0.0, 0.0])) == pytest.approx(0.5,
+        assert expit(f_hat(np.zeros((1, 2)))[0]) == pytest.approx(0.5,
                                                                   abs=0.05)
 
     def test_structural_log_odds_at_origin(self):
@@ -114,8 +114,7 @@ class TestEstimateLogOdds:
         f_hat = estimate_log_odds(data, LateConfig(method="robust_np",
                                                    seed=0))
         target = np.log(4.0) - 1.0 - 0.5
-        assert f_hat.evaluate([0.0, 0.0, 0.0, 0.0]) == pytest.approx(
-            target, abs=0.1)
+        assert f_hat(np.zeros((1, 4)))[0] == pytest.approx(target, abs=0.1)
 
     def test_degenerate_instrument_rejected(self):
         rng = np.random.default_rng(13)
@@ -167,7 +166,7 @@ class TestEstimateH:
         h_hat = estimate_h(data, FunctionEstimate.constant(f0), cfg)
         expected = (c * (np.exp(f0) - np.exp(-f0)) * expit(f0)
                     - c * np.exp(f0))
-        assert h_hat.evaluate([0.0, 0.0]) == pytest.approx(expected,
+        assert h_hat(np.zeros((1, 2)))[0] == pytest.approx(expected,
                                                            abs=0.05)
 
 
@@ -468,6 +467,16 @@ class TestLateCrossfit:
         data = Dataset(x, rng.normal(size=100), ones, ones)
         with pytest.raises((ValueError, RuntimeError)):
             late_crossfit(data, LateConfig(seed=0))
+
+    def test_no_covariate_columns_fails_as_a_fold_error_in_the_net(self):
+        # The linear tier fits the intercept-only model; the net used to
+        # escape with a ZeroDivisionError from its initialization.
+        rng = np.random.default_rng(66)
+        z = np.tile([0.0, 1.0], 100)
+        data = Dataset(np.empty((200, 0)), rng.normal(size=200), z, z)
+        assert np.isfinite(late_crossfit(data, LateConfig(seed=0)).beta_hat)
+        with pytest.raises(RuntimeError, match=r"^fold 0: no covariate columns$"):
+            late_crossfit(data, LateConfig(method="robust_np", seed=0))
 
     @pytest.mark.parametrize("method", ["robust_lr", "moment", "reg_lr"])
     def test_constant_instrument_in_a_training_fold(self, method):

@@ -37,7 +37,7 @@ def _wls_oracle(x, y, weights=None):
 class TestLeastSquares:
     def test_exact_line_through_points(self):
         est = fit_least_squares(np.array([[1.0], [2.0]]), np.array([2.0, 4.0]))
-        assert est.evaluate([3.0]) == pytest.approx(6.0, abs=1e-10)
+        assert est(np.array([[3.0]]))[0] == pytest.approx(6.0, abs=1e-10)
 
     def test_constant_target_gives_constant_fit(self):
         rng = np.random.default_rng(3)
@@ -51,7 +51,7 @@ class TestLeastSquares:
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0.0, 1.0, 4.0])
         est = fit_least_squares(x, y, weights=np.array([1.0, 1.0, 0.0]))
-        assert est.evaluate([2.0]) == pytest.approx(2.0, abs=1e-9)
+        assert est(np.array([[2.0]]))[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(11)
@@ -267,19 +267,22 @@ class TestConfigValidation:
         ("weight_decay", float("nan")),
         ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
-        ("weight_init_scale", float("nan")),
-        ("weight_init_scale", float("inf")),
         ("epochs", 2.5),
         ("batch_size", 2.5),
+        ("epochs", True),
     ])
     def test_non_finite_or_fractional_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["depth", "width"])
-    def test_fractional_architecture_rejected(self, field):
+    @pytest.mark.parametrize("field,value", [
+        ("depth", 2.5),
+        ("width", 2.5),
+        ("depth", True),
+    ])
+    def test_fractional_architecture_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            MlpArchitecture(**{field: 2.5})
+            MlpArchitecture(**{field: value})
 
     def test_numpy_integer_counts_accepted(self):
         assert TrainConfig(epochs=np.int64(3)).epochs == 3
@@ -374,7 +377,7 @@ def _reference_fit_mlp(x, targets, loss="squared_error", weights=None,
     n, p = x.shape
     w_full = _check_loss_args(loss, weights, n)
     rng = np.random.default_rng(config.seed)
-    params = _init_params(p, arch, rng, config.weight_init_scale)
+    params = _init_params(p, arch, rng)
     m_state = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
     v_state = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
     b1, b2, eps = 0.9, 0.999, 1e-8

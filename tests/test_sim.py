@@ -344,9 +344,13 @@ class TestGenDataset:
         {"scenario": "s3"},
         {"p": 3},
         {"n": 0},
+        {"n": 2.5},
+        {"n": True},
+        {"p": 4.5},
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
             DgpConfig(**kwargs)
 
 
@@ -437,9 +441,19 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="unknown method"):
             run_replications(DgpConfig(n=120), ("banana",), 2, 0)
 
-    def test_reps_validation(self):
-        with pytest.raises(ValueError, match="reps"):
-            run_replications(DgpConfig(n=120), ("moment",), 0, 0)
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"reps": 0}, "reps must be at least 1"),
+        ({"reps": 2.5}, "reps must be an integer"),
+        ({"reps": 2, "jobs": 1.5}, "jobs must be an integer"),
+    ])
+    def test_reps_validation(self, kwargs, match, monkeypatch):
+        def never(config):
+            raise AssertionError("drew before the arguments were checked")
+
+        monkeypatch.setattr(orthoscore.sim, "gen_dataset", never)
+        with pytest.raises(ValueError, match=match):
+            run_replications(DgpConfig(n=120), ("moment",), master_seed=0,
+                             **kwargs)
 
     def test_master_seed_changes_replicates(self):
         a = run_replications(DgpConfig(n=120), ("moment",), 2, master_seed=1)
