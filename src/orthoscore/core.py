@@ -9,7 +9,9 @@ fits) is one.  ``split_folds`` produces the balanced two-way random
 partition, ``crossfit`` runs the cross-fitting algorithm over it for
 every estimator, and ``make_ci`` builds the normal-approximation
 confidence interval from a variance estimate.  ``require_count`` is
-the one check of integer settings (sizes, counts, worker numbers).
+the one check of integer settings (sizes, counts, worker numbers), and
+``in_row_blocks`` evaluates a row-wise formula ``BLOCK_ROWS`` rows at a
+time, so a long input never holds full-length temporaries.
 
 All randomness flows through explicit integer seeds.  ``derive_seed``
 is the single place where child seeds (per replicate, per fold, per
@@ -37,6 +39,7 @@ __all__ = [
     "normal_quantile",
     "derive_seed",
     "require_count",
+    "in_row_blocks",
 ]
 
 # Two-sided 95% standard-normal quantile, fixed so that reported
@@ -56,6 +59,11 @@ SEED_QTE_LOG_ODDS = 51
 SEED_REPLICATE_DATA = 0
 SEED_REPLICATE_METHOD = 1   # + method index
 
+# Rows per block of ``in_row_blocks``: 128 KiB per float64 column, so a
+# block's temporaries are reused from the heap instead of being handed
+# back to the operating system and faulted in again.
+BLOCK_ROWS = 1 << 14
+
 
 def require_count(name: str, value, minimum: int = 1) -> None:
     """Raise unless value is an integer (numpy's too, bools not) >= minimum."""
@@ -63,6 +71,32 @@ def require_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
+
+
+def in_row_blocks(formula, *columns):
+    """``formula(*columns)``, evaluated ``BLOCK_ROWS`` rows at a time.
+
+    Each column is an array with one row per observation along its
+    first axis.  ``formula`` returns an array or a tuple of arrays, and
+    row i of each must depend only on row i of the columns.  Up to one
+    block, ``formula`` runs once on the columns themselves and its
+    result is returned as it is.  Longer inputs run on consecutive row
+    slices, each block's result copied into a fresh full-length array,
+    so every row gets the value the whole-array call gives.
+    """
+    n = len(columns[0])
+    if n <= BLOCK_ROWS:
+        return formula(*columns)
+    outs = None
+    for lo in range(0, n, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        got = formula(*(c[rows] for c in columns))
+        parts = got if isinstance(got, tuple) else (got,)
+        if outs is None:
+            outs = tuple(np.empty((n, *p.shape[1:]), p.dtype) for p in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs if isinstance(got, tuple) else outs[0]
 
 
 def _check_binary(name, values):

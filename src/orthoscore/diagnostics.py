@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FunctionEstimate, derive_seed
+from .core import Dataset, FunctionEstimate, derive_seed, in_row_blocks
 from .late import moment_score, robust_score
 from .learners import expit
 from .ortho import ScoreFamily, check_orthogonality
@@ -155,13 +155,13 @@ def _directions():
 
 
 class _TruthRecord:
-    """The truths a sampler computed at the last matrix it drew.
+    """The truths computed at the last array seen, such as a sampler's matrix.
 
     ``remember(x, truths)`` fills the one slot with a weak reference to
     ``x`` and its truths there, a tuple of arrays made read-only.
-    Calling the record on ``x`` returns that tuple; any other matrix is
+    Calling the record on ``x`` returns that tuple; any other array is
     evaluated afresh by ``compute(x)`` and takes the slot.  The slot
-    empties when its matrix is freed, so it holds no shard alive.
+    empties when its array is freed, so it holds no shard alive.
     """
 
     def __init__(self, compute):
@@ -197,13 +197,12 @@ def _late_target():
 
     f_true = FunctionEstimate(lambda x: truths(x)[0], "true log-odds")
 
-    def h_true_batch(x):
+    def h_true_rows(x, g, mu0):
         # (e^f - e^-f) E[YZ|x] - e^f E[Y|x] with e^f = g / (1 - g),
         #   E[Y|x]  = p_a a + p_c (g mu1 + (1 - g) mu0) + p_n nv,
         #   E[YZ|x] = g (p_a a + p_c mu1 + p_n nv),
         # formed in six arrays, in place, in the order written here.
         # Always-takers have d = 1, never-takers d = 0.
-        _, g, mu0 = truths(x)
         p_a, p_c, p_n = STRATUM_PROBS
         always = always_taker_mean(x, 1.0)
         always *= p_a
@@ -229,6 +228,11 @@ def _late_target():
         e_y *= e_f
         h -= e_y
         return h
+
+    def h_true_batch(x):
+        # One block of rows at a time, so the six arrays are block-sized.
+        _, g, mu0 = truths(x)
+        return in_row_blocks(h_true_rows, x, g, mu0)
 
     h_true = FunctionEstimate(h_true_batch, "true h")
 
@@ -311,8 +315,13 @@ def _qte_target():
 
     h_true = FunctionEstimate(h_true_batch, "true h")
 
+    # Keyed on the log-odds array: when h is perturbed, both signs pass
+    # the same stored f and share one expit.
+    propensity = _TruthRecord(lambda f: (expit(f),))
+
     orth = ScoreFamily(lambda beta, data, v: orthogonal_quantile_score(
-        beta, data.y, data.d, expit(v["f"]), v["h"], tau), {"f": f_true, "h": h_true})
+        beta, data.y, data.d, propensity(v["f"])[0], v["h"], tau),
+        {"f": f_true, "h": h_true})
     ctrl = ScoreFamily(lambda beta, data, v: ipw_quantile_score(
         beta, data.y, data.d, expit(v["f"]), tau), {"f": f_true})
     ctrl_dir = FunctionEstimate(lambda x: x[:, 0] - x[:, 1], "x1 - x2")

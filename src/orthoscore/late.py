@@ -18,7 +18,9 @@ score variants are provided:
 nuisances on the training half, solve the configured score on the
 estimation half.  All three scores are linear in beta with slope -1,
 so the solve is a fold mean.  Each score returns a fresh array formed
-in place, in the order of its formula, and writes none of its inputs.
+in place, in the order of its formula, and writes none of its inputs;
+past ``core.BLOCK_ROWS`` rows it runs the formula one block of rows at
+a time (``core.in_row_blocks``), which gives every row the same bits.
 Confidence intervals use the robust-score variance for the moment
 method too (the two estimators share one asymptotic variance);
 regression methods use their own residuals.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .core import (SEED_LATE_H, SEED_LATE_LARF, SEED_LATE_LOG_ODDS, Dataset,
                    EstimationResult, FunctionEstimate, crossfit, derive_seed,
-                   require_splittable)
+                   in_row_blocks, require_splittable)
 from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
                        fit_logistic, fit_mlp, pipeline_train_config)
 
@@ -157,29 +159,35 @@ def robust_score(beta: float, f, h, data: Dataset,
 
     `f` and `h` hold the log-odds and the direction at `data.x`.
     """
-    g = clip_propensity(expit(f), clip_epsilon)
-    k0, k1 = kappa(data.d, data.z, g)
-    k1 -= k0
-    k1 *= data.y
-    denom = np.subtract(1.0, g, out=k0)
-    denom *= g                          # g (1-g)
-    correction = g - data.z
-    correction /= denom
-    correction *= h
-    k1 -= correction
-    k1 -= beta
-    return k1
+    def rows(f, h, d, z, y):
+        g = clip_propensity(expit(f), clip_epsilon)
+        k0, k1 = kappa(d, z, g)
+        k1 -= k0
+        k1 *= y
+        denom = np.subtract(1.0, g, out=k0)
+        denom *= g                          # g (1-g)
+        correction = g - z
+        correction /= denom
+        correction *= h
+        k1 -= correction
+        k1 -= beta
+        return k1
+
+    return in_row_blocks(rows, f, h, data.d, data.z, data.y)
 
 
 def moment_score(beta: float, f, data: Dataset,
                  clip_epsilon: float = 0.01) -> np.ndarray:
     """Plain reweighting score (kappa1 - kappa0) y - beta; `f` at `data.x`."""
-    g = clip_propensity(expit(f), clip_epsilon)
-    k0, k1 = kappa(data.d, data.z, g)
-    k1 -= k0
-    k1 *= data.y
-    k1 -= beta
-    return k1
+    def rows(f, d, z, y):
+        g = clip_propensity(expit(f), clip_epsilon)
+        k0, k1 = kappa(d, z, g)
+        k1 -= k0
+        k1 *= y
+        k1 -= beta
+        return k1
+
+    return in_row_blocks(rows, f, data.d, data.z, data.y)
 
 
 def regression_score(beta: float, f, mu0, mu1, data: Dataset,
@@ -189,13 +197,16 @@ def regression_score(beta: float, f, mu0, mu1, data: Dataset,
     `f`, `mu0` and `mu1` hold the log-odds and the fitted response
     functions at `data.x`.
     """
-    g = clip_propensity(expit(f), clip_epsilon)
-    k0, k1 = kappa(data.d, data.z, g)
-    k1 *= mu1
-    k0 *= mu0
-    k1 -= k0
-    k1 -= beta
-    return k1
+    def rows(f, mu0, mu1, d, z):
+        g = clip_propensity(expit(f), clip_epsilon)
+        k0, k1 = kappa(d, z, g)
+        k1 *= mu1
+        k0 *= mu0
+        k1 -= k0
+        k1 -= beta
+        return k1
+
+    return in_row_blocks(rows, f, mu0, mu1, data.d, data.z)
 
 
 def fit_larf(train: Dataset, f_hat: FunctionEstimate, t: int,

@@ -32,7 +32,10 @@ supplied direction under a known truth.
 
 Callbacks are vectorized: each receives the scalar beta, the nuisance
 values already evaluated at the sample's covariates, and the Dataset,
-and returns one value per observation.
+and returns one value per observation.  Everything is row-wise: row i
+of each nuisance, direction and score depends only on row i of the
+data.  The checker relies on that when it evaluates the direction one
+block of ``core.BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import Dataset, FunctionEstimate, derive_seed, require_count
+from .core import (Dataset, FunctionEstimate, derive_seed, in_row_blocks,
+                   require_count)
 
 __all__ = [
     "CoupledModel",
@@ -201,16 +205,12 @@ class ScoreFamily:
     """Per-observation score psi(beta; w) with frozen nuisance functions.
 
     `score(beta, data, values)` receives `values`, a dict mapping each
-    nuisance name to its values at `data.x`.  `evaluate(beta, data)`
-    evaluates every nuisance at `data.x` and calls `score`.
+    nuisance name to its values at `data.x`; `nuisances` maps the same
+    names to the functions.
     """
 
     score: Callable[[float, Dataset, Mapping[str, np.ndarray]], np.ndarray]
     nuisances: Mapping[str, FunctionEstimate]
-
-    def evaluate(self, beta: float, data: Dataset) -> np.ndarray:
-        return self.score(beta, data, {name: fn(data.x)
-                                       for name, fn in self.nuisances.items()})
 
 
 def build_coupled_score(model: CoupledModel, f_hat: FunctionEstimate,
@@ -256,31 +256,40 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
                 epsilon: float) -> tuple[float, float]:
     """Sum and sum of squares of the central difference on one shard.
 
-    The nuisances and the direction are evaluated before the score
-    runs, not on first use: stored arrays allocated among the score's
-    temporaries fragment the heap and raised the checker's peak
-    resident memory by about 2 MB.  The stored arrays are read-only, so
-    a score that writes into its inputs fails instead of corrupting the
-    other sign.  The shifted nuisance, the central difference and its
-    square are formed in place, in the order of ``(plus - minus) /
-    (2 epsilon)``; the difference goes into the plus-sign result only
-    when that is a writable float64 array of the minus result's shape,
-    so a read-only array a score returns is never written.  Every array
-    built here is released on return, before the next shard is drawn.
+    The nuisances are evaluated, and both shifted nuisances built,
+    before the score runs, not on first use: stored arrays allocated
+    among the score's temporaries fragment the heap and raised the
+    checker's peak resident memory by about 2 MB.  The direction is
+    evaluated one block of rows at a time (``core.in_row_blocks``), and
+    each block forms ``base + epsilon * step`` and ``base - epsilon *
+    step`` in place, so no shard-length step array is kept.  The
+    stored nuisances are read-only, so a score that writes into its
+    inputs fails instead of corrupting the other sign.  The plus-sign
+    nuisance is released before the minus-sign score runs.  The central
+    difference and its square are formed in place, in the order of
+    ``(plus - minus) / (2 epsilon)``; the difference goes into the
+    plus-sign result only when that is a writable float64 array of the
+    minus result's shape, so a read-only array a score returns is never
+    written.  Every array built here is released on return, before the
+    next shard is drawn.
     """
     values = {name: fn(data.x) for name, fn in score.nuisances.items()}
-    step = direction(data.x)
-    for arr in (*values.values(), step):
+    for arr in values.values():
         arr.setflags(write=False)
-    base = values[which_nuisance]
 
-    def at(s):
-        shifted = step * s
-        shifted += base                     # base + s * step
-        return score.score(beta0, data, {**values, which_nuisance: shifted})
+    def shifted(x, base):
+        step = direction(x)
+        plus = step * float(epsilon)
+        plus += base                        # base + epsilon * step
+        minus = step * float(-epsilon)
+        minus += base
+        return plus, minus
 
-    plus = at(float(epsilon))
-    minus = at(float(-epsilon))
+    plus_nuisance, minus_nuisance = in_row_blocks(shifted, data.x,
+                                                  values[which_nuisance])
+    plus = score.score(beta0, data, {**values, which_nuisance: plus_nuisance})
+    del plus_nuisance
+    minus = score.score(beta0, data, {**values, which_nuisance: minus_nuisance})
     if (isinstance(plus, np.ndarray) and plus.flags.writeable
             and plus.dtype == np.float64 and plus.shape == np.shape(minus)):
         diff = np.subtract(plus, minus, out=plus)
@@ -306,10 +315,14 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
     standard error.  The same draws feed both signs, so a zero
     direction gives exactly zero.
 
-    Per shard, each nuisance of the family and the direction are
-    evaluated once, at the shard's covariate matrix, and the score
-    once per sign; the shifted nuisance is formed from the stored
-    arrays as base + epsilon * direction.
+    Per shard, each nuisance of the family is evaluated once, at the
+    shard's covariate matrix, and the score once per sign.  The
+    direction is evaluated block by block (``core.in_row_blocks``), and
+    each block of both shifted nuisances is formed from it as base +-
+    epsilon * direction.  So row i of each nuisance, of the direction
+    and of the score must depend only on row i of the data; a shard of
+    at most ``core.BLOCK_ROWS`` rows passes the direction the shard's
+    matrix itself.
 
     Before anything is drawn, raises ``ValueError`` for an epsilon that
     is not positive and finite, an n_mc or shard_size that fails

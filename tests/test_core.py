@@ -18,6 +18,7 @@ from orthoscore import (
     split_folds,
 )
 from orthoscore import late, plr, qte
+from orthoscore.core import BLOCK_ROWS, in_row_blocks
 from orthoscore.sim import DgpConfig, gen_dataset
 
 
@@ -205,6 +206,38 @@ class TestFunctionEstimate:
     def test_constant_factory(self):
         c = FunctionEstimate.constant(2.5)
         np.testing.assert_allclose(c(np.zeros((4, 3))), 2.5)
+
+
+class TestInRowBlocks:
+    def test_one_block_or_less_runs_once_on_the_columns_themselves(self):
+        x, y = np.zeros((BLOCK_ROWS, 2)), np.ones(BLOCK_ROWS)
+        seen = []
+
+        def formula(*cols):
+            seen.append(cols)
+            return y
+
+        assert in_row_blocks(formula, x, y) is y
+        assert len(seen) == 1 and seen[0][0] is x and seen[0][1] is y
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 17])
+    def test_longer_inputs_run_on_consecutive_blocks(self, n):
+        x = np.arange(3.0 * n).reshape(n, 3)
+        y = np.arange(n) * 0.5
+        starts = []
+
+        def formula(xb, yb):
+            assert xb.shape[0] == yb.shape[0] <= BLOCK_ROWS
+            starts.append(int(yb[0] * 2))
+            return xb[:, 0] + yb, np.stack([yb, -yb], axis=1)
+
+        total, pair = in_row_blocks(formula, x, y)
+        assert starts == list(range(0, n, BLOCK_ROWS))
+        np.testing.assert_array_equal(total, x[:, 0] + y)
+        np.testing.assert_array_equal(pair, np.stack([y, -y], axis=1))
+        single = in_row_blocks(lambda yb: yb * 2.0, y)
+        assert isinstance(single, np.ndarray)
+        np.testing.assert_array_equal(single, y * 2.0)
 
 
 class TestEstimationResult:

@@ -15,14 +15,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orthoscore import diagnostics
-from orthoscore.core import FunctionEstimate, derive_seed
+from orthoscore import core, diagnostics
+from orthoscore.core import BLOCK_ROWS, FunctionEstimate, derive_seed
 from orthoscore.learners import expit
 from orthoscore.ortho import ScoreFamily, check_orthogonality
-from orthoscore.sim import f0_true, mu_true
+from orthoscore.sim import (STRATUM_PROBS, always_taker_mean, complier_mean,
+                            f0_true, mu_true, never_taker_mean)
 
 N_MC = 20_000
 SHARD = 4096    # five shards, the last one ragged
+
+
+def _evaluate(family, beta, data):
+    """The family's score at beta with every nuisance evaluated at data.x."""
+    return family.score(beta, data, {name: fn(data.x)
+                                     for name, fn in family.nuisances.items()})
 
 
 def _shifted_family(score, which_nuisance, scale, direction):
@@ -41,7 +48,8 @@ def _reference_check(score, sampler, beta0, direction, which_nuisance,
     while count < n_mc:
         m = min(shard_size, n_mc - count)
         data = sampler(m, derive_seed(seed, shard))
-        diff = (plus.evaluate(beta0, data) - minus.evaluate(beta0, data)) / (2.0 * epsilon)
+        diff = (_evaluate(plus, beta0, data)
+                - _evaluate(minus, beta0, data)) / (2.0 * epsilon)
         total += float(np.sum(diff))
         total_sq += float(np.sum(diff * diff))
         count += m
@@ -71,6 +79,70 @@ def test_checker_equals_reference_loop_on_every_case(target):
         kwargs = dict(n_mc=N_MC, seed=derive_seed(3, k), shard_size=SHARD)
         assert check_orthogonality(*args, **kwargs) == \
             _reference_check(*args, **kwargs), (target, k)
+
+
+@pytest.mark.parametrize("target", diagnostics.TARGETS)
+def test_checker_equals_reference_loop_across_row_blocks(target):
+    # A first shard of two blocks, the second ragged, then a short shard.
+    for k, (family, sampler, beta0, direction, nuisance) in enumerate(_cases(target)):
+        args = (family, sampler, beta0, direction, nuisance)
+        kwargs = dict(n_mc=N_MC, seed=derive_seed(4, k), shard_size=BLOCK_ROWS + 3)
+        assert check_orthogonality(*args, **kwargs) == \
+            _reference_check(*args, **kwargs), (target, k)
+
+
+# run_check(target, RAGGED_N_MC, seed=3) per case, (derivative, std_error)
+# in hex, recorded before the checker ran in row blocks.  RAGGED_N_MC is
+# one 131,072-row shard (eight full blocks) and a shard of 18,945 rows
+# (a full block and a ragged one of 2,561).
+RAGGED_N_MC = 150_017
+RAGGED_CHECKS = {
+    "late": [
+        ("0x1.6f5805b9642d9p-8", "0x1.8a21f68c43890p-8"),
+        ("0x1.4f325e4c01f01p-9", "0x1.a2cbec52c6f19p-9"),
+        ("0x1.bf71dc484c23bp-8", "0x1.588b467a24274p-8"),
+        ("-0x1.d5c7ba12fc428p-8", "0x1.5502937f12bd6p-8"),
+        ("-0x1.30947f2951a93p-8", "0x1.70c9cb9507cfap-9"),
+        ("-0x1.bfb42f8da3fabp-10", "0x1.28ddea9c17f3cp-8"),
+        ("-0x1.548d216c7a193p+1", "0x1.b7479e211057cp-8"),
+    ],
+    "plr": [
+        ("0x1.1e56f561fb407p-8", "0x1.dda282e2cf34ep-9"),
+        ("-0x1.2aa0688164b4ep-8", "0x1.df419edc99799p-9"),
+        ("0x1.6ee74d7e865f5p-10", "0x1.6882831129fefp-9"),
+        ("-0x1.5c38f9dad5cccp-10", "0x1.52f0ff4808394p-9"),
+        ("-0x1.5196243f65ef3p-11", "0x1.53d0457dd9686p-9"),
+        ("0x1.f14a86206ce9ep-11", "0x1.fc630545329abp-10"),
+        ("-0x1.fc180efb2252cp-2", "0x1.5918ba98ea3d8p-9"),
+    ],
+    "qte": [
+        ("0x1.c2c4909c0dcb5p-12", "0x1.223dd5c04be49p-10"),
+        ("0x1.574dba97b800cp-10", "0x1.9e501de118850p-10"),
+        ("0x1.669caf155f75ap-10", "0x1.8cdd257faf984p-11"),
+        ("-0x1.a36ddecdb4d2ap-11", "0x1.3cbd6c7f065c3p-10"),
+        ("0x1.dbd4e2be8cf80p-10", "0x1.1908219f1955ep-10"),
+        ("-0x1.3421e7d244539p-11", "0x1.ed540b1d09f20p-11"),
+        ("0x1.dd85116a47a7fp-3", "0x1.0b71ba71c65d7p-9"),
+    ],
+}
+
+
+@pytest.mark.parametrize("target", diagnostics.TARGETS)
+def test_run_check_on_a_ragged_last_shard_and_block(target, monkeypatch):
+    # Bit for bit against the same run with every input in one block,
+    # which is the arithmetic the values were recorded with.  The stored
+    # values were reproduced to the bit on the recording host; they are
+    # held to 1e-12 relative, as in test_golden, because numpy's tanh
+    # and cos may round differently on another SIMD target.
+    got = [(c.derivative, c.std_error)
+           for c in diagnostics.run_check(target, RAGGED_N_MC, seed=3).cases]
+    monkeypatch.setattr(core, "BLOCK_ROWS", RAGGED_N_MC)
+    whole = [(c.derivative, c.std_error)
+             for c in diagnostics.run_check(target, RAGGED_N_MC, seed=3).cases]
+    assert [tuple(map(float.hex, v)) for v in got] == \
+        [tuple(map(float.hex, v)) for v in whole]
+    want = [tuple(map(float.fromhex, v)) for v in RAGGED_CHECKS[target]]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_normal_cdf_equals_elementwise_erf():
@@ -203,6 +275,45 @@ def _assert_same_bits(got, want):
         f"{float(got.flat[bad[0]]).hex()} != {float(want.flat[bad[0]]).hex()}")
 
 
+def _late_h_whole(x, g, mu0):
+    """The true late direction as it was written before it ran in row
+    blocks: one in-place pass over the whole arrays."""
+    p_a, p_c, p_n = STRATUM_PROBS
+    always = always_taker_mean(x, 1.0)
+    always *= p_a
+    never = never_taker_mean(x, 0.0)
+    never *= p_n
+    mu1 = complier_mean(mu0, 1.0)
+    e_yz = mu1 * p_c
+    e_yz += always
+    e_yz += never
+    e_yz *= g
+    scratch = 1.0 - g
+    e_f = g / scratch
+    scratch *= mu0                      # (1 - g) mu0
+    mu1 *= g
+    mu1 += scratch
+    mu1 *= p_c                          # p_c (g mu1 + (1 - g) mu0)
+    e_y = always
+    e_y += mu1
+    e_y += never
+    h = np.divide(1.0, e_f, out=scratch)
+    np.subtract(e_f, h, out=h)          # e^f - e^-f
+    h *= e_yz
+    e_y *= e_f
+    h -= e_y
+    return h
+
+
+@pytest.mark.parametrize("m", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               3 * BLOCK_ROWS + 17])
+def test_late_h_true_in_row_blocks_keeps_the_whole_array_bits(m):
+    _, sampler, orth, *_ = diagnostics._BUILDERS["late"]()
+    x = sampler(m, 4).x
+    _assert_same_bits(orth.nuisances["h"](x),
+                      _late_h_whole(x, expit(f0_true(x)), mu_true(x, 0, "s1")))
+
+
 @pytest.mark.parametrize("m", [1, 7, SHARD + 1, 1 << 17])
 def test_late_h_true_has_the_bits_of_its_formula(m):
     _, sampler, orth, *_ = diagnostics._BUILDERS["late"]()
@@ -219,13 +330,15 @@ def test_late_h_true_has_the_bits_of_its_formula(m):
 
 
 # tracemalloc peak of one 131,072-row late shard, over the seven cases,
-# in 1 MiB arrays: the shard's data and truth record (10; x counts 4),
-# the stored h and direction, the plus-sign score and the minus-sign
-# shifted nuisance (4), and the robust score's own four, plus 64 KiB for
-# Python objects.  Forming every expression in its own array peaked at
-# 19 MiB.  The sampler alone peaks at 14 MiB (16.5 MiB when all three
-# stratum means were formed on every row).
-LATE_SHARD_PEAK = 18 * 2**20 + 64 * 2**10
+# while the minus-sign score runs, in 1 MiB arrays: the shard's data and
+# truth record (10; x counts 4), the stored h, the plus-sign score, the
+# minus-sign shifted nuisance and the score's output (4), plus the
+# score's block temporaries (five of 128 KiB) and Python objects; 14.6
+# MiB in all.  Shard-length score temporaries and a stored direction
+# peaked at 18 MiB, and every expression in its own array at 19 MiB.
+# The sampler alone peaks at 14 MiB (16.5 MiB when all three stratum
+# means were formed on every row).
+LATE_SHARD_PEAK = 15 * 2**20
 LATE_SAMPLER_PEAK = 14 * 2**20 + 64 * 2**10
 
 

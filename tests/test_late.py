@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import orthoscore.late
-from orthoscore.core import (SEED_SPLIT, Dataset, FunctionEstimate, derive_seed,
-                             split_folds)
+from orthoscore.core import (BLOCK_ROWS, SEED_SPLIT, Dataset, FunctionEstimate,
+                             derive_seed, split_folds)
 from orthoscore.late import (
     LateConfig,
     clip_propensity,
@@ -338,6 +338,112 @@ class TestInPlaceScoresMatchTheirFormulas:
                 want = _kappa_reference(np.float64(d), np.float64(z), np.float64(g))
                 assert [float(k).hex() for k in got] == \
                     [float(k).hex() for k in want], (d, z, g)
+
+
+# The three scores as they were written before they ran in row blocks:
+# one in-place pass over the whole arrays.
+
+def _whole_robust(beta, f, h, data, clip_epsilon=0.01):
+    g = clip_propensity(expit(f), clip_epsilon)
+    k0, k1 = kappa(data.d, data.z, g)
+    k1 -= k0
+    k1 *= data.y
+    denom = np.subtract(1.0, g, out=k0)
+    denom *= g                          # g (1-g)
+    correction = g - data.z
+    correction /= denom
+    correction *= h
+    k1 -= correction
+    k1 -= beta
+    return k1
+
+
+def _whole_moment(beta, f, data, clip_epsilon=0.01):
+    g = clip_propensity(expit(f), clip_epsilon)
+    k0, k1 = kappa(data.d, data.z, g)
+    k1 -= k0
+    k1 *= data.y
+    k1 -= beta
+    return k1
+
+
+def _whole_regression(beta, f, mu0, mu1, data, clip_epsilon=0.01):
+    g = clip_propensity(expit(f), clip_epsilon)
+    k0, k1 = kappa(data.d, data.z, g)
+    k1 *= mu1
+    k0 *= mu0
+    k1 -= k0
+    k1 -= beta
+    return k1
+
+
+B = BLOCK_ROWS
+BLOCK_EDGES = [1, B - 1, B, B + 1, 3 * B + 17]
+
+
+class TestBlockedScoresMatchWholeArrays:
+    """Past BLOCK_ROWS rows the scores run one block at a time; every
+    value must keep the bits of the whole-array pass."""
+
+    @staticmethod
+    def _inputs(n, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.normal(scale=3.0, size=n)
+        f[::97] = 40.0                  # clipped at 1 - eps
+        f[1::97] = -40.0                # clipped at eps
+        data = Dataset(rng.normal(size=(n, 1)), rng.normal(scale=4.0, size=n),
+                       (rng.random(n) < 0.5).astype(float),
+                       (rng.random(n) < 0.5).astype(float))
+        return data, dict(f=f, h=rng.normal(size=n), mu0=rng.normal(size=n),
+                          mu1=rng.normal(size=n))
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_scores(self, n):
+        data, v = self._inputs(n, seed=n)
+        before = {name: arr.copy() for name, arr in v.items()}
+        for beta, eps in ((0.0, 0.01), (-1.7, 0.2)):
+            got = {
+                "robust": robust_score(beta, v["f"], v["h"], data, eps),
+                "moment": moment_score(beta, v["f"], data, eps),
+                "regression": regression_score(beta, v["f"], v["mu0"], v["mu1"],
+                                               data, eps),
+            }
+            want = {
+                "robust": _whole_robust(beta, v["f"], v["h"], data, eps),
+                "moment": _whole_moment(beta, v["f"], data, eps),
+                "regression": _whole_regression(beta, v["f"], v["mu0"], v["mu1"],
+                                                data, eps),
+            }
+            for name in got:
+                _assert_same_bits(got[name], want[name], f"{name} at n={n}")
+                assert got[name].flags.writeable
+                assert not any(np.shares_memory(got[name], arr)
+                               for arr in (*v.values(), data.y, data.d, data.z))
+        for name, arr in v.items():
+            _assert_same_bits(arr, before[name], name)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_kappa_rejects_a_bad_propensity_in_the_last_block(self, n, monkeypatch):
+        # With the clip taken out, a log-odds of +-inf in the last row
+        # gives g = 1 or 0, which kappa rejects from whichever block
+        # holds that row.
+        data, v = self._inputs(n, seed=n)
+        for edge in (np.inf, -np.inf):
+            f = v["f"].copy()
+            f[-1] = edge
+            g = expit(f)
+            with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                kappa(data.d, data.z, g)
+            with monkeypatch.context() as m:
+                m.setattr(orthoscore.late, "clip_propensity",
+                          lambda g, eps: np.asarray(g, dtype=float))
+                for call in (lambda: robust_score(0.0, f, v["h"], data),
+                             lambda: moment_score(0.0, f, data),
+                             lambda: regression_score(0.0, f, v["mu0"], v["mu1"],
+                                                      data)):
+                    with pytest.raises(ValueError,
+                                       match=r"strictly inside \(0, 1\)"):
+                        call()
 
 
 class TestFitLarf:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from orthoscore.core import Dataset, FunctionEstimate, derive_seed
+from orthoscore.core import BLOCK_ROWS, Dataset, FunctionEstimate, derive_seed
 from orthoscore.late import LateConfig, clip_propensity, estimate_h, \
     estimate_log_odds, robust_score
 from orthoscore.learners import expit, fit_least_squares
@@ -25,6 +25,12 @@ from orthoscore.ortho import (
 )
 from orthoscore.plr import partialled_score
 from orthoscore.qte import ipw_quantile_score, orthogonal_quantile_score
+
+
+def _evaluate(family, beta, data):
+    """The family's score at beta with every nuisance evaluated at data.x."""
+    return family.score(beta, data, {name: fn(data.x)
+                                     for name, fn in family.nuisances.items()})
 
 # Partially linear regression as a coupled criterion:
 #   m(beta, f; w) = (beta*d + f(x) - y)^2
@@ -103,7 +109,7 @@ class TestCoupledScore:
         beta = 0.8
         expected = 2.0 * (data.d - m_hat(data.x)) * (
             beta * data.d + f_hat(data.x) - data.y)
-        np.testing.assert_allclose(family.evaluate(beta, data), expected,
+        np.testing.assert_allclose(_evaluate(family, beta, data), expected,
                                    atol=1e-12)
 
     def test_zero_direction_recovers_base_derivative(self):
@@ -112,7 +118,7 @@ class TestCoupledScore:
         family = build_coupled_score(PLR_MODEL, f_hat,
                                      FunctionEstimate.constant(0.0))
         expected = PLR_MODEL.d_beta_m(0.4, f_hat(data.x), data)
-        np.testing.assert_allclose(family.evaluate(0.4, data), expected,
+        np.testing.assert_allclose(_evaluate(family, 0.4, data), expected,
                                    atol=0)
 
     def test_hand_evaluated_observations(self):
@@ -128,7 +134,7 @@ class TestCoupledScore:
         # row1: 2*1*(1-2) + 2*(1-2)*(-1) = -2 + 2 = 0
         # row2: 0 + 2*(0-1)*(-1) = 2
         # row3: 2*2*(2-0) + 2*(2-0)*(-1) = 8 - 4 = 4
-        np.testing.assert_allclose(family.evaluate(1.0, data),
+        np.testing.assert_allclose(_evaluate(family, 1.0, data),
                                    [0.0, 2.0, 4.0], atol=1e-12)
 
 
@@ -214,7 +220,7 @@ class TestDecoupledScore:
         fv = f_hat(data.x)
         expected = (data.d * (1 + np.exp(-fv)) * ((data.y <= 0.1) - 0.3)
                     + (expit(fv) - data.d) * h_hat(data.x))
-        np.testing.assert_allclose(family.evaluate(0.1, data), expected,
+        np.testing.assert_allclose(_evaluate(family, 0.1, data), expected,
                                    atol=1e-12)
 
     def test_zero_direction_reduces_to_psi(self):
@@ -224,7 +230,7 @@ class TestDecoupledScore:
         family = build_decoupled_score(model, f_hat,
                                        FunctionEstimate.constant(0.0))
         expected = model.psi(0.0, f_hat(data.x), data)
-        np.testing.assert_allclose(family.evaluate(0.0, data), expected)
+        np.testing.assert_allclose(_evaluate(family, 0.0, data), expected)
 
 
 # Sequential toy with analytic directions.  Observables (y, u, s, q)
@@ -346,8 +352,8 @@ class TestSequentialScore:
         fam_seq = build_sequential_score(seq, FunctionEstimate.constant(0.0),
                                          f_hat, Dirs)
         fam_dec = build_decoupled_score(dec, f_hat, h_hat)
-        np.testing.assert_allclose(fam_seq.evaluate(0.2, data),
-                                   fam_dec.evaluate(0.2, data), atol=1e-12)
+        np.testing.assert_allclose(_evaluate(fam_seq, 0.2, data),
+                                   _evaluate(fam_dec, 0.2, data), atol=1e-12)
 
     def test_iv_cast_matches_dedicated_robust_score(self):
         # The binary-instrument estimator's orthogonal score, cast into
@@ -387,7 +393,7 @@ class TestSequentialScore:
         beta = 0.7
         expected = robust_score(beta, f_hat(data.x), h_hat(data.x), data,
                                 clip_epsilon=eps)
-        np.testing.assert_allclose(family.evaluate(beta, data), expected,
+        np.testing.assert_allclose(_evaluate(family, beta, data), expected,
                                    atol=1e-12)
 
 
@@ -556,6 +562,44 @@ class TestCheckOrthogonality:
                                 which, n_mc=10_000, seed=2, shard_size=4096)
             assert calls == {"f": 3, "h": 3, "dir": 3, "evaluate": 6}, which
 
+    def test_direction_in_row_blocks_on_shards_longer_than_a_block(self):
+        # Shards of 2B + 5 rows: the direction runs on blocks of at most
+        # B rows that cover every draw once, while each nuisance still
+        # runs once per shard and the score once per sign.
+        shard_size, n_mc = 2 * BLOCK_ROWS + 5, 70_000
+        shards = -(-n_mc // shard_size)
+        calls = {"f": 0, "h": 0, "evaluate": 0}
+        dir_rows = []
+
+        def counted(name, fn):
+            def batch(x):
+                calls[name] += 1
+                return fn(x)
+            return FunctionEstimate(batch, name)
+
+        def score(beta, data, v):
+            calls["evaluate"] += 1
+            return (PLR_MODEL.d_beta_m(beta, v["f"], data)
+                    + PLR_MODEL.d_f_m(beta, v["f"], data) * v["h"])
+
+        def direction_batch(x):
+            dir_rows.append(x.shape[0])
+            return x[:, 0]
+
+        family = ScoreFamily(score, {"f": counted("f", lambda x: np.cos(x[:, 1])),
+                                     "h": counted("h", lambda x: -0.7 * x[:, 0])})
+        for which in ("f", "h"):
+            calls.update(dict.fromkeys(calls, 0))
+            dir_rows.clear()
+            check_orthogonality(family, self._plr_sampler, 1.0,
+                                FunctionEstimate(direction_batch), which,
+                                n_mc=n_mc, seed=2, shard_size=shard_size)
+            assert calls == {"f": shards, "h": shards,
+                             "evaluate": 2 * shards}, which
+            assert sum(dir_rows) == n_mc
+            assert max(dir_rows) == BLOCK_ROWS
+            assert len(dir_rows) == 7       # 3 + 3 blocks, then one of 4454 rows
+
     def test_score_cannot_write_into_stored_values(self):
         # h is shared by both signs when f is perturbed; writing into it
         # would change the second sign's score.
@@ -638,11 +682,11 @@ class TestShippedScoresAreRegimeInstances:
             g = expit(f_hat(data.x))
             for beta in (-0.5, 0.0, 0.37, 1.2):
                 assert np.array_equal(
-                    family.evaluate(beta, data),
+                    _evaluate(family, beta, data),
                     orthogonal_quantile_score(beta, data.y, data.d, g,
                                               h_hat(data.x), tau))
                 assert np.array_equal(
-                    ipw.evaluate(beta, data),
+                    _evaluate(ipw, beta, data),
                     ipw_quantile_score(beta, data.y, data.d, g, tau))
 
     def test_quantile_direction_is_the_decoupled_ratio(self):
@@ -671,7 +715,7 @@ class TestShippedScoresAreRegimeInstances:
             f_hat = FunctionEstimate(lambda x, b=beta: l_hat(x) - b * m_hat(x))
             family = build_coupled_score(PLR_MODEL, f_hat,
                                          FunctionEstimate(lambda x: -m_hat(x)))
-            np.testing.assert_allclose(-0.5 * family.evaluate(beta, data),
+            np.testing.assert_allclose(-0.5 * _evaluate(family, beta, data),
                                        partialled_score(beta, r_d, r_y),
                                        rtol=1e-12, atol=1e-12)
 
