@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, require_count
 from .diagnostics import TARGETS, run_check
 from .late import LateConfig, late_crossfit
 from .sim import DgpConfig, run_replications
@@ -131,13 +131,9 @@ def cmd_simulate(args) -> int:
         for label in labels:
             if label not in METHOD_LABELS:
                 raise ValueError(f"unknown method label: {label!r}")
-        if args.n < 4:
-            raise ValueError("n must be at least 4 (each of the two "
-                             "cross-fitting folds needs two rows)")
-        if args.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if args.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        require_count("n", args.n, minimum=4)   # two rows per fold
+        require_count("reps", args.reps)
+        require_count("jobs", args.jobs)
         dgp = DgpConfig(scenario=args.scenario, n=args.n, p=args.p, seed=0)
     except ValueError as exc:
         _err(str(exc))

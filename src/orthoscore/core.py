@@ -59,10 +59,12 @@ SEED_QTE_LOG_ODDS = 51
 SEED_REPLICATE_DATA = 0
 SEED_REPLICATE_METHOD = 1   # + method index
 
-# Rows per block of ``in_row_blocks``: 128 KiB per float64 column, so a
+# Rows per block of ``in_row_blocks``: 64 KiB per float64 column, so a
 # block's temporaries are reused from the heap instead of being handed
-# back to the operating system and faulted in again.
-BLOCK_ROWS = 1 << 14
+# back to the operating system and faulted in again, and the eight that
+# a LATE score holds at once keep a late check shard within its memory
+# bound in tests/test_diagnostics.py.
+BLOCK_ROWS = 1 << 13
 
 
 def require_count(name: str, value, minimum: int = 1) -> None:

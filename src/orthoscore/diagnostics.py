@@ -200,37 +200,19 @@ def _late_target():
     def h_true_rows(x, g, mu0):
         # (e^f - e^-f) E[YZ|x] - e^f E[Y|x] with e^f = g / (1 - g),
         #   E[Y|x]  = p_a a + p_c (g mu1 + (1 - g) mu0) + p_n nv,
-        #   E[YZ|x] = g (p_a a + p_c mu1 + p_n nv),
-        # formed in six arrays, in place, in the order written here.
+        #   E[YZ|x] = g (p_a a + p_c mu1 + p_n nv).
         # Always-takers have d = 1, never-takers d = 0.
         p_a, p_c, p_n = STRATUM_PROBS
-        always = always_taker_mean(x, 1.0)
-        always *= p_a
-        never = never_taker_mean(x, 0.0)
-        never *= p_n
+        always = p_a * always_taker_mean(x, 1.0)
+        never = p_n * never_taker_mean(x, 0.0)
         mu1 = complier_mean(mu0, 1.0)
-        e_yz = mu1 * p_c
-        e_yz += always
-        e_yz += never
-        e_yz *= g
-        scratch = 1.0 - g
-        e_f = g / scratch
-        scratch *= mu0                      # (1 - g) mu0
-        mu1 *= g
-        mu1 += scratch
-        mu1 *= p_c                          # p_c (g mu1 + (1 - g) mu0)
-        e_y = always
-        e_y += mu1
-        e_y += never
-        h = np.divide(1.0, e_f, out=scratch)
-        np.subtract(e_f, h, out=h)          # e^f - e^-f
-        h *= e_yz
-        e_y *= e_f
-        h -= e_y
-        return h
+        e_y = always + p_c * (g * mu1 + (1.0 - g) * mu0) + never
+        e_yz = g * (always + p_c * mu1 + never)
+        e_f = g / (1.0 - g)
+        return (e_f - 1.0 / e_f) * e_yz - e_f * e_y
 
     def h_true_batch(x):
-        # One block of rows at a time, so the six arrays are block-sized.
+        # One block of rows at a time, so the temporaries are block-sized.
         _, g, mu0 = truths(x)
         return in_row_blocks(h_true_rows, x, g, mu0)
 

@@ -17,10 +17,10 @@ score variants are provided:
 ``late_crossfit`` hands one fold step to ``core.crossfit``: fit the
 nuisances on the training half, solve the configured score on the
 estimation half.  All three scores are linear in beta with slope -1,
-so the solve is a fold mean.  Each score returns a fresh array formed
-in place, in the order of its formula, and writes none of its inputs;
-past ``core.BLOCK_ROWS`` rows it runs the formula one block of rows at
-a time (``core.in_row_blocks``), which gives every row the same bits.
+so the solve is a fold mean.  Each score returns a fresh array and
+writes none of its inputs; past ``core.BLOCK_ROWS`` rows it runs its
+formula one block of rows at a time (``core.in_row_blocks``), which
+gives every row the same bits.
 Confidence intervals use the robust-score variance for the moment
 method too (the two estimators share one asymptotic variance);
 regression methods use their own residuals.
@@ -94,24 +94,16 @@ def kappa(d, z, g):
     kappa1 = d * (z - g) / ((1-g) g)
 
     `d`, `z` and `g` are per-observation arrays of one length, or
-    scalars.  The weights are fresh arrays formed in place, in the order
-    of the formulas (a product may swap its factors, which leaves every
-    value unchanged); the inputs are never written.
+    scalars.
     """
     d = np.asarray(d, dtype=float)
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
     if np.any(g <= 0.0) or np.any(g >= 1.0):
         raise ValueError("g must lie strictly inside (0, 1)")
-    denom = 1.0 - g
-    k0 = 1.0 - z
-    k0 -= denom
-    k0 *= 1.0 - d
-    denom *= g
-    k0 /= denom
-    k1 = z - g
-    k1 *= d
-    k1 /= denom
+    denom = (1.0 - g) * g
+    k0 = (1.0 - d) * ((1.0 - z) - (1.0 - g)) / denom
+    k1 = d * (z - g) / denom
     return k0, k1
 
 
@@ -162,16 +154,7 @@ def robust_score(beta: float, f, h, data: Dataset,
     def rows(f, h, d, z, y):
         g = clip_propensity(expit(f), clip_epsilon)
         k0, k1 = kappa(d, z, g)
-        k1 -= k0
-        k1 *= y
-        denom = np.subtract(1.0, g, out=k0)
-        denom *= g                          # g (1-g)
-        correction = g - z
-        correction /= denom
-        correction *= h
-        k1 -= correction
-        k1 -= beta
-        return k1
+        return (k1 - k0) * y - (g - z) / (g * (1.0 - g)) * h - beta
 
     return in_row_blocks(rows, f, h, data.d, data.z, data.y)
 
@@ -182,10 +165,7 @@ def moment_score(beta: float, f, data: Dataset,
     def rows(f, d, z, y):
         g = clip_propensity(expit(f), clip_epsilon)
         k0, k1 = kappa(d, z, g)
-        k1 -= k0
-        k1 *= y
-        k1 -= beta
-        return k1
+        return (k1 - k0) * y - beta
 
     return in_row_blocks(rows, f, data.d, data.z, data.y)
 
@@ -200,11 +180,7 @@ def regression_score(beta: float, f, mu0, mu1, data: Dataset,
     def rows(f, mu0, mu1, d, z):
         g = clip_propensity(expit(f), clip_epsilon)
         k0, k1 = kappa(d, z, g)
-        k1 *= mu1
-        k0 *= mu0
-        k1 -= k0
-        k1 -= beta
-        return k1
+        return k1 * mu1 - k0 * mu0 - beta
 
     return in_row_blocks(rows, f, mu0, mu1, data.d, data.z)
 

@@ -262,9 +262,9 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
     checker's peak resident memory by about 2 MB.  The direction is
     evaluated one block of rows at a time (``core.in_row_blocks``), and
     each block forms ``base + epsilon * step`` and ``base - epsilon *
-    step`` in place, so no shard-length step array is kept.  The
-    stored nuisances are read-only, so a score that writes into its
-    inputs fails instead of corrupting the other sign.  The plus-sign
+    step``, so no shard-length step array is kept.  The stored
+    nuisances are read-only, so a score that writes into its inputs
+    fails instead of corrupting the other sign.  The plus-sign
     nuisance is released before the minus-sign score runs.  The central
     difference and its square are formed in place, in the order of
     ``(plus - minus) / (2 epsilon)``; the difference goes into the
@@ -278,12 +278,8 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
         arr.setflags(write=False)
 
     def shifted(x, base):
-        step = direction(x)
-        plus = step * float(epsilon)
-        plus += base                        # base + epsilon * step
-        minus = step * float(-epsilon)
-        minus += base
-        return plus, minus
+        step = direction(x) * epsilon
+        return base + step, base - step
 
     plus_nuisance, minus_nuisance = in_row_blocks(shifted, data.x,
                                                   values[which_nuisance])

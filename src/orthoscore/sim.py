@@ -137,36 +137,21 @@ def mu_true(x, t, scenario: str) -> np.ndarray:
     return base + 3.0 * t
 
 
-# The outcome mean of each compliance stratum at treatment d.  Each is
-# formed in one fresh array, in place, in the order its formula is
-# written, so the values do not depend on which rows are evaluated or on
-# how many.  Inputs are never written.
+# The outcome mean of each compliance stratum at treatment d.
 
 def always_taker_mean(x, d):
     """x1 + x2 + x3 + x4 + 2 d."""
-    mean = x[:, 0] + x[:, 1]
-    mean += x[:, 2]
-    mean += x[:, 3]
-    mean += 2.0 * d
-    return mean
+    return x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3] + 2.0 * d
 
 
 def complier_mean(mu0, d):
     """mu0 + 3 d, given the arm-0 mean ``mu0 = mu_true(x, 0, scenario)``."""
-    mean = np.multiply(d, 3.0)
-    mean += mu0
-    return mean
+    return mu0 + 3.0 * d
 
 
 def never_taker_mean(x, d):
     """0.6 x1 + 0.8 x2 + x3 + 1.2 x4 - 2 d."""
-    mean = x[:, 0] * 0.6
-    term = x[:, 1] * 0.8
-    mean += term
-    mean += x[:, 2]
-    mean += np.multiply(x[:, 3], 1.2, out=term)
-    mean -= 2.0 * d
-    return mean
+    return 0.6 * x[:, 0] + 0.8 * x[:, 1] + x[:, 2] + 1.2 * x[:, 3] - 2.0 * d
 
 
 def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:

@@ -310,8 +310,10 @@ def _late_h_whole(x, g, mu0):
 def test_late_h_true_in_row_blocks_keeps_the_whole_array_bits(m):
     _, sampler, orth, *_ = diagnostics._BUILDERS["late"]()
     x = sampler(m, 4).x
-    _assert_same_bits(orth.nuisances["h"](x),
-                      _late_h_whole(x, expit(f0_true(x)), mu_true(x, 0, "s1")))
+    g, mu0 = expit(f0_true(x)), mu_true(x, 0, "s1")
+    got = orth.nuisances["h"](x)
+    _assert_same_bits(got, _late_h_whole(x, g, mu0))
+    _assert_same_bits(got, _late_h_reference(x, g, mu0))
 
 
 @pytest.mark.parametrize("m", [1, 7, SHARD + 1, 1 << 17])
@@ -333,12 +335,12 @@ def test_late_h_true_has_the_bits_of_its_formula(m):
 # while the minus-sign score runs, in 1 MiB arrays: the shard's data and
 # truth record (10; x counts 4), the stored h, the plus-sign score, the
 # minus-sign shifted nuisance and the score's output (4), plus the
-# score's block temporaries (five of 128 KiB) and Python objects; 14.6
-# MiB in all.  Shard-length score temporaries and a stored direction
-# peaked at 18 MiB, and every expression in its own array at 19 MiB.
+# score's block temporaries (eight of 64 KiB) and Python objects; 14.51
+# MiB in all.  With 128 KiB blocks the same temporaries peaked at 15.01
+# MiB, shard-length score temporaries and a stored direction at 18 MiB.
 # The sampler alone peaks at 14 MiB (16.5 MiB when all three stratum
 # means were formed on every row).
-LATE_SHARD_PEAK = 15 * 2**20
+LATE_SHARD_PEAK = 14 * 2**20 + 768 * 2**10
 LATE_SAMPLER_PEAK = 14 * 2**20 + 64 * 2**10
 
 

@@ -235,8 +235,8 @@ def _assert_same_bits(got, want, what=""):
         f"{float(got.flat[bad[0]]).hex()} != {float(want.flat[bad[0]]).hex()}")
 
 
-# The weights and scores as they were written before they were formed
-# in place.  The shipped versions must give the same bits.
+# The weights and scores as their formulas are written.  The shipped
+# versions must give the same bits.
 
 def _kappa_reference(d, z, g):
     denom = (1.0 - g) * g
@@ -408,17 +408,28 @@ class TestBlockedScoresMatchWholeArrays:
                 "regression": regression_score(beta, v["f"], v["mu0"], v["mu1"],
                                                data, eps),
             }
-            want = {
+            whole = {
                 "robust": _whole_robust(beta, v["f"], v["h"], data, eps),
                 "moment": _whole_moment(beta, v["f"], data, eps),
                 "regression": _whole_regression(beta, v["f"], v["mu0"], v["mu1"],
                                                 data, eps),
             }
+            plain = {
+                "robust": _robust_reference(beta, v["f"], v["h"], data, eps),
+                "moment": _moment_reference(beta, v["f"], data, eps),
+                "regression": _regression_reference(beta, v["f"], v["mu0"],
+                                                    v["mu1"], data, eps),
+            }
             for name in got:
-                _assert_same_bits(got[name], want[name], f"{name} at n={n}")
+                _assert_same_bits(got[name], whole[name], f"{name} at n={n}")
+                _assert_same_bits(got[name], plain[name], f"{name} at n={n}")
                 assert got[name].flags.writeable
                 assert not any(np.shares_memory(got[name], arr)
                                for arr in (*v.values(), data.y, data.d, data.z))
+            g = clip_propensity(expit(v["f"]), eps)
+            for got_k, want_k in zip(kappa(data.d, data.z, g),
+                                     _kappa_reference(data.d, data.z, g)):
+                _assert_same_bits(got_k, want_k, f"kappa at n={n}")
         for name, arr in v.items():
             _assert_same_bits(arr, before[name], name)
 

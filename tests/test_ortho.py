@@ -568,6 +568,8 @@ class TestCheckOrthogonality:
         # runs once per shard and the score once per sign.
         shard_size, n_mc = 2 * BLOCK_ROWS + 5, 70_000
         shards = -(-n_mc // shard_size)
+        blocks = sum(-(-min(shard_size, n_mc - lo) // BLOCK_ROWS)
+                     for lo in range(0, n_mc, shard_size))
         calls = {"f": 0, "h": 0, "evaluate": 0}
         dir_rows = []
 
@@ -598,7 +600,7 @@ class TestCheckOrthogonality:
                              "evaluate": 2 * shards}, which
             assert sum(dir_rows) == n_mc
             assert max(dir_rows) == BLOCK_ROWS
-            assert len(dir_rows) == 7       # 3 + 3 blocks, then one of 4454 rows
+            assert len(dir_rows) == blocks
 
     def test_score_cannot_write_into_stored_values(self):
         # h is shared by both signs when f is perturbed; writing into it
