@@ -78,27 +78,20 @@ def require_count(name: str, value, minimum: int = 1) -> None:
 def in_row_blocks(formula, *columns):
     """``formula(*columns)``, evaluated ``BLOCK_ROWS`` rows at a time.
 
-    Each column is an array with one row per observation along its
-    first axis.  ``formula`` returns an array or a tuple of arrays, and
-    row i of each must depend only on row i of the columns.  Up to one
-    block, ``formula`` runs once on the columns themselves and its
-    result is returned as it is.  Longer inputs run on consecutive row
-    slices, each block's result copied into a fresh full-length array,
-    so every row gets the value the whole-array call gives.
+    ``formula`` maps columns with one row per observation to one 1-D
+    float array whose row i depends only on row i of the columns.  Up to
+    one block it runs once on the columns themselves; longer inputs run
+    on consecutive row slices copied into one fresh array, so every row
+    gets the value the whole-array call gives.
     """
     n = len(columns[0])
     if n <= BLOCK_ROWS:
         return formula(*columns)
-    outs = None
+    out = np.empty(n)
     for lo in range(0, n, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        got = formula(*(c[rows] for c in columns))
-        parts = got if isinstance(got, tuple) else (got,)
-        if outs is None:
-            outs = tuple(np.empty((n, *p.shape[1:]), p.dtype) for p in parts)
-        for out, part in zip(outs, parts):
-            out[rows] = part
-    return outs if isinstance(got, tuple) else outs[0]
+        out[rows] = formula(*(c[rows] for c in columns))
+    return out
 
 
 def _check_binary(name, values):

@@ -32,10 +32,7 @@ supplied direction under a known truth.
 
 Callbacks are vectorized: each receives the scalar beta, the nuisance
 values already evaluated at the sample's covariates, and the Dataset,
-and returns one value per observation.  Everything is row-wise: row i
-of each nuisance, direction and score depends only on row i of the
-data.  The checker relies on that when it evaluates the direction one
-block of ``core.BLOCK_ROWS`` rows at a time.
+and returns one value per observation.
 """
 
 from __future__ import annotations
@@ -46,8 +43,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import (Dataset, FunctionEstimate, derive_seed, in_row_blocks,
-                   require_count)
+from .core import Dataset, FunctionEstimate, derive_seed, require_count
 
 __all__ = [
     "CoupledModel",
@@ -259,42 +255,26 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
     The nuisances are evaluated, and both shifted nuisances built,
     before the score runs, not on first use: stored arrays allocated
     among the score's temporaries fragment the heap and raised the
-    checker's peak resident memory by about 2 MB.  The direction is
-    evaluated one block of rows at a time (``core.in_row_blocks``), and
-    each block forms ``base + epsilon * step`` and ``base - epsilon *
-    step``, so no shard-length step array is kept.  The stored
-    nuisances are read-only, so a score that writes into its inputs
-    fails instead of corrupting the other sign.  The plus-sign
-    nuisance is released before the minus-sign score runs.  The central
-    difference and its square are formed in place, in the order of
-    ``(plus - minus) / (2 epsilon)``; the difference goes into the
-    plus-sign result only when that is a writable float64 array of the
-    minus result's shape, so a read-only array a score returns is never
-    written.  Every array built here is released on return, before the
-    next shard is drawn.
+    checker's peak resident memory by about 2 MB.  The stored nuisances
+    are read-only, so a score that writes into its inputs fails instead
+    of corrupting the other sign.  Every array built here is released
+    on return, before the next shard is drawn.
     """
     values = {name: fn(data.x) for name, fn in score.nuisances.items()}
     for arr in values.values():
         arr.setflags(write=False)
-
-    def shifted(x, base):
-        step = direction(x) * epsilon
-        return base + step, base - step
-
-    plus_nuisance, minus_nuisance = in_row_blocks(shifted, data.x,
-                                                  values[which_nuisance])
+    base = values[which_nuisance]
+    step = direction(data.x) * epsilon
+    plus_nuisance, minus_nuisance = base + step, base - step
+    # Without these drops a late shard exceeds LATE_SHARD_PEAK in the tests.
+    del step
     plus = score.score(beta0, data, {**values, which_nuisance: plus_nuisance})
     del plus_nuisance
     minus = score.score(beta0, data, {**values, which_nuisance: minus_nuisance})
-    if (isinstance(plus, np.ndarray) and plus.flags.writeable
-            and plus.dtype == np.float64 and plus.shape == np.shape(minus)):
-        diff = np.subtract(plus, minus, out=plus)
-        diff /= 2.0 * epsilon
-    else:
-        diff = (plus - minus) / (2.0 * epsilon)
-    total = float(np.sum(diff))
-    diff *= diff
-    return total, float(np.sum(diff))
+    del minus_nuisance
+    diff = (plus - minus) / (2.0 * epsilon)
+    del plus, minus
+    return float(np.sum(diff)), float(np.sum(diff * diff))
 
 
 def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
@@ -311,14 +291,9 @@ def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
     standard error.  The same draws feed both signs, so a zero
     direction gives exactly zero.
 
-    Per shard, each nuisance of the family is evaluated once, at the
-    shard's covariate matrix, and the score once per sign.  The
-    direction is evaluated block by block (``core.in_row_blocks``), and
-    each block of both shifted nuisances is formed from it as base +-
-    epsilon * direction.  So row i of each nuisance, of the direction
-    and of the score must depend only on row i of the data; a shard of
-    at most ``core.BLOCK_ROWS`` rows passes the direction the shard's
-    matrix itself.
+    Per shard, each nuisance of the family and the direction are
+    evaluated once, at the shard's covariate matrix, and the score once
+    per sign.
 
     Before anything is drawn, raises ``ValueError`` for an epsilon that
     is not positive and finite, an n_mc or shard_size that fails

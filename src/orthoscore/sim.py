@@ -25,6 +25,7 @@ are excluded from the metrics and counted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -252,7 +253,7 @@ def _one_replicate(dgp: DgpConfig, methods, master_seed: int, index: int):
                            bool(res.ci_low <= truth.beta0 <= res.ci_high))
         except (ValueError, RuntimeError) as exc:
             out[method] = str(exc) or repr(exc)
-    return index, out
+    return out
 
 
 def run_replications(dgp: DgpConfig, methods, reps: int, master_seed: int,
@@ -269,20 +270,15 @@ def run_replications(dgp: DgpConfig, methods, reps: int, master_seed: int,
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")
-    results = [None] * reps
+    run = functools.partial(_one_replicate, dgp, methods, master_seed)
     if jobs == 1:
-        for i in range(reps):
-            results[i] = _one_replicate(dgp, methods, master_seed, i)[1]
+        results = [run(i) for i in range(reps)]
     else:
         # Imported here: the pool's modules would otherwise load on every
         # import of the package.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_one_replicate, dgp, methods, master_seed, i)
-                       for i in range(reps)]
-            for fut in futures:
-                index, out = fut.result()
-                results[index] = out
+            results = list(pool.map(run, range(reps)))
     summaries = []
     for method in methods:
         betas, covered, failures = [], [], 0

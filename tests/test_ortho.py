@@ -539,37 +539,15 @@ class TestCheckOrthogonality:
                                 FunctionEstimate.constant(1.0), "zzz",
                                 n_mc=100)
 
-    def test_each_nuisance_once_per_shard_and_score_once_per_sign(self):
-        calls = {"f": 0, "h": 0, "dir": 0, "evaluate": 0}
-
-        def counted(name, fn):
-            def batch(x):
-                calls[name] += 1
-                return fn(x)
-            return FunctionEstimate(batch, name)
-
-        def score(beta, data, v):
-            calls["evaluate"] += 1
-            return (PLR_MODEL.d_beta_m(beta, v["f"], data)
-                    + PLR_MODEL.d_f_m(beta, v["f"], data) * v["h"])
-
-        family = ScoreFamily(score, {"f": counted("f", lambda x: np.cos(x[:, 1])),
-                                     "h": counted("h", lambda x: -0.7 * x[:, 0])})
-        direction = counted("dir", lambda x: x[:, 0])
-        for which in ("f", "h"):
-            calls.update(dict.fromkeys(calls, 0))
-            check_orthogonality(family, self._plr_sampler, 1.0, direction,
-                                which, n_mc=10_000, seed=2, shard_size=4096)
-            assert calls == {"f": 3, "h": 3, "dir": 3, "evaluate": 6}, which
-
-    def test_direction_in_row_blocks_on_shards_longer_than_a_block(self):
-        # Shards of 2B + 5 rows: the direction runs on blocks of at most
-        # B rows that cover every draw once, while each nuisance still
-        # runs once per shard and the score once per sign.
-        shard_size, n_mc = 2 * BLOCK_ROWS + 5, 70_000
-        shards = -(-n_mc // shard_size)
-        blocks = sum(-(-min(shard_size, n_mc - lo) // BLOCK_ROWS)
-                     for lo in range(0, n_mc, shard_size))
+    @pytest.mark.parametrize("n_mc, shard_size", [(10_000, 4096),
+                                                  (70_000, 2 * BLOCK_ROWS + 5)])
+    def test_each_nuisance_once_per_shard_and_score_once_per_sign(
+            self, n_mc, shard_size):
+        # The direction runs once per shard on exactly that shard's rows,
+        # also on shards longer than one row block.
+        shard_rows = [min(shard_size, n_mc - lo)
+                      for lo in range(0, n_mc, shard_size)]
+        shards = len(shard_rows)
         calls = {"f": 0, "h": 0, "evaluate": 0}
         dir_rows = []
 
@@ -598,9 +576,8 @@ class TestCheckOrthogonality:
                                 n_mc=n_mc, seed=2, shard_size=shard_size)
             assert calls == {"f": shards, "h": shards,
                              "evaluate": 2 * shards}, which
+            assert dir_rows == shard_rows
             assert sum(dir_rows) == n_mc
-            assert max(dir_rows) == BLOCK_ROWS
-            assert len(dir_rows) == blocks
 
     def test_score_cannot_write_into_stored_values(self):
         # h is shared by both signs when f is perturbed; writing into it
@@ -616,8 +593,8 @@ class TestCheckOrthogonality:
                                 n_mc=100, seed=0)
 
     def test_read_only_score_results_are_not_written(self):
-        # The central difference is formed in place in the plus-sign
-        # result only when the score hands back an array it may write.
+        # The checker forms the central difference as a fresh array, so
+        # a read-only array that a score hands back is never written.
         returned = []
 
         def read_only(beta, data, v):
