@@ -313,10 +313,7 @@ def cmd_analyze(args) -> int:
 def cmd_check(args) -> int:
     try:
         seed = _resolve_seed(args.seed)
-        if args.n_mc <= 0:
-            raise ValueError("n-mc must be positive")
-        if args.n_mc < 2:
-            raise ValueError("n-mc must be at least 2 (the standard error needs two draws)")
+        require_count("n-mc", args.n_mc, minimum=2)   # the standard error needs two draws
     except ValueError as exc:
         _err(str(exc))
         return 2

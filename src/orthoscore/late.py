@@ -3,16 +3,15 @@
 The target is beta0 = E[(Y(1) - Y(0)) * 1{complier}], the complier
 average effect scaled by the complier probability.  Identification
 rests on the signed kappa weights built from the instrument propensity
-g0(x) = P(Z=1 | X=x), whose log-odds f0 is the first nuisance.  Three
-score variants are provided:
+g0(x) = P(Z=1 | X=x), whose log-odds f0 is the first nuisance.  For
+binary d, kappa1 - kappa0 = (z - g)/(g(1-g)) =: w, as (1-z) - (1-g) = g - z:
 
-* moment:     (kappa1 - kappa0) * y - beta                (not orthogonal)
-* robust:     moment plus the correction
-              -(g - z)/(g(1-g)) * h(x),                   (orthogonal)
+* moment:     w * y - beta, the inverse-propensity ITT numerator (reads no d)
+* robust:     w * (y + h) - beta, orthogonal unlike the moment score,
   where h0(x) = E[Y * ((e^f0 - e^-f0) Z - e^f0) | X=x] is estimated by
   regressing that pseudo-outcome (built with f-hat) on x;
-* regression: kappa1 * mu1(x) - kappa0 * mu0(x) - beta, with the local
-  average response functions mu_t fitted by kappa-weighted least squares.
+* regression: w * (d ? mu1 : mu0) - beta, with the local average response
+  functions mu_t fitted by kappa_t-weighted least squares (``kappa`` stays).
 
 ``late_crossfit`` hands one fold step to ``core.crossfit``: fit the
 nuisances on the training half, solve the configured score on the
@@ -87,6 +86,12 @@ def clip_propensity(g, eps: float) -> np.ndarray:
     return np.clip(np.asarray(g, dtype=float), eps, 1.0 - eps)
 
 
+def _instrument_variance(g) -> np.ndarray:
+    if np.any(g <= 0.0) or np.any(g >= 1.0):
+        raise ValueError("g must lie strictly inside (0, 1)")
+    return g * (1.0 - g)
+
+
 def kappa(d, z, g):
     """Signed complier weights (kappa0, kappa1).
 
@@ -99,12 +104,16 @@ def kappa(d, z, g):
     d = np.asarray(d, dtype=float)
     z = np.asarray(z, dtype=float)
     g = np.asarray(g, dtype=float)
-    if np.any(g <= 0.0) or np.any(g >= 1.0):
-        raise ValueError("g must lie strictly inside (0, 1)")
-    denom = (1.0 - g) * g
+    denom = _instrument_variance(g)
     k0 = (1.0 - d) * ((1.0 - z) - (1.0 - g)) / denom
     k1 = d * (z - g) / denom
     return k0, k1
+
+
+def _weight(f, z, clip_epsilon):
+    """kappa1 - kappa0 = (z - g)/(g(1-g)), g the clipped expit(f)."""
+    g = clip_propensity(expit(f), clip_epsilon)
+    return (z - g) / _instrument_variance(g)
 
 
 def _train_config(config: LateConfig, *seed_path: int) -> TrainConfig:
@@ -147,40 +156,34 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
 
 def robust_score(beta: float, f, h, data: Dataset,
                  clip_epsilon: float = 0.01) -> np.ndarray:
-    """Orthogonal score (kappa1-kappa0)y - (g-z)/(g(1-g)) h - beta.
+    """Orthogonal score w (y + h) - beta, w = (z - g)/(g(1-g)).
 
     `f` and `h` hold the log-odds and the direction at `data.x`.
     """
-    def rows(f, h, d, z, y):
-        g = clip_propensity(expit(f), clip_epsilon)
-        k0, k1 = kappa(d, z, g)
-        return (k1 - k0) * y - (g - z) / (g * (1.0 - g)) * h - beta
+    def rows(f, h, z, y):
+        return _weight(f, z, clip_epsilon) * (y + h) - beta
 
-    return in_row_blocks(rows, f, h, data.d, data.z, data.y)
+    return in_row_blocks(rows, f, h, data.z, data.y)
 
 
 def moment_score(beta: float, f, data: Dataset,
                  clip_epsilon: float = 0.01) -> np.ndarray:
-    """Plain reweighting score (kappa1 - kappa0) y - beta; `f` at `data.x`."""
-    def rows(f, d, z, y):
-        g = clip_propensity(expit(f), clip_epsilon)
-        k0, k1 = kappa(d, z, g)
-        return (k1 - k0) * y - beta
+    """Plain reweighting score w y - beta; `f` at `data.x`.  Reads no d."""
+    def rows(f, z, y):
+        return _weight(f, z, clip_epsilon) * y - beta
 
-    return in_row_blocks(rows, f, data.d, data.z, data.y)
+    return in_row_blocks(rows, f, data.z, data.y)
 
 
 def regression_score(beta: float, f, mu0, mu1, data: Dataset,
                      clip_epsilon: float = 0.01) -> np.ndarray:
-    """Imputation score kappa1 mu1 - kappa0 mu0 - beta.
+    """Imputation score w (d ? mu1 : mu0) - beta = kappa1 mu1 - kappa0 mu0 - beta.
 
     `f`, `mu0` and `mu1` hold the log-odds and the fitted response
     functions at `data.x`.
     """
     def rows(f, mu0, mu1, d, z):
-        g = clip_propensity(expit(f), clip_epsilon)
-        k0, k1 = kappa(d, z, g)
-        return k1 * mu1 - k0 * mu0 - beta
+        return _weight(f, z, clip_epsilon) * np.where(d == 1.0, mu1, mu0) - beta
 
     return in_row_blocks(rows, f, mu0, mu1, data.d, data.z)
 
@@ -195,8 +198,7 @@ def fit_larf(train: Dataset, f_hat: FunctionEstimate, t: int,
     if t not in (0, 1):
         raise ValueError("arm must be 0 or 1")
     g = clip_propensity(expit(f_hat(train.x)), config.clip_epsilon)
-    k0, k1 = kappa(train.d, train.z, g)
-    w = k1 if t == 1 else k0
+    w = kappa(train.d, train.z, g)[t]
     if config.family == "np":
         return fit_mlp(train.x, train.y, "weighted_squared_error", weights=w,
                        arch=config.arch,

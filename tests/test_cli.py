@@ -335,7 +335,7 @@ class TestCheck:
 
     def test_zero_mc_budget_exits_2(self, capsys):
         assert main(["check", "--target", "late", "--n-mc", "0"]) == 2
-        assert "n-mc must be positive" in capsys.readouterr().err
+        assert "n-mc must be at least 2" in capsys.readouterr().err
 
     def test_single_draw_exits_2(self, capsys):
         assert main(["check", "--target", "plr", "--n-mc", "1"]) == 2

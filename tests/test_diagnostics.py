@@ -335,12 +335,13 @@ def test_late_h_true_has_the_bits_of_its_formula(m):
 # while the minus-sign score runs, in 1 MiB arrays: the shard's data and
 # truth record (10; x counts 4), the stored h, the plus-sign score, the
 # minus-sign shifted nuisance and the score's output (4), plus the
-# score's block temporaries (eight of 64 KiB) and Python objects; 14.51
-# MiB in all.  With 128 KiB blocks the same temporaries peaked at 15.01
-# MiB, shard-length score temporaries and a stored direction at 18 MiB.
+# score's block temporaries (four of 64 KiB alive at once) and Python
+# objects; 14.26 MiB in all.  With 128 KiB blocks the kappa-form scores
+# peaked at 15.01 MiB, shard-length score temporaries and a stored
+# direction at 18 MiB.
 # The sampler alone peaks at 14 MiB (16.5 MiB when all three stratum
 # means were formed on every row).
-LATE_SHARD_PEAK = 14 * 2**20 + 768 * 2**10
+LATE_SHARD_PEAK = 14 * 2**20 + 512 * 2**10
 LATE_SAMPLER_PEAK = 14 * 2**20 + 64 * 2**10
 # The same peak for a plr and a qte shard, which evaluate their direction
 # on the whole shard: 13.00 and 13.13 MiB, each rounded up to the next

@@ -1,5 +1,7 @@
 """Tests for the binary-instrument causal estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,8 +177,7 @@ class TestScores:
         x = np.zeros((1, 1))
         data = Dataset(x, np.array([3.0]), np.array([1.0]), np.array([1.0]))
         val = robust_score(0.0, np.array([0.0]), np.array([1.0]), data)
-        # kappa diff = 2, correction = ((0.5-1)/0.25)*1 = -2, so
-        # 2*3 - (-2) - 0 = 8.
+        # w = (1 - 0.5)/0.25 = 2, so 2*(3 + 1) - 0 = 8.
         assert val[0] == pytest.approx(8.0)
 
     def test_moment_hand_value(self):
@@ -203,7 +204,7 @@ class TestScores:
         data = Dataset(x, np.array([9.9]), np.array([1.0]), np.array([1.0]))
         val = regression_score(0.25, np.array([0.0]), np.array([1.5]),
                                np.array([2.0]), data)
-        # kappa1 = 2, kappa0 = 0: 2*2.0 - 0*1.5 - 0.25 = 3.75.
+        # w = 2 and d = 1 picks mu1: 2*2.0 - 0.25 = 3.75.
         assert val[0] == pytest.approx(3.75)
 
     def test_regression_zero_larfs_is_minus_beta(self):
@@ -212,16 +213,27 @@ class TestScores:
         val = regression_score(1.1, zero, zero, zero, data)
         np.testing.assert_allclose(val, -1.1, atol=1e-12)
 
-    def test_regression_score_with_y_as_larf_is_moment(self):
+    @pytest.mark.parametrize("n", [100, 3 * BLOCK_ROWS + 17])
+    def test_regression_score_with_y_as_larf_is_moment(self, n):
         # Replacing both fitted response surfaces by the observed y
-        # collapses the regression score onto the moment score.
-        data = _iv_data(100, seed=34)
+        # collapses the regression score onto the moment score: both are
+        # w * y - beta.
+        data = _iv_data(n, seed=34)
         f = 0.1 * data.x[:, 0]
-        m = moment_score(0.3, f, data)
-        g = clip_propensity(expit(f), 0.01)
-        k0, k1 = kappa(data.d, data.z, g)
-        reg_with_y = k1 * data.y - k0 * data.y - 0.3
-        np.testing.assert_allclose(m, reg_with_y, atol=1e-12)
+        np.testing.assert_array_equal(
+            regression_score(0.3, f, data.y, data.y, data), moment_score(0.3, f, data))
+
+    @pytest.mark.parametrize("n", [100, 3 * BLOCK_ROWS + 17])
+    def test_moment_score_reads_no_treatment(self, n):
+        # The weight w = (z - g)/(g(1-g)) never reads d, so any other
+        # binary treatment column gives the same bits.
+        data = _iv_data(n, seed=35)
+        f = 0.2 * data.x[:, 1]
+        flipped = Dataset(data.x, data.y, 1.0 - data.d, data.z)
+        other = Dataset(data.x, data.y, np.ones(n), data.z)
+        want = moment_score(-0.4, f, data)
+        for changed in (flipped, other):
+            np.testing.assert_array_equal(moment_score(-0.4, f, changed), want)
 
 
 def _assert_same_bits(got, want, what=""):
@@ -249,78 +261,68 @@ def _clipped_reference(f, eps):
     return np.clip(np.asarray(expit(f), dtype=float), eps, 1.0 - eps)
 
 
-def _robust_reference(beta, f, h, data, eps):
+def _weight_reference(f, z, eps):
+    # kappa1 - kappa0 for binary d.
     g = _clipped_reference(f, eps)
-    k0, k1 = _kappa_reference(data.d, data.z, g)
-    correction = (g - data.z) / (g * (1.0 - g)) * h
-    return (k1 - k0) * data.y - correction - beta
+    return (z - g) / (g * (1.0 - g))
 
 
-def _moment_reference(beta, f, data, eps):
-    g = _clipped_reference(f, eps)
-    k0, k1 = _kappa_reference(data.d, data.z, g)
-    return (k1 - k0) * data.y - beta
+def _score_references(beta, v, data, eps):
+    w = _weight_reference(v["f"], data.z, eps)
+    return {
+        "robust": w * (data.y + v["h"]) - beta,
+        "moment": w * data.y - beta,
+        "regression": w * np.where(data.d == 1.0, v["mu1"], v["mu0"]) - beta,
+    }
 
 
-def _regression_reference(beta, f, mu0, mu1, data, eps):
-    g = _clipped_reference(f, eps)
-    k0, k1 = _kappa_reference(data.d, data.z, g)
-    return k1 * mu1 - k0 * mu0 - beta
+SCORES = {
+    "robust": lambda beta, v, data, eps: robust_score(beta, v["f"], v["h"], data, eps),
+    "moment": lambda beta, v, data, eps: moment_score(beta, v["f"], data, eps),
+    "regression": lambda beta, v, data, eps: regression_score(
+        beta, v["f"], v["mu0"], v["mu1"], data, eps),
+}
 
 
-class TestInPlaceScoresMatchTheirFormulas:
-    """Every (d, z) pair, log-odds far enough out that the propensity is
-    clipped at both bounds, and writable inputs that must come back
-    unchanged."""
-
-    @staticmethod
-    def _inputs(seed):
-        rng = np.random.default_rng(seed)
-        pairs = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
-        f_grid = np.concatenate([[-40.0, -9.0, 9.0, 40.0],
-                                 rng.normal(scale=3.0, size=12)])
-        d = np.repeat(pairs[:, 0], f_grid.size)
-        z = np.repeat(pairs[:, 1], f_grid.size)
-        f = np.tile(f_grid, pairs.shape[0])
-        n = f.size
-        data = Dataset(rng.normal(size=(n, 2)), rng.normal(scale=4.0, size=n), d, z)
-        arrays = dict(f=f, h=rng.normal(size=n), mu0=rng.normal(size=n),
+def _grid_inputs(seed):
+    """Every (d, z) pair against log-odds far enough out that the
+    propensity is clipped at both bounds."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    f_grid = np.concatenate([[-40.0, -9.0, 9.0, 40.0],
+                             rng.normal(scale=3.0, size=12)])
+    d = np.repeat(pairs[:, 0], f_grid.size)
+    z = np.repeat(pairs[:, 1], f_grid.size)
+    f = np.tile(f_grid, pairs.shape[0])
+    n = f.size
+    data = Dataset(rng.normal(size=(n, 2)), rng.normal(scale=4.0, size=n), d, z)
+    return data, dict(f=f, h=rng.normal(size=n), mu0=rng.normal(size=n),
                       mu1=rng.normal(size=n))
-        return data, arrays
 
+
+def _edge_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(scale=3.0, size=n)
+    f[::97] = 40.0                  # clipped at 1 - eps
+    f[1::97] = -40.0                # clipped at eps
+    data = Dataset(rng.normal(size=(n, 1)), rng.normal(scale=4.0, size=n),
+                   (rng.random(n) < 0.5).astype(float),
+                   (rng.random(n) < 0.5).astype(float))
+    return data, dict(f=f, h=rng.normal(size=n), mu0=rng.normal(size=n),
+                      mu1=rng.normal(size=n))
+
+
+B = BLOCK_ROWS
+BLOCK_EDGES = [1, B - 1, B, B + 1, 3 * B + 17]
+
+
+class TestKappaBits:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("eps", [0.01, 0.2])
-    def test_scores(self, seed, eps):
-        data, v = self._inputs(seed)
-        g = _clipped_reference(v["f"], eps)
-        assert np.any(g == eps) and np.any(g == 1.0 - eps)
-        before = {name: arr.copy() for name, arr in v.items()}
-        for beta in (0.0, -1.7, 2.5):
-            got = {
-                "robust": robust_score(beta, v["f"], v["h"], data, eps),
-                "moment": moment_score(beta, v["f"], data, eps),
-                "regression": regression_score(beta, v["f"], v["mu0"], v["mu1"],
-                                               data, eps),
-            }
-            want = {
-                "robust": _robust_reference(beta, v["f"], v["h"], data, eps),
-                "moment": _moment_reference(beta, v["f"], data, eps),
-                "regression": _regression_reference(beta, v["f"], v["mu0"],
-                                                    v["mu1"], data, eps),
-            }
-            for name in got:
-                _assert_same_bits(got[name], want[name], f"{name} at {beta}")
-                assert got[name].flags.writeable
-                assert not any(np.shares_memory(got[name], arr)
-                               for arr in (*v.values(), data.y, data.d, data.z))
-        for name, arr in v.items():
-            _assert_same_bits(arr, before[name], name)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_kappa(self, seed):
-        data, v = self._inputs(seed)
+    def test_on_the_grid(self, seed, eps):
+        data, v = _grid_inputs(seed)
         d, z = data.d.copy(), data.z.copy()
-        g = _clipped_reference(v["f"], 0.01)
+        g = _clipped_reference(v["f"], eps)
         g_before = g.copy()
         k0, k1 = kappa(d, z, g)
         want0, want1 = _kappa_reference(d, z, g)
@@ -331,7 +333,7 @@ class TestInPlaceScoresMatchTheirFormulas:
         _assert_same_bits(g, g_before)
         assert not np.shares_memory(k0, k1)
 
-    def test_kappa_on_scalars(self):
+    def test_on_scalars(self):
         for d, z in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
             for g in (0.01, 0.3, 0.99):
                 got = kappa(d, z, g)
@@ -340,105 +342,44 @@ class TestInPlaceScoresMatchTheirFormulas:
                     [float(k).hex() for k in want], (d, z, g)
 
 
-# The three scores as they were written before they ran in row blocks:
-# one in-place pass over the whole arrays.
-
-def _whole_robust(beta, f, h, data, clip_epsilon=0.01):
-    g = clip_propensity(expit(f), clip_epsilon)
-    k0, k1 = kappa(data.d, data.z, g)
-    k1 -= k0
-    k1 *= data.y
-    denom = np.subtract(1.0, g, out=k0)
-    denom *= g                          # g (1-g)
-    correction = g - data.z
-    correction /= denom
-    correction *= h
-    k1 -= correction
-    k1 -= beta
-    return k1
-
-
-def _whole_moment(beta, f, data, clip_epsilon=0.01):
-    g = clip_propensity(expit(f), clip_epsilon)
-    k0, k1 = kappa(data.d, data.z, g)
-    k1 -= k0
-    k1 *= data.y
-    k1 -= beta
-    return k1
-
-
-def _whole_regression(beta, f, mu0, mu1, data, clip_epsilon=0.01):
-    g = clip_propensity(expit(f), clip_epsilon)
-    k0, k1 = kappa(data.d, data.z, g)
-    k1 *= mu1
-    k0 *= mu0
-    k1 -= k0
-    k1 -= beta
-    return k1
-
-
-B = BLOCK_ROWS
-BLOCK_EDGES = [1, B - 1, B, B + 1, 3 * B + 17]
-
-
-class TestBlockedScoresMatchWholeArrays:
-    """Past BLOCK_ROWS rows the scores run one block at a time; every
-    value must keep the bits of the whole-array pass."""
+class TestScoresMatchTheWeightForm:
+    """Each score has the bits of its weight-form formula, in one block or
+    many, returns a fresh writable array and writes none of its inputs."""
 
     @staticmethod
-    def _inputs(n, seed):
-        rng = np.random.default_rng(seed)
-        f = rng.normal(scale=3.0, size=n)
-        f[::97] = 40.0                  # clipped at 1 - eps
-        f[1::97] = -40.0                # clipped at eps
-        data = Dataset(rng.normal(size=(n, 1)), rng.normal(scale=4.0, size=n),
-                       (rng.random(n) < 0.5).astype(float),
-                       (rng.random(n) < 0.5).astype(float))
-        return data, dict(f=f, h=rng.normal(size=n), mu0=rng.normal(size=n),
-                          mu1=rng.normal(size=n))
-
-    @pytest.mark.parametrize("n", BLOCK_EDGES)
-    def test_scores(self, n):
-        data, v = self._inputs(n, seed=n)
+    def _check(data, v, betas, eps, where):
         before = {name: arr.copy() for name, arr in v.items()}
-        for beta, eps in ((0.0, 0.01), (-1.7, 0.2)):
-            got = {
-                "robust": robust_score(beta, v["f"], v["h"], data, eps),
-                "moment": moment_score(beta, v["f"], data, eps),
-                "regression": regression_score(beta, v["f"], v["mu0"], v["mu1"],
-                                               data, eps),
-            }
-            whole = {
-                "robust": _whole_robust(beta, v["f"], v["h"], data, eps),
-                "moment": _whole_moment(beta, v["f"], data, eps),
-                "regression": _whole_regression(beta, v["f"], v["mu0"], v["mu1"],
-                                                data, eps),
-            }
-            plain = {
-                "robust": _robust_reference(beta, v["f"], v["h"], data, eps),
-                "moment": _moment_reference(beta, v["f"], data, eps),
-                "regression": _regression_reference(beta, v["f"], v["mu0"],
-                                                    v["mu1"], data, eps),
-            }
+        for beta in betas:
+            got = {name: score(beta, v, data, eps) for name, score in SCORES.items()}
+            want = _score_references(beta, v, data, eps)
             for name in got:
-                _assert_same_bits(got[name], whole[name], f"{name} at n={n}")
-                _assert_same_bits(got[name], plain[name], f"{name} at n={n}")
+                _assert_same_bits(got[name], want[name], f"{name} at {beta}, {where}")
                 assert got[name].flags.writeable
                 assert not any(np.shares_memory(got[name], arr)
                                for arr in (*v.values(), data.y, data.d, data.z))
-            g = clip_propensity(expit(v["f"]), eps)
-            for got_k, want_k in zip(kappa(data.d, data.z, g),
-                                     _kappa_reference(data.d, data.z, g)):
-                _assert_same_bits(got_k, want_k, f"kappa at n={n}")
         for name, arr in v.items():
             _assert_same_bits(arr, before[name], name)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("eps", [0.01, 0.2])
+    def test_on_the_grid(self, seed, eps):
+        data, v = _grid_inputs(seed)
+        g = _clipped_reference(v["f"], eps)
+        assert np.any(g == eps) and np.any(g == 1.0 - eps)
+        self._check(data, v, (0.0, -1.7, 2.5), eps, f"seed {seed}")
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize("eps", [0.01, 0.2])
+    def test_past_a_block(self, n, eps):
+        data, v = _edge_inputs(n, seed=n)
+        self._check(data, v, (0.0, -1.7), eps, f"n={n}")
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_kappa_rejects_a_bad_propensity_in_the_last_block(self, n, monkeypatch):
         # With the clip taken out, a log-odds of +-inf in the last row
         # gives g = 1 or 0, which kappa rejects from whichever block
         # holds that row.
-        data, v = self._inputs(n, seed=n)
+        data, v = _edge_inputs(n, seed=n)
         for edge in (np.inf, -np.inf):
             f = v["f"].copy()
             f[-1] = edge
@@ -455,6 +396,27 @@ class TestBlockedScoresMatchWholeArrays:
                     with pytest.raises(ValueError,
                                        match=r"strictly inside \(0, 1\)"):
                         call()
+
+
+# tracemalloc peak of one score call at 131,072 rows: its 1 MiB output
+# plus the temporaries of one 8,192-row block and Python objects, about
+# 1,283 KiB for each score, rounded up to the next 0.125 MiB.
+SCORE_PEAK = 1 * 2**20 + 384 * 2**10
+
+
+@pytest.mark.parametrize("name", sorted(SCORES))
+def test_one_score_call_stays_within_its_memory_bound(name):
+    data, v = _edge_inputs(1 << 17, seed=5)
+    # The first call builds what later calls reuse; it is not the cost
+    # of a call.
+    SCORES[name](0.3, v, data, 0.01)
+    tracemalloc.start()
+    try:
+        SCORES[name](0.3, v, data, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SCORE_PEAK, peak / 2**10
 
 
 class TestFitLarf:
