@@ -8,7 +8,7 @@ orthogonality suite against a closed-form truth.
 
 Exit codes are a stable contract: 0 success, 1 statistical-quality
 failure (estimation failed, too many replicate failures, or a
-derivative check out of band), 2 usage or data error.
+derivative check out of band), 2 usage, data or output-file error.
 
 Numbers are written with full round-trip precision in machine outputs
 (CSV/JSON) and 6 significant digits in console tables.  All output
@@ -78,11 +78,15 @@ def _resolve_seed(value) -> int:
     return seed
 
 
-def _write_text(path: str, content: str) -> None:
-    if not content.endswith("\n"):
-        content += "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+def _write_text(path: str, content: str) -> bool:
+    """Write `content`; on an OSError print it and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as exc:
+        _err(str(exc))
+        return False
+    return True
 
 
 # ------------------------------------------------------------- simulate
@@ -150,10 +154,9 @@ def cmd_simulate(args) -> int:
         print(f"{label:>8} {s.bias:>12.6g} {s.smse:>12.6g} "
               f"{s.coverage:>10.6g} {s.failures:>9d}")
 
-    if args.out:
-        _write_text(args.out, _simulate_csv(report, labels))
-    if args.json:
-        _write_text(args.json, _simulate_json(report, labels))
+    for path, render in ((args.out, _simulate_csv), (args.json, _simulate_json)):
+        if path and not _write_text(path, render(report, labels)):
+            return 2
 
     worst = max(s.failures for s in report.methods)
     if worst > 0.2 * report.reps:
@@ -300,7 +303,8 @@ def cmd_analyze(args) -> int:
                    + ",".join(_full(payload[k]) if isinstance(payload[k], float)
                               else str(payload[k]) for k in keys) + "\n")
     if args.out:
-        _write_text(args.out, content)
+        if not _write_text(args.out, content):
+            return 2
         print(f"{args.method}: beta_hat={result.beta_hat:.6g} "
               f"ci=({result.ci_low:.6g}, {result.ci_high:.6g}) n={result.n}")
     else:

@@ -15,11 +15,13 @@ binary d, kappa1 - kappa0 = (z - g)/(g(1-g)) =: w, as (1-z) - (1-g) = g - z:
 
 ``late_crossfit`` hands one fold step to ``core.crossfit``: fit the
 nuisances on the training half, solve the configured score on the
-estimation half.  All three scores are linear in beta with slope -1,
-so the solve is a fold mean.  Each score returns a fresh array and
-writes none of its inputs; past ``core.BLOCK_ROWS`` rows it runs its
-formula one block of rows at a time (``core.in_row_blocks``), which
-gives every row the same bits.
+estimation half.  One private ``_fit`` picks the learner tier of every
+nuisance (the seeded net for *_np methods, else the affine fits), and
+``fit_larf`` returns both arms from one training propensity.  All three
+scores are linear in beta with slope -1, so the solve is a fold mean.
+Each score returns a fresh array and writes none of its inputs; past
+``core.BLOCK_ROWS`` rows it runs its formula one block of rows at a
+time (``core.in_row_blocks``), which gives every row the same bits.
 Confidence intervals use the robust-score variance for the moment
 method too (the two estimators share one asymptotic variance);
 regression methods use their own residuals.
@@ -70,19 +72,18 @@ class LateConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
-        if not (0.0 < self.clip_epsilon < 0.5):
-            raise ValueError("clip_epsilon must lie in (0, 0.5)")
+        require_clip_epsilon(self.clip_epsilon)
 
-    @property
-    def family(self) -> str:
-        """Learner tier: nonparametric for *_np, linear otherwise."""
-        return "np" if self.method.endswith("_np") else "lr"
+
+def require_clip_epsilon(eps) -> None:
+    """Raise unless 0 < eps < 0.5; NaN fails too."""
+    if not (0.0 < eps < 0.5):
+        raise ValueError("clip_epsilon must lie in (0, 0.5)")
 
 
 def clip_propensity(g, eps: float) -> np.ndarray:
     """Clamp propensities into [eps, 1-eps]; identity inside the band."""
-    if not (0.0 < eps < 0.5):
-        raise ValueError("clip epsilon must lie in (0, 0.5)")
+    require_clip_epsilon(eps)
     return np.clip(np.asarray(g, dtype=float), eps, 1.0 - eps)
 
 
@@ -110,29 +111,34 @@ def kappa(d, z, g):
     return k0, k1
 
 
+def _propensity(f, clip_epsilon):
+    return clip_propensity(expit(f), clip_epsilon)
+
+
 def _weight(f, z, clip_epsilon):
     """kappa1 - kappa0 = (z - g)/(g(1-g)), g the clipped expit(f)."""
-    g = clip_propensity(expit(f), clip_epsilon)
+    g = _propensity(f, clip_epsilon)
     return (z - g) / _instrument_variance(g)
 
 
-def _train_config(config: LateConfig, *seed_path: int) -> TrainConfig:
-    return replace(config.train, seed=derive_seed(config.seed, *seed_path))
+def _fit(config: LateConfig, x, target, loss: str, seed_path: tuple[int, ...],
+         weights=None) -> FunctionEstimate:
+    """Net seeded at `seed_path` for *_np methods, else the affine fit of `loss`."""
+    if config.method.endswith("_np"):
+        cfg = replace(config.train, seed=derive_seed(config.seed, *seed_path))
+        return fit_mlp(x, target, loss, weights=weights, arch=config.arch, config=cfg)
+    if loss == "cross_entropy_on_logits":
+        return fit_logistic(x, target)
+    return fit_least_squares(x, target, weights=weights)
 
 
 def estimate_log_odds(train: Dataset, config: LateConfig,
                       seed_tag: int = 0) -> FunctionEstimate:
-    """Fit the instrument log-odds f-hat on one fold.
-
-    Uses the nonparametric net for *_np methods and the affine logistic
-    fit otherwise.
-    """
+    """Fit the instrument log-odds f-hat on one fold."""
     if train.z is None:
         raise ValueError("instrument required")
-    if config.family == "lr":
-        return fit_logistic(train.x, train.z)
-    return fit_mlp(train.x, train.z, "cross_entropy_on_logits", arch=config.arch,
-                   config=_train_config(config, SEED_LATE_LOG_ODDS, seed_tag))
+    return _fit(config, train.x, train.z, "cross_entropy_on_logits",
+                (SEED_LATE_LOG_ODDS, seed_tag))
 
 
 def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
@@ -143,15 +149,12 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     the fitted log-odds at x_i; the exponentials are formed from the
     clipped propensity, which bounds them by (1-eps)/eps.
     """
-    g = clip_propensity(expit(f_hat(train.x)), config.clip_epsilon)
+    g = _propensity(f_hat(train.x), config.clip_epsilon)
     e_f = g / (1.0 - g)
     pseudo = train.y * ((e_f - 1.0 / e_f) * train.z - e_f)
     if not np.all(np.isfinite(pseudo)):
         raise RuntimeError("non-finite pseudo-outcome")
-    if config.family == "np":
-        return fit_mlp(train.x, pseudo, "squared_error", arch=config.arch,
-                       config=_train_config(config, SEED_LATE_H, seed_tag))
-    return fit_least_squares(train.x, pseudo)
+    return _fit(config, train.x, pseudo, "squared_error", (SEED_LATE_H, seed_tag))
 
 
 def robust_score(beta: float, f, h, data: Dataset,
@@ -188,22 +191,18 @@ def regression_score(beta: float, f, mu0, mu1, data: Dataset,
     return in_row_blocks(rows, f, mu0, mu1, data.d, data.z)
 
 
-def fit_larf(train: Dataset, f_hat: FunctionEstimate, t: int,
-             config: LateConfig, seed_tag: int = 0) -> FunctionEstimate:
-    """Fit the arm-t local average response function mu_t.
+def fit_larf(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
+             seed_tag: int = 0) -> tuple[FunctionEstimate, FunctionEstimate]:
+    """Fit both local average response functions, (mu0, mu1).
 
-    Minimizes the kappa^(t)-weighted squared error; the weights are
-    signed, which both learners accept as-is.
+    Arm t minimizes the kappa_t-weighted squared error; the weights are
+    signed, which both learners accept as-is.  One propensity and one
+    ``kappa`` call serve both arms; arm 0 is fitted first.
     """
-    if t not in (0, 1):
-        raise ValueError("arm must be 0 or 1")
-    g = clip_propensity(expit(f_hat(train.x)), config.clip_epsilon)
-    w = kappa(train.d, train.z, g)[t]
-    if config.family == "np":
-        return fit_mlp(train.x, train.y, "weighted_squared_error", weights=w,
-                       arch=config.arch,
-                       config=_train_config(config, SEED_LATE_LARF + t, seed_tag))
-    return fit_least_squares(train.x, train.y, weights=w)
+    g = _propensity(f_hat(train.x), config.clip_epsilon)
+    return tuple(_fit(config, train.x, train.y, "weighted_squared_error",
+                      (SEED_LATE_LARF + t, seed_tag), weights=w)
+                 for t, w in enumerate(kappa(train.d, train.z, g)))
 
 
 def solve_beta_linear(score_fn, fold: Dataset) -> float:
@@ -247,8 +246,7 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
             f_hat = estimate_log_odds(train, config, k)
             f = f_hat(est.x)
             if config.method in ("reg_np", "reg_lr"):
-                mu0 = fit_larf(train, f_hat, 0, config, k)(est.x)
-                mu1 = fit_larf(train, f_hat, 1, config, k)(est.x)
+                mu0, mu1 = (mu(est.x) for mu in fit_larf(train, f_hat, config, k))
                 point_fn = var_fn = lambda b, ds: regression_score(
                     b, f, mu0, mu1, ds, eps)
             else:

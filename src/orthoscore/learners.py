@@ -111,6 +111,15 @@ class AffineEstimate(FunctionEstimate):
         super().__init__(lambda x: self.intercept + x @ self.coef, label)
 
 
+def _check_weights(weights, n):
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.shape[0] != n:
+        raise ValueError("weights must have length n")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite values in weights")
+    return w
+
+
 def _validate_design(x, y):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -133,14 +142,7 @@ def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     n, p = x.shape
     if n <= p:
         raise ValueError("underdetermined")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape[0] != n:
-            raise ValueError("weights must have length n")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite values in weights")
+    w = np.ones(n) if weights is None else _check_weights(weights, n)
     a = np.column_stack([np.ones(n), x])
     gram = a.T @ (a * w[:, None])
     rhs = a.T @ (w * y)
@@ -361,12 +363,7 @@ def _check_loss_args(kind, weights, n):
     if kind == "weighted_squared_error":
         if weights is None:
             raise ValueError("weighted loss requires a weight vector")
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.shape[0] != n:
-            raise ValueError("weights must have length n")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite values in weights")
-        return w
+        return _check_weights(weights, n)
     return None
 
 

@@ -32,7 +32,7 @@ from .core import (SEED_QTE_H, SEED_QTE_LOG_ODDS, Dataset, EstimationResult,
                    crossfit, derive_seed, require_splittable)
 from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
                        fit_logistic, fit_mlp, pipeline_train_config)
-from .late import clip_propensity
+from .late import clip_propensity, require_clip_epsilon
 
 __all__ = [
     "QteConfig",
@@ -56,8 +56,7 @@ class QteConfig:
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
-        if not (0.0 < self.clip_epsilon < 0.5):
-            raise ValueError("clip_epsilon must lie in (0, 0.5)")
+        require_clip_epsilon(self.clip_epsilon)
         if self.learner not in ("linear", "mlp"):
             raise ValueError("learner must be linear or mlp")
 
@@ -122,11 +121,14 @@ def _ipw_density(y, d, g, at: float) -> float:
     return float(np.sum(w * kern) / (bandwidth * np.sum(w)))
 
 
-def _fit_h(x, pseudo, config: QteConfig, seed_tag: int):
-    if config.learner == "linear":
-        return fit_least_squares(x, pseudo)
-    cfg = replace(config.train, seed=derive_seed(config.seed, SEED_QTE_H, seed_tag))
-    return fit_mlp(x, pseudo, "squared_error", arch=config.arch, config=cfg)
+def _fit(x, target, loss: str, config: QteConfig, tag: int, seed_tag: int):
+    """Net seeded at (tag, seed_tag) for mlp, else the affine fit of `loss`."""
+    if config.learner == "mlp":
+        cfg = replace(config.train, seed=derive_seed(config.seed, tag, seed_tag))
+        return fit_mlp(x, target, loss, arch=config.arch, config=cfg)
+    if loss == "cross_entropy_on_logits":
+        return fit_logistic(x, target)
+    return fit_least_squares(x, target)
 
 
 def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
@@ -139,20 +141,15 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
     tau, eps = config.tau, config.clip_epsilon
 
     def fit_fold(train, est, k):
-        if config.learner == "mlp":
-            f_hat = fit_mlp(train.x, train.d, "cross_entropy_on_logits",
-                            arch=config.arch,
-                            config=replace(config.train, seed=derive_seed(
-                                config.seed, SEED_QTE_LOG_ODDS, k)))
-        else:
-            f_hat = fit_logistic(train.x, train.d)
+        f_hat = _fit(train.x, train.d, "cross_entropy_on_logits", config,
+                     SEED_QTE_LOG_ODDS, k)
         g_train = clip_propensity(expit(f_hat(train.x)), eps)
         pilot = solve_monotone(
             lambda b: float(np.mean(ipw_quantile_score(b, train.y, train.d,
                                                        g_train, tau))),
             train.y)
         pseudo = train.d * ((train.y <= pilot).astype(float) - tau) / g_train ** 2
-        h_hat = _fit_h(train.x, pseudo, config, k)
+        h_hat = _fit(train.x, pseudo, "squared_error", config, SEED_QTE_H, k)
 
         g_est = clip_propensity(expit(f_hat(est.x)), eps)
         h_est = h_hat(est.x)

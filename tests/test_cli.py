@@ -123,6 +123,14 @@ class TestSimulate:
         assert main(argv) == 2
         assert "n must be at least 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    def test_unwritable_report_path_exits_2(self, flag, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "r.txt"
+        assert main(SIM_ARGV + [flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(target) in err
+        assert "Traceback" not in err
+
     def test_failure_rate_exits_1_with_report_written(self, tmp_path,
                                                       monkeypatch, capsys):
         def broken(data, config):
@@ -289,6 +297,14 @@ class TestAnalyze:
         path.write_text("", encoding="utf-8")
         assert main(_analyze_argv(path, p=1)) == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_unwritable_output_path_exits_2(self, iv_csv, tmp_path, capsys):
+        path, _ = iv_csv
+        target = tmp_path / "no" / "such" / "dir" / "r.json"
+        assert main(_analyze_argv(path, out=target)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and str(target) in captured.err
+        assert "beta_hat" not in captured.out
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         argv = _analyze_argv(tmp_path / "absent.csv", p=1)

@@ -18,7 +18,10 @@ from orthoscore import (
     split_folds,
 )
 from orthoscore import late, plr, qte
-from orthoscore.core import BLOCK_ROWS, in_row_blocks
+from orthoscore.core import (BLOCK_ROWS, SEED_LATE_H, SEED_LATE_LARF,
+                             SEED_LATE_LOG_ODDS, SEED_PLR, SEED_QTE_H,
+                             SEED_QTE_LOG_ODDS, in_row_blocks)
+from orthoscore.learners import MlpArchitecture, TrainConfig
 from orthoscore.sim import DgpConfig, gen_dataset
 
 
@@ -266,6 +269,69 @@ class TestDeriveSeed:
     def test_uint64_range(self):
         for s in (derive_seed(0), derive_seed(2**31, 5, 5, 5)):
             assert 0 <= s < 2**64
+
+
+class TestNetSeedPaths:
+    """Every net fit of a pipeline draws its seed from the SEED_* table.
+
+    Net fits are not portable across hosts, so no golden pins them;
+    this pins the (loss, seed) sequence they are trained with instead.
+    """
+
+    SEED = 6
+    TINY = dict(arch=MlpArchitecture(depth=1, width=4),
+                train=TrainConfig(epochs=2, batch_size=32, weight_decay=1.0))
+
+    def _record(self, monkeypatch, module):
+        calls = []
+        fit = module.fit_mlp
+
+        def recording(x, targets, loss="squared_error", weights=None,
+                      arch=None, config=None):
+            calls.append((loss, config.seed))
+            return fit(x, targets, loss, weights, arch, config)
+
+        monkeypatch.setattr(module, "fit_mlp", recording)
+        return calls
+
+    def _seed(self, *path):
+        return derive_seed(self.SEED, *path)
+
+    @pytest.mark.parametrize("method", ["robust_np", "reg_np"])
+    def test_late(self, method, monkeypatch):
+        calls = self._record(monkeypatch, late)
+        iv, _ = gen_dataset(DgpConfig(n=200, seed=1))
+        late.late_crossfit(iv, late.LateConfig(method=method, seed=self.SEED,
+                                               **self.TINY))
+        want = []
+        for k in range(2):
+            want.append(("cross_entropy_on_logits",
+                         self._seed(SEED_LATE_LOG_ODDS, k)))
+            if method == "robust_np":
+                want.append(("squared_error", self._seed(SEED_LATE_H, k)))
+            else:
+                want += [("weighted_squared_error", self._seed(SEED_LATE_LARF + t, k))
+                         for t in (0, 1)]
+        assert calls == want
+
+    def test_plr(self, monkeypatch):
+        calls = self._record(monkeypatch, plr)
+        iv, _ = gen_dataset(DgpConfig(n=200, seed=1))
+        plr.plr_crossfit(Dataset(iv.x, iv.y, iv.d),
+                         plr.PlrConfig(learner="mlp", seed=self.SEED, **self.TINY))
+        assert calls == [("squared_error", self._seed(SEED_PLR, j))
+                         for j in range(4)]
+
+    def test_qte(self, monkeypatch):
+        calls = self._record(monkeypatch, qte)
+        iv, _ = gen_dataset(DgpConfig(n=200, seed=1))
+        qte.qte_crossfit(Dataset(iv.x, iv.y, iv.d),
+                         qte.QteConfig(learner="mlp", seed=self.SEED, **self.TINY))
+        want = []
+        for k in range(2):
+            want += [("cross_entropy_on_logits", self._seed(SEED_QTE_LOG_ODDS, k)),
+                     ("squared_error", self._seed(SEED_QTE_H, k))]
+        assert calls == want
 
 
 class TestCrossfit:

@@ -9,6 +9,7 @@ import orthoscore.late
 from orthoscore.core import (BLOCK_ROWS, SEED_SPLIT, Dataset, FunctionEstimate,
                              derive_seed, split_folds)
 from orthoscore.late import (
+    METHODS,
     LateConfig,
     clip_propensity,
     estimate_h,
@@ -22,7 +23,9 @@ from orthoscore.late import (
     robust_score,
     solve_beta_linear,
 )
-from orthoscore.learners import expit, fit_least_squares
+from orthoscore.learners import (MlpArchitecture, TrainConfig, expit,
+                                 fit_least_squares)
+from orthoscore.qte import QteConfig
 from orthoscore.sim import DgpConfig, gen_dataset
 
 
@@ -81,10 +84,15 @@ class TestClipPropensity:
         g = np.array([0.001, 0.9999])
         np.testing.assert_allclose(clip_propensity(g, 0.01), [0.01, 0.99])
 
-    def test_bad_epsilon_rejected(self):
-        for bad in (0.0, 0.5, -0.1):
-            with pytest.raises(ValueError):
-                clip_propensity(np.array([0.5]), bad)
+    @pytest.mark.parametrize("bad", [0.0, 0.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("make", [
+        lambda eps: clip_propensity(np.array([0.5]), eps),
+        lambda eps: LateConfig(clip_epsilon=eps),
+        lambda eps: QteConfig(clip_epsilon=eps),
+    ], ids=["clip_propensity", "LateConfig", "QteConfig"])
+    def test_bad_epsilon_rejected(self, make, bad):
+        with pytest.raises(ValueError, match=r"^clip_epsilon must lie in \(0, 0\.5\)$"):
+            make(bad)
 
 
 class TestEstimateLogOdds:
@@ -425,18 +433,22 @@ class TestFitLarf:
         data = Dataset(data.x, np.full(data.n, 3.3), data.d, data.z)
         cfg = LateConfig(method="reg_lr", seed=0)
         f_hat = estimate_log_odds(data, cfg)
-        mu1 = fit_larf(data, f_hat, 1, cfg)
-        np.testing.assert_allclose(mu1(data.x), 3.3, atol=1e-8)
+        for mu in fit_larf(data, f_hat, cfg):
+            np.testing.assert_allclose(mu(data.x), 3.3, atol=1e-8)
 
-    def test_matches_weighted_normal_equations(self):
+    def test_each_arm_is_its_kappa_weighted_least_squares_fit(self):
         data = _iv_data(400, seed=42)
         cfg = LateConfig(method="reg_lr", seed=0)
         f_hat = estimate_log_odds(data, cfg)
         g = clip_propensity(expit(f_hat(data.x)), cfg.clip_epsilon)
-        k0, k1 = kappa(data.d, data.z, g)
-        mu1 = fit_larf(data, f_hat, 1, cfg)
-        oracle = fit_least_squares(data.x, data.y, weights=k1)
-        np.testing.assert_allclose(mu1(data.x), oracle(data.x), atol=1e-8)
+        arms = fit_larf(data, f_hat, cfg)
+        assert len(arms) == 2
+        for t, mu in enumerate(arms):
+            oracle = fit_least_squares(data.x, data.y,
+                                       weights=kappa(data.d, data.z, g)[t])
+            assert mu.intercept == oracle.intercept
+            assert np.array_equal(mu.coef, oracle.coef)
+            assert np.array_equal(mu(data.x), oracle(data.x))
 
     def test_all_compliers_nonnegative_weights(self):
         rng = np.random.default_rng(43)
@@ -451,9 +463,10 @@ class TestFitLarf:
         k0, k1 = kappa(data.d, data.z, g)
         assert np.all(k0 >= 0)
         assert np.all(k1 >= 0)
-        mu1 = fit_larf(data, f_hat, 1, cfg)
-        # E[Y|X, complier arm 1] = 1 + x1 + 3.
+        mu0, mu1 = fit_larf(data, f_hat, cfg)
+        # E[Y|X, complier arm t] = 1 + x1 + 3 t.
         probe = np.zeros((1, 2))
+        assert mu0(probe)[0] == pytest.approx(1.0, abs=0.2)
         assert mu1(probe)[0] == pytest.approx(4.0, abs=0.2)
 
 
@@ -526,6 +539,34 @@ class TestLateCrossfit:
             res = late_crossfit(data, LateConfig(method=method, seed=0))
             assert np.isfinite(res.beta_hat), method
             assert res.sigma2_hat >= 0.0, method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_fold_evaluates_its_log_odds_once_per_half(self, method,
+                                                            monkeypatch):
+        # One training propensity serves every training-half fit (h-hat,
+        # or both LARF arms); the estimation half needs f-hat once more.
+        fit = orthoscore.late.estimate_log_odds
+        rows = {}
+
+        def counting(train, config, seed_tag=0):
+            f_hat = fit(train, config, seed_tag)
+            calls = rows.setdefault(seed_tag, [])
+
+            def evaluate(x):
+                calls.append(len(x))
+                return f_hat(x)
+
+            return FunctionEstimate(evaluate)
+
+        monkeypatch.setattr(orthoscore.late, "estimate_log_odds", counting)
+        data = _iv_data(301, seed=68)
+        late_crossfit(data, LateConfig(method=method, seed=4,
+                                       arch=MlpArchitecture(depth=1, width=4),
+                                       train=TrainConfig(epochs=2, weight_decay=1.0)))
+        split = split_folds(data.n, derive_seed(4, SEED_SPLIT))
+        for k in (0, 1):
+            halves = [len(split.indices(1 - k)), len(split.indices(k))]
+            assert sorted(rows[k]) == sorted(halves)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,25 @@ class TestLogistic:
         assert np.all(np.isfinite(est(x)))
 
 
+@pytest.mark.parametrize("fit", [
+    lambda x, y, w: fit_least_squares(x, y, weights=w),
+    lambda x, y, w: fit_mlp(x, y, "weighted_squared_error", weights=w,
+                            arch=MlpArchitecture(depth=1, width=4),
+                            config=TrainConfig(epochs=1, batch_size=8)),
+], ids=["least_squares", "mlp"])
+@pytest.mark.parametrize("weights, message", [
+    (np.ones(19), "^weights must have length n$"),
+    (np.ones(21), "^weights must have length n$"),
+    (np.r_[np.ones(19), np.nan], "^non-finite values in weights$"),
+    (np.r_[np.ones(19), -np.inf], "^non-finite values in weights$"),
+])
+def test_bad_weight_vector_rejected(fit, weights, message):
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(20, 2))
+    with pytest.raises(ValueError, match=message):
+        fit(x, rng.normal(size=20), weights)
+
+
 class TestMlp:
     def test_learns_sine_better_than_mean(self):
         rng = np.random.default_rng(31)
