@@ -3,8 +3,11 @@
 ``simulate`` runs the replication study on the synthetic design and
 writes a CSV report (optionally mirrored as JSON).  ``analyze`` runs
 the instrumented estimator on a user-supplied CSV, with an optional
-row filter for subgroup analyses.  ``check`` runs the Monte Carlo
-orthogonality suite against a closed-form truth.
+row filter for subgroup analyses.  The CSV has a header row and no
+quoting; blank lines are skipped, rows are numbered by their line after
+the header, and only the columns the command names need to be numeric.
+``check`` runs the Monte Carlo orthogonality suite against a
+closed-form truth.
 
 Exit codes are a stable contract: 0 success, 1 statistical-quality
 failure (estimation failed, too many replicate failures, or a
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -89,6 +93,14 @@ def _write_text(path: str, content: str) -> bool:
     return True
 
 
+def _require_out_dirs(*paths) -> None:
+    """Raise ValueError naming the first output path whose directory is
+    missing, before a run whose results could not be written."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"no such directory for output file: {path}")
+
+
 # ------------------------------------------------------------- simulate
 
 def _simulate_csv(report, labels) -> str:
@@ -139,6 +151,7 @@ def cmd_simulate(args) -> int:
         require_count("reps", args.reps)
         require_count("jobs", args.jobs)
         dgp = DgpConfig(scenario=args.scenario, n=args.n, p=args.p, seed=0)
+        _require_out_dirs(args.out, args.json)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -167,48 +180,49 @@ def cmd_simulate(args) -> int:
 
 # -------------------------------------------------------------- analyze
 
-def _read_strict_csv(path: str):
-    """Comma-separated, header row, no quoting.  Returns (header, rows).
+def _read_columns(path: str, names) -> dict:
+    """The named columns of a CSV file as float64 arrays, in one pass.
 
-    Quoted fields are rejected outright rather than being guessed at.
+    Comma-separated, header row, no quoting: quoted fields are rejected
+    outright rather than being guessed at.  Blank lines are skipped, and
+    rows are numbered by their line after the header, blank lines
+    included.  Only the named columns need to be numeric.
     """
+    names = list(dict.fromkeys(names))
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("input file is empty")
-    if any('"' in line for line in lines):
-        raise ValueError("quoted fields are not supported")
-    header = [c.strip() for c in lines[0].split(",")]
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ValueError(f"duplicate column name: {name!r}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        if line == "":
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise ValueError(f"row {i} has {len(cells)} fields, expected {len(header)}")
-        rows.append(cells)
-    return header, rows
-
-
-def _extract_column(header, rows, name):
-    """Numeric column by name; returns (values, bad_row_numbers)."""
-    col = header.index(name)
-    values = np.empty(len(rows))
-    bad = []
-    for i, row in enumerate(rows):
-        cell = row[col]
-        if cell == "":
-            bad.append(i + 1)
-            continue
-        try:
-            values[i] = float(cell)
-        except ValueError:
-            bad.append(i + 1)
-    return values, bad
+        line = fh.readline()
+        if not line:
+            raise ValueError("input file is empty")
+        if '"' in line:
+            raise ValueError("quoted fields are not supported")
+        header = [c.strip() for c in line.split(",")]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"duplicate column name: {name!r}")
+        for name in names:
+            if name not in header:
+                raise ValueError(f"column not found: {name!r}")
+        cols = [header.index(name) for name in names]
+        values, bad = [array("d") for _ in names], []
+        for row, line in enumerate(fh, start=1):
+            if '"' in line:
+                raise ValueError("quoted fields are not supported")
+            if line == "\n":
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"row {row} has {len(cells)} fields, expected {len(header)}")
+            try:
+                parsed = [float(cells[c]) for c in cols]
+            except ValueError:
+                bad.append(row)
+                continue
+            for column, value in zip(values, parsed):
+                column.append(value)
+    if bad:
+        raise ValueError("missing or non-numeric values in rows: "
+                         + ", ".join(str(r) for r in bad[:10]))
+    return {name: np.array(column) for name, column in zip(names, values)}
 
 
 def _analysis_data(args):
@@ -226,27 +240,13 @@ def _analysis_data(args):
     if has_filter and args.filter_op not in _FILTER_OPS:
         raise ValueError(f"unknown filter comparator: {args.filter_op!r}")
 
-    header, rows = _read_strict_csv(args.input)
-
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covariates:
         raise ValueError("no covariate columns given")
     used = covariates + [args.outcome, args.treatment, args.instrument]
     if has_filter:
         used.append(args.filter_col)
-    for name in used:
-        if name not in header:
-            raise ValueError(f"column not found: {name!r}")
-
-    columns, bad_rows = {}, set()
-    for name in dict.fromkeys(used):
-        values, bad = _extract_column(header, rows, name)
-        columns[name] = values
-        bad_rows.update(bad)
-    if bad_rows:
-        shown = sorted(bad_rows)[:10]
-        raise ValueError("missing or non-numeric values in rows: "
-                         + ", ".join(str(r) for r in shown))
+    columns = _read_columns(args.input, used)
 
     if has_filter:
         try:
@@ -255,7 +255,7 @@ def _analysis_data(args):
             raise ValueError(f"filter value is not numeric: {args.filter_value!r}") from None
         keep = _FILTER_OPS[args.filter_op](columns[args.filter_col], cutoff)
     else:
-        keep = np.ones(len(rows), dtype=bool)
+        keep = np.ones(len(columns[args.outcome]), dtype=bool)
 
     n_kept = int(np.count_nonzero(keep))
     if n_kept == 0:
@@ -275,6 +275,7 @@ def _analysis_data(args):
 
 def cmd_analyze(args) -> int:
     try:
+        _require_out_dirs(args.out)
         seed, data = _analysis_data(args)
     except (ValueError, OSError) as exc:
         _err(str(exc))

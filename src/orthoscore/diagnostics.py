@@ -55,8 +55,6 @@ __all__ = [
     "run_check",
 ]
 
-TARGETS = ("late", "plr", "qte")
-
 # Standard normal CDF by a table of Phi and its derivatives Phi^(k)/k!,
 # k = 1..7, on the grid j/64 over [-9, 9], and one Taylor step from the
 # nearest grid point (|step| <= 1/128, truncation below 1e-20).  Numpy
@@ -146,12 +144,11 @@ class CheckReport:
         return all(c.passed for c in self.cases)
 
 
-def _directions():
-    return (
-        ("constant", FunctionEstimate.constant(1.0, "constant")),
-        ("first coordinate", FunctionEstimate(lambda x: x[:, 0], "x1")),
-        ("cosine", FunctionEstimate(lambda x: np.cos(x[:, 0]), "cos(x1)")),
-    )
+_DIRECTIONS = (
+    ("constant", FunctionEstimate.constant(1.0, "constant")),
+    ("first coordinate", FunctionEstimate(lambda x: x[:, 0], "x1")),
+    ("cosine", FunctionEstimate(lambda x: np.cos(x[:, 0]), "cos(x1)")),
+)
 
 
 class _TruthRecord:
@@ -201,10 +198,9 @@ def _late_target():
         # (e^f - e^-f) E[YZ|x] - e^f E[Y|x] with e^f = g / (1 - g),
         #   E[Y|x]  = p_a a + p_c (g mu1 + (1 - g) mu0) + p_n nv,
         #   E[YZ|x] = g (p_a a + p_c mu1 + p_n nv).
-        # Always-takers have d = 1, never-takers d = 0.
         p_a, p_c, p_n = STRATUM_PROBS
-        always = p_a * always_taker_mean(x, 1.0)
-        never = p_n * never_taker_mean(x, 0.0)
+        always = p_a * always_taker_mean(x)
+        never = p_n * never_taker_mean(x)
         mu1 = complier_mean(mu0, 1.0)
         e_y = always + p_c * (g * mu1 + (1.0 - g) * mu0) + never
         e_yz = g * (always + p_c * mu1 + never)
@@ -222,8 +218,7 @@ def _late_target():
                        {"f": f_true, "h": h_true})
     ctrl = ScoreFamily(lambda beta, data, v: moment_score(beta, v["f"], data),
                        {"f": f_true})
-    ctrl_dir = FunctionEstimate.constant(1.0, "constant")
-    return beta0, sampler, orth, ctrl, "f", ("constant", ctrl_dir)
+    return beta0, sampler, orth, ctrl, "f", _DIRECTIONS[0]
 
 
 # ----------------------------------------------------------------- plr
@@ -261,8 +256,7 @@ def _plr_target():
         beta, data.d - v["m"], data.y - v["l"]), {"m": m_true, "l": l_true})
     ctrl = ScoreFamily(lambda beta, data, v: data.d * (data.y - beta * data.d - v["b"]),
                        {"b": b_true})
-    ctrl_dir = FunctionEstimate.constant(1.0, "constant")
-    return beta0, sampler, orth, ctrl, "b", ("constant", ctrl_dir)
+    return beta0, sampler, orth, ctrl, "b", _DIRECTIONS[0]
 
 
 # ----------------------------------------------------------------- qte
@@ -311,6 +305,7 @@ def _qte_target():
 
 
 _BUILDERS = {"late": _late_target, "plr": _plr_target, "qte": _qte_target}
+TARGETS = tuple(_BUILDERS)
 
 
 def run_check(target: str, n_mc: int = 1_000_000, seed: int = 0) -> CheckReport:
@@ -325,21 +320,14 @@ def run_check(target: str, n_mc: int = 1_000_000, seed: int = 0) -> CheckReport:
     if target not in _BUILDERS:
         raise ValueError(f"unknown check target: {target!r}")
     beta0, sampler, orth, ctrl, ctrl_nuisance, ctrl_direction = _BUILDERS[target]()
+    plan = [("orthogonal", orth, nuisance, direction)
+            for nuisance in orth.nuisances for direction in _DIRECTIONS]
+    plan.append(("control", ctrl, ctrl_nuisance, ctrl_direction))
     cases = []
-    k = 0
-    for nuisance in orth.nuisances:
-        for dir_label, direction in _directions():
-            mean, se = check_orthogonality(orth, sampler, beta0, direction,
-                                           nuisance, n_mc=n_mc,
-                                           seed=derive_seed(seed, k))
-            cases.append(CheckCase("orthogonal", nuisance, dir_label,
-                                   float(mean), float(se)))
-            k += 1
-    dir_label, direction = ctrl_direction
-    mean, se = check_orthogonality(ctrl, sampler, beta0, direction,
-                                   ctrl_nuisance, n_mc=n_mc,
-                                   seed=derive_seed(seed, k))
-    cases.append(CheckCase("control", ctrl_nuisance, dir_label,
-                           float(mean), float(se)))
+    for k, (score, family, nuisance, (dir_label, direction)) in enumerate(plan):
+        mean, se = check_orthogonality(family, sampler, beta0, direction,
+                                       nuisance, n_mc=n_mc,
+                                       seed=derive_seed(seed, k))
+        cases.append(CheckCase(score, nuisance, dir_label, float(mean), float(se)))
     return CheckReport(target=target, beta0=beta0, n_mc=int(n_mc),
                        seed=int(seed), cases=tuple(cases))

@@ -138,11 +138,12 @@ def mu_true(x, t, scenario: str) -> np.ndarray:
     return base + 3.0 * t
 
 
-# The outcome mean of each compliance stratum at treatment d.
+# The outcome mean of each compliance stratum; always-takers are treated
+# (d = 1) and never-takers are not (d = 0).
 
-def always_taker_mean(x, d):
-    """x1 + x2 + x3 + x4 + 2 d."""
-    return x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3] + 2.0 * d
+def always_taker_mean(x):
+    """x1 + x2 + x3 + x4 + 2."""
+    return x[:, 0] + x[:, 1] + x[:, 2] + x[:, 3] + 2.0
 
 
 def complier_mean(mu0, d):
@@ -150,9 +151,9 @@ def complier_mean(mu0, d):
     return mu0 + 3.0 * d
 
 
-def never_taker_mean(x, d):
-    """0.6 x1 + 0.8 x2 + x3 + 1.2 x4 - 2 d."""
-    return 0.6 * x[:, 0] + 0.8 * x[:, 1] + x[:, 2] + 1.2 * x[:, 3] - 2.0 * d
+def never_taker_mean(x):
+    """0.6 x1 + 0.8 x2 + x3 + 1.2 x4."""
+    return 0.6 * x[:, 0] + 0.8 * x[:, 1] + x[:, 2] + 1.2 * x[:, 3]
 
 
 def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
@@ -179,15 +180,14 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     d = ((u == 1) | ((u == 2) & (z == 1.0))).astype(float)
     mu0 = mu_true(x, 0.0, config.scenario)
     # The noise is the last draw; each row's own stratum mean is added
-    # to it (noise + mean is mean + noise, bit for bit).  Always-takers
-    # have d = 1 and never-takers d = 0.
+    # to it (noise + mean is mean + noise, bit for bit).
     y = rng.standard_normal(n)
     rows = np.flatnonzero(u == 1)
-    y[rows] += always_taker_mean(x[rows], 1.0)
+    y[rows] += always_taker_mean(x[rows])
     rows = np.flatnonzero(u == 2)
     y[rows] += complier_mean(mu0[rows], d[rows])
     rows = np.flatnonzero(u == 3)
-    y[rows] += never_taker_mean(x[rows], 0.0)
+    y[rows] += never_taker_mean(x[rows])
     data = Dataset(x, y, d, z)
     for arr in (f0, g0, u, mu0):
         arr.setflags(write=False)

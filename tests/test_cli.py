@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface, run in process."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,17 @@ import pytest
 import orthoscore.cli
 import orthoscore.sim
 from orthoscore.cli import METHOD_LABELS, main
-from orthoscore.cli import _read_strict_csv
+from orthoscore.cli import _read_columns
 from orthoscore.late import LateConfig, late_crossfit
 from orthoscore.sim import DgpConfig, gen_dataset
 
 SIM_ARGV = ["simulate", "--scenario", "s1", "--n", "120", "--p", "4",
             "--reps", "3", "--methods", "r-lr,m", "--seed", "4"]
+REPORT_NUMBERS = ["n", "p", "reps", "bias", "smse", "coverage", "failures"]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the run must not start")
 
 
 def _export_csv(path, data):
@@ -67,8 +73,10 @@ class TestSimulate:
     def test_csv_roundtrips_through_own_reader(self, tmp_path):
         out = tmp_path / "r.csv"
         main(SIM_ARGV + ["--out", str(out)])
-        header, rows = _read_strict_csv(str(out))
-        assert len(header) == 9 and len(rows) == 2
+        columns = _read_columns(str(out), REPORT_NUMBERS)
+        assert list(columns) == REPORT_NUMBERS
+        assert columns["n"].tolist() == [120.0, 120.0]
+        assert columns["failures"].tolist() == [0.0, 0.0]
 
     def test_json_mirror_matches_csv(self, tmp_path):
         out, js = tmp_path / "r.csv", tmp_path / "r.json"
@@ -77,11 +85,9 @@ class TestSimulate:
         assert payload["scenario"] == "s1" and payload["n"] == 120
         assert payload["seed"] == 4
         assert [m["method"] for m in payload["methods"]] == ["r-lr", "m"]
-        _, rows = _read_strict_csv(str(out))
-        for row, entry in zip(rows, payload["methods"]):
-            assert float(row[5]) == entry["bias"]
-            assert float(row[6]) == entry["smse"]
-            assert float(row[7]) == entry["coverage"]
+        columns = _read_columns(str(out), REPORT_NUMBERS)
+        for key in ("bias", "smse", "coverage"):
+            assert columns[key].tolist() == [m[key] for m in payload["methods"]]
 
     def test_env_seed_is_the_default(self, tmp_path, monkeypatch):
         flagged, via_env = tmp_path / "flag.csv", tmp_path / "env.csv"
@@ -114,17 +120,16 @@ class TestSimulate:
 
     def test_too_few_rows_to_split_exits_2_before_any_replicate(
             self, monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("no replicate may run")
-
-        monkeypatch.setattr(orthoscore.cli, "run_replications", never)
+        monkeypatch.setattr(orthoscore.cli, "run_replications", _never)
         argv = list(SIM_ARGV)
         argv[argv.index("--n") + 1] = "3"
         assert main(argv) == 2
         assert "n must be at least 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--out", "--json"])
-    def test_unwritable_report_path_exits_2(self, flag, tmp_path, capsys):
+    def test_unwritable_report_path_exits_2(self, flag, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.setattr(orthoscore.cli, "run_replications", _never)
         target = tmp_path / "no" / "such" / "dir" / "r.txt"
         assert main(SIM_ARGV + [flag, str(target)]) == 2
         err = capsys.readouterr().err
@@ -142,8 +147,8 @@ class TestSimulate:
                 "--seed", "0", "--out", str(out)]
         assert main(argv) == 1
         assert "failure rate" in capsys.readouterr().err
-        _, rows = _read_strict_csv(str(out))
-        assert rows[0][8] == "2" and rows[0][5] == "nan"
+        columns = _read_columns(str(out), REPORT_NUMBERS)
+        assert columns["failures"][0] == 2.0 and np.isnan(columns["bias"][0])
 
 
 @pytest.fixture()
@@ -277,6 +282,51 @@ class TestAnalyze:
         assert main(_analyze_argv(path, p=1)) == 2
         assert "expected 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_line, message", [
+        ("abc,1.0,1,0", "missing or non-numeric values in rows: 3"),
+        ("0.1,1.0,1", "row 3 has 3 fields, expected 4"),
+    ], ids=["bad cell", "ragged row"])
+    def test_rows_are_numbered_by_line_after_the_header(
+            self, bad_line, message, tmp_path, capsys):
+        # The blank line counts, for a bad cell as for a ragged row.
+        path = tmp_path / "gap.csv"
+        path.write_text(f"x1,y,d,z\n0.1,1.0,1,0\n\n{bad_line}\n",
+                        encoding="utf-8")
+        assert main(_analyze_argv(path, p=1)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unnamed_text_column_is_accepted(self, iv_csv, tmp_path, capsys):
+        path, _ = iv_csv
+        lines = path.read_text(encoding="utf-8").splitlines()
+        labelled = tmp_path / "labelled.csv"
+        labelled.write_text(
+            "site," + lines[0] + "\n"
+            + "\n".join(f"clinic {i % 3}," + line
+                        for i, line in enumerate(lines[1:])) + "\n",
+            encoding="utf-8")
+        assert main(_analyze_argv(path)) == 0
+        plain = capsys.readouterr().out
+        assert main(_analyze_argv(labelled)) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_reading_follows_the_named_columns(self, tmp_path):
+        # 27 columns, 7 of them named: the parsed rows must not be held.
+        rng = np.random.default_rng(0)
+        names = [f"c{j}" for j in range(27)]
+        rows = (",".join(repr(v) for v in row)
+                for row in rng.standard_normal((20_000, 27)).tolist())
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join(names) + "\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            columns = _read_columns(str(path), names[::4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.shape for c in columns.values()] == [(20_000,)] * 7
+        assert peak < path.stat().st_size, (peak / 2**20, path.stat().st_size / 2**20)
+
     def test_duplicate_column_name_rejected(self, tmp_path, capsys):
         # Without the check the first x1 was read and the second ignored.
         rng = np.random.default_rng(0)
@@ -298,7 +348,9 @@ class TestAnalyze:
         assert main(_analyze_argv(path, p=1)) == 2
         assert "empty" in capsys.readouterr().err
 
-    def test_unwritable_output_path_exits_2(self, iv_csv, tmp_path, capsys):
+    def test_unwritable_output_path_exits_2(self, iv_csv, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.setattr(orthoscore.cli, "late_crossfit", _never)
         path, _ = iv_csv
         target = tmp_path / "no" / "such" / "dir" / "r.json"
         assert main(_analyze_argv(path, out=target)) == 2

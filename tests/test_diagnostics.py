@@ -65,7 +65,7 @@ def _cases(target):
         diagnostics._BUILDERS[target]()
     cases = [(orth, sampler, beta0, direction, nuisance)
              for nuisance in orth.nuisances
-             for _, direction in diagnostics._directions()]
+             for _, direction in diagnostics._DIRECTIONS]
     cases.append((ctrl, sampler, beta0, ctrl_direction[1], ctrl_nuisance))
     return cases
 
@@ -279,9 +279,9 @@ def _late_h_whole(x, g, mu0):
     """The true late direction as it was written before it ran in row
     blocks: one in-place pass over the whole arrays."""
     p_a, p_c, p_n = STRATUM_PROBS
-    always = always_taker_mean(x, 1.0)
+    always = always_taker_mean(x)
     always *= p_a
-    never = never_taker_mean(x, 0.0)
+    never = never_taker_mean(x)
     never *= p_n
     mu1 = complier_mean(mu0, 1.0)
     e_yz = mu1 * p_c
