@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from array import array
@@ -46,12 +47,12 @@ METHOD_LABELS = {
 }
 
 _FILTER_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -235,10 +236,15 @@ def _analysis_data(args):
         raise ValueError(f"unknown method label: {args.method!r}")
     filter_flags = (args.filter_col, args.filter_op, args.filter_value)
     has_filter = any(f is not None for f in filter_flags)
-    if has_filter and None in filter_flags:
-        raise ValueError("--filter-col, --filter-op and --filter-value must be given together")
-    if has_filter and args.filter_op not in _FILTER_OPS:
-        raise ValueError(f"unknown filter comparator: {args.filter_op!r}")
+    if has_filter:
+        if None in filter_flags:
+            raise ValueError("--filter-col, --filter-op and --filter-value must be given together")
+        if args.filter_op not in _FILTER_OPS:
+            raise ValueError(f"unknown filter comparator: {args.filter_op!r}")
+        try:
+            cutoff = float(args.filter_value)
+        except ValueError:
+            raise ValueError(f"filter value is not numeric: {args.filter_value!r}") from None
 
     covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covariates:
@@ -249,10 +255,6 @@ def _analysis_data(args):
     columns = _read_columns(args.input, used)
 
     if has_filter:
-        try:
-            cutoff = float(args.filter_value)
-        except ValueError:
-            raise ValueError(f"filter value is not numeric: {args.filter_value!r}") from None
         keep = _FILTER_OPS[args.filter_op](columns[args.filter_col], cutoff)
     else:
         keep = np.ones(len(columns[args.outcome]), dtype=bool)

@@ -8,10 +8,13 @@ estimate in the library (log-odds, correction directions, regression
 fits) is one.  ``split_folds`` produces the balanced two-way random
 partition, ``crossfit`` runs the cross-fitting algorithm over it for
 every estimator, and ``make_ci`` builds the normal-approximation
-confidence interval from a variance estimate.  ``require_count`` is
-the one check of integer settings (sizes, counts, worker numbers), and
-``in_row_blocks`` evaluates a row-wise formula ``BLOCK_ROWS`` rows at a
-time, so a long input never holds full-length temporaries.
+confidence interval from a variance estimate.  Every estimator's fold
+step returns (beta_k, scores_k, J_k), J_k the slope of its mean score
+in beta, and ``crossfit`` alone forms the sandwich variance
+mean(scores_k^2) / J_k^2.  ``require_count`` is the one check of
+integer settings (sizes, counts, worker numbers), and ``in_row_blocks``
+evaluates a row-wise formula ``BLOCK_ROWS`` rows at a time, so a long
+input never holds full-length temporaries.
 
 All randomness flows through explicit integer seeds.  ``derive_seed``
 is the single place where child seeds (per replicate, per fold, per
@@ -277,19 +280,22 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str,
              level: float) -> EstimationResult:
     """Two-fold cross-fitted estimate (Chernozhukov et al. 2018, section 3).
 
-    ``fit_fold(train, est, k) -> (beta_k, var_k)`` fits the nuisances on
-    ``train``, solves the estimating equation on ``est`` (split half k)
-    and returns the fold estimate and variance.  The fold estimates are
-    averaged and the fold variances pooled by simple average.
+    ``fit_fold(train, est, k) -> (beta_k, scores_k, slope_k)`` fits the
+    nuisances on ``train``, solves the estimating equation on ``est``
+    (split half k) and returns the fold estimate, the score at it on
+    every row of ``est`` and the slope J_k of the mean score in beta.
+    The fold estimates and the sandwich variances mean(scores_k^2) / J_k^2
+    are each pooled by simple average.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     split = split_folds(data.n, derive_seed(seed, SEED_SPLIT))
     fold_betas, fold_vars = [], []
     for k in (0, 1):
-        beta_k, var_k = fit_fold(data.subset(split.indices(1 - k)),
-                                 data.subset(split.indices(k)), k)
+        beta_k, scores, slope = fit_fold(data.subset(split.indices(1 - k)),
+                                         data.subset(split.indices(k)), k)
         fold_betas.append(beta_k)
-        fold_vars.append(var_k)
+        fold_vars.append(float(np.mean(scores * scores)) / slope ** 2)
+        del scores  # not held while the next fold fits
     return EstimationResult.from_folds(fold_betas, float(np.mean(fold_vars)),
                                        data.n, method, seed, level)

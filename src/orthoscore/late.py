@@ -18,7 +18,7 @@ nuisances on the training half, solve the configured score on the
 estimation half.  One private ``_fit`` picks the learner tier of every
 nuisance (the seeded net for *_np methods, else the affine fits), and
 ``fit_larf`` returns both arms from one training propensity.  All three
-scores are linear in beta with slope -1, so the solve is a fold mean.
+scores are linear in beta with slope J = -1, so the solve is a fold mean.
 Each score returns a fresh array and writes none of its inputs; past
 ``core.BLOCK_ROWS`` rows it runs its formula one block of rows at a
 time (``core.in_row_blocks``), which gives every row the same bits.
@@ -51,7 +51,6 @@ __all__ = [
     "regression_score",
     "fit_larf",
     "solve_beta_linear",
-    "estimate_variance",
     "late_crossfit",
 ]
 
@@ -220,14 +219,6 @@ def solve_beta_linear(score_fn, fold: Dataset) -> float:
     return beta_hat
 
 
-def estimate_variance(score_fn, beta_hat: float, fold: Dataset) -> float:
-    """Mean squared score at beta_hat over the fold."""
-    if fold.n == 0:
-        raise ValueError("empty fold")
-    s = score_fn(beta_hat, fold)
-    return float(np.mean(s * s))
-
-
 def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
     """Two-fold cross-fitted estimate with plug-in variance (see ``crossfit``).
 
@@ -256,7 +247,7 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
                 if config.method == "moment":
                     point_fn = lambda b, ds: moment_score(b, f, ds, eps)
             beta_k = solve_beta_linear(point_fn, est)
-            return beta_k, estimate_variance(var_fn, beta_k, est)
+            return beta_k, var_fn(beta_k, est), -1.0
         except (ValueError, RuntimeError) as exc:
             raise RuntimeError(f"fold {k}: {exc}") from exc
 

@@ -13,9 +13,9 @@ least-squares slope
 
     beta = sum r_d r_y / sum r_d^2,
 
-and the sandwich variance is mean(psi^2) / (mean r_d^2)^2, with psi
-evaluated by ``partialled_score``.  The
-treatment may be real-valued here; there is no instrument.
+and the fold step returns psi at that root (``partialled_score``) with
+the slope J = -mean r_d^2.  The treatment may be real-valued here;
+there is no instrument.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ def plr_crossfit(data: Dataset, config: PlrConfig | None = None) -> EstimationRe
         r_d = est.d - m_hat(est.x)
         r_y = est.y - l_hat(est.x)
         beta_k = partialled_beta(r_d, r_y)
-        score = partialled_score(beta_k, r_d, r_y)
-        return beta_k, float(np.mean(score * score) / np.mean(r_d * r_d) ** 2)
+        return beta_k, partialled_score(beta_k, r_d, r_y), -float(np.mean(r_d * r_d))
 
     return crossfit(data, config.seed, fit_fold, "plr", config.level)

@@ -16,9 +16,9 @@ fold step to ``core.crossfit``: on the training half, solve the plain
 IPW equation for a pilot quantile and regress the pseudo-outcome
 d (I(y <= pilot) - tau) / g^2 on x; on the estimation half, solve the
 orthogonal equation exactly (its empirical mean is a nondecreasing step
-function of beta).  The variance divides the mean squared score by the
-squared density of Y(1) at beta-hat, estimated by a Gaussian kernel on
-the IPW-weighted treated outcomes with Silverman bandwidth.
+function of beta).  The slope J of the mean score is the density of
+Y(1) at beta-hat, estimated by a Gaussian kernel on the IPW-weighted
+treated outcomes with Silverman bandwidth.
 """
 
 from __future__ import annotations
@@ -160,7 +160,6 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
 
         beta_k = solve_monotone(mean_score, est.y)
         scores = orthogonal_quantile_score(beta_k, est.y, est.d, g_est, h_est, tau)
-        density = _ipw_density(est.y, est.d, g_est, beta_k)
-        return beta_k, float(np.mean(scores * scores)) / density ** 2
+        return beta_k, scores, _ipw_density(est.y, est.d, g_est, beta_k)
 
     return crossfit(data, config.seed, fit_fold, "qte", config.level)

@@ -186,13 +186,23 @@ class TestAnalyze:
         assert cells[0] == "r-lr" and cells[1] == "400"
         assert np.isfinite([float(c) for c in cells[2:6]]).all()
 
-    def test_filter_subsets_rows(self, iv_csv, capsys):
+    @pytest.mark.parametrize("op, compare", [
+        ("==", np.equal), ("!=", np.not_equal), ("<", np.less),
+        ("<=", np.less_equal), (">", np.greater), (">=", np.greater_equal),
+    ])
+    def test_filter_subsets_rows(self, iv_csv, tmp_path, op, compare, capsys):
         path, data = iv_csv
-        argv = _analyze_argv(path, filter_col="x1", filter_op=">",
-                             filter_value="0")
+        site = np.arange(data.n) % 3
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [lines[0] + ",site"]
+        rows += [f"{line},{s}" for line, s in zip(lines[1:], site)]
+        labelled = tmp_path / "site.csv"
+        labelled.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = _analyze_argv(labelled, filter_col="site", filter_op=op,
+                             filter_value="1")
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["n"] == int(np.count_nonzero(data.x[:, 0] > 0.0))
+        assert payload["n"] == int(np.count_nonzero(compare(site, 1)))
 
     def test_zero_outcome_makes_m_equal_r_lr(self, iv_csv, tmp_path, capsys):
         path, data = iv_csv
@@ -249,6 +259,14 @@ class TestAnalyze:
                              filter_value="abc")
         assert main(argv) == 2
         assert "not numeric" in capsys.readouterr().err
+
+    def test_non_numeric_filter_value_is_reported_before_the_input_is_read(
+            self, tmp_path, capsys):
+        argv = _analyze_argv(tmp_path / "missing.csv", filter_col="x1",
+                             filter_op=">", filter_value="abc")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: filter value is not numeric: 'abc'\n")
 
     def test_missing_column_exits_2(self, iv_csv, capsys):
         path, _ = iv_csv

@@ -20,8 +20,9 @@ from orthoscore import (
 from orthoscore import late, plr, qte
 from orthoscore.core import (BLOCK_ROWS, SEED_LATE_H, SEED_LATE_LARF,
                              SEED_LATE_LOG_ODDS, SEED_PLR, SEED_QTE_H,
-                             SEED_QTE_LOG_ODDS, in_row_blocks)
-from orthoscore.learners import MlpArchitecture, TrainConfig
+                             SEED_QTE_LOG_ODDS, SEED_SPLIT, crossfit,
+                             in_row_blocks)
+from orthoscore.learners import MlpArchitecture, TrainConfig, fit_least_squares
 from orthoscore.sim import DgpConfig, gen_dataset
 
 
@@ -335,6 +336,38 @@ class TestNetSeedPaths:
 
 
 class TestCrossfit:
+    def test_fold_variance_is_mean_square_score_over_squared_slope(self):
+        # Fold 0: mean([-1, 1]^2) / (-1)^2 = 1; fold 1: 1 / 2^2 = 0.25.
+        data = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6), np.zeros(6))
+        steps = {0: (1.0, -1.0), 1: (3.0, 2.0)}
+        seen = []
+
+        def fit_fold(train, est, k):
+            seen.append((train.n, est.n))
+            beta_k, slope = steps[k]
+            return beta_k, np.array([-1.0, 1.0]), slope
+
+        res = crossfit(data, 4, fit_fold, "stub", 0.95)
+        assert seen == [(3, 3), (3, 3)]
+        assert res.fold_betas == (1.0, 3.0) and res.beta_hat == 2.0
+        assert res.sigma2_hat == 0.625
+        assert (res.method, res.n, res.seed) == ("stub", 6, 4)
+
+    def test_plr_variance_is_the_mean_fold_sandwich(self):
+        iv, _ = gen_dataset(DgpConfig(n=300, seed=2))
+        data = Dataset(iv.x, iv.y, iv.d)
+        res = plr.plr_crossfit(data, plr.PlrConfig(seed=9))
+        split = split_folds(data.n, derive_seed(9, SEED_SPLIT))
+        fold_vars = []
+        for k in (0, 1):
+            train = data.subset(split.indices(1 - k))
+            est = data.subset(split.indices(k))
+            r_d = est.d - fit_least_squares(train.x, train.d)(est.x)
+            r_y = est.y - fit_least_squares(train.x, train.y)(est.x)
+            psi = plr.partialled_score(res.fold_betas[k], r_d, r_y)
+            fold_vars.append(np.mean(psi * psi) / np.mean(r_d * r_d) ** 2)
+        assert res.sigma2_hat == float(np.mean(fold_vars))
+
     @pytest.mark.parametrize("name", ["late", "plr", "qte"])
     def test_bad_level_rejected_before_any_fit(self, name, monkeypatch):
         calls = []

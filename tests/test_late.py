@@ -14,7 +14,6 @@ from orthoscore.late import (
     clip_propensity,
     estimate_h,
     estimate_log_odds,
-    estimate_variance,
     fit_larf,
     kappa,
     late_crossfit,
@@ -493,13 +492,6 @@ class TestSolveAndVariance:
         empty = data.subset(np.array([], dtype=int))
         with pytest.raises(ValueError):
             solve_beta_linear(lambda b, fold: fold.y - b, empty)
-
-    def test_variance_hand_values(self):
-        data = _iv_data(2, seed=54)
-        assert estimate_variance(lambda b, fold: np.zeros(fold.n), 0.0,
-                                 data) == 0.0
-        assert estimate_variance(
-            lambda b, fold: np.array([-1.0, 1.0]), 0.0, data) == 1.0
 
 
 class TestLateCrossfit:
