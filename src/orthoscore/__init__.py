@@ -28,6 +28,7 @@ from .learners import (
     MlpEstimate,
     TrainConfig,
     TrainingDiverged,
+    clip_propensity,
     expit,
     fit_least_squares,
     fit_logistic,
@@ -52,7 +53,6 @@ from .ortho import (
 )
 from .late import (
     LateConfig,
-    clip_propensity,
     estimate_h,
     estimate_log_odds,
     kappa,
@@ -90,16 +90,15 @@ __all__ = [
     "Dataset", "EstimationResult", "FoldSplit", "FunctionEstimate",
     "derive_seed", "make_ci", "normal_quantile", "split_folds",
     "AffineEstimate", "MlpArchitecture", "MlpEstimate", "TrainConfig",
-    "TrainingDiverged", "expit", "fit_least_squares", "fit_logistic",
-    "fit_mlp", "gradient_check", "pipeline_train_config",
+    "TrainingDiverged", "clip_propensity", "expit", "fit_least_squares",
+    "fit_logistic", "fit_mlp", "gradient_check", "pipeline_train_config",
     "CoupledModel", "DecoupledModel", "RatioDirection", "ScoreFamily",
     "SequentialDirections", "SequentialModel", "build_coupled_score",
     "build_decoupled_score", "build_sequential_score", "check_orthogonality",
     "fit_coupled_direction", "fit_decoupled_direction",
     "fit_sequential_directions",
-    "LateConfig", "clip_propensity", "estimate_h",
-    "estimate_log_odds", "kappa", "late_crossfit", "moment_score",
-    "regression_score", "robust_score",
+    "LateConfig", "estimate_h", "estimate_log_odds", "kappa", "late_crossfit",
+    "moment_score", "regression_score", "robust_score",
     "PlrConfig", "partialled_beta", "partialled_score", "plr_crossfit",
     "QteConfig", "ipw_quantile_score", "orthogonal_quantile_score",
     "qte_crossfit", "solve_monotone",

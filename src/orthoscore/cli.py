@@ -32,7 +32,7 @@ from array import array
 import numpy as np
 
 from .core import Dataset, require_count
-from .diagnostics import TARGETS, run_check
+from .diagnostics import CONTROL_BAND, ORTHOGONAL_BAND, TARGETS, run_check
 from .late import LateConfig, late_crossfit
 from .sim import DgpConfig, run_replications
 
@@ -329,7 +329,8 @@ def cmd_check(args) -> int:
     print(f"target={report.target} beta0={report.beta0:.6g} "
           f"n_mc={report.n_mc} seed={report.seed}")
     for case in report.cases:
-        band = "> 5*SE required" if case.score == "control" else "<= 3*SE required"
+        band = (f"> {CONTROL_BAND:g}*SE required" if case.score == "control"
+                else f"<= {ORTHOGONAL_BAND:g}*SE required")
         status = "ok" if case.passed else "FAIL"
         print(f"  {case.score:>10}  {case.nuisance:>2} / {case.direction:<16} "
               f"derivative {case.derivative:>13.6g} +- {case.std_error:.6g}  "

@@ -7,14 +7,14 @@ fitted map from a covariate vector to a real number; every nuisance
 estimate in the library (log-odds, correction directions, regression
 fits) is one.  ``split_folds`` produces the balanced two-way random
 partition, ``crossfit`` runs the cross-fitting algorithm over it for
-every estimator, and ``make_ci`` builds the normal-approximation
-confidence interval from a variance estimate.  Every estimator's fold
-step returns (beta_k, scores_k, J_k), J_k the slope of its mean score
-in beta, and ``crossfit`` alone forms the sandwich variance
-mean(scores_k^2) / J_k^2.  ``require_count`` is the one check of
-integer settings (sizes, counts, worker numbers), and ``in_row_blocks``
-evaluates a row-wise formula ``BLOCK_ROWS`` rows at a time, so a long
-input never holds full-length temporaries.
+every estimator, and ``make_ci`` builds the normal-approximation 95%
+confidence interval, with the fixed quantile ``Q95``, from a variance
+estimate.  Every estimator's fold step returns (beta_k, scores_k, J_k),
+J_k the slope of its mean score in beta, and ``crossfit`` alone forms
+the sandwich variance mean(scores_k^2) / J_k^2.  ``require_count`` is
+the one check of integer settings (sizes, counts, worker numbers), and
+``in_row_blocks`` evaluates a row-wise formula ``BLOCK_ROWS`` rows at a
+time, so a long input never holds full-length temporaries.
 
 All randomness flows through explicit integer seeds.  ``derive_seed``
 is the single place where child seeds (per replicate, per fold, per
@@ -222,27 +222,23 @@ def normal_quantile(p: float) -> float:
     """Inverse standard-normal CDF (the standard library's, to ~1e-15)."""
     if not (0.0 < p < 1.0):
         raise ValueError("quantile level must lie in (0, 1)")
-    from statistics import NormalDist  # lazy: ~8 ms to import; 0.95 CIs never need it
+    from statistics import NormalDist  # lazy: ~8 ms to import; intervals never need it
     return NormalDist().inv_cdf(p)
 
 
-def make_ci(beta_hat: float, sigma2_hat: float, n: int,
-            level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval beta_hat +- q(level)*sqrt(sigma2/n)."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
+def make_ci(beta_hat: float, sigma2_hat: float, n: int) -> tuple[float, float]:
+    """Normal-approximation 95% interval beta_hat +- Q95*sqrt(sigma2/n)."""
     if sigma2_hat < 0.0:
         raise ValueError("sigma2_hat must be nonnegative")
     if n < 1:
         raise ValueError("n must be at least 1")
-    q = Q95 if level == 0.95 else normal_quantile(0.5 + level / 2.0)
-    half = q * math.sqrt(sigma2_hat / n)
+    half = Q95 * math.sqrt(sigma2_hat / n)
     return (beta_hat - half, beta_hat + half)
 
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Cross-fitted point estimate with its plug-in interval."""
+    """Cross-fitted point estimate with its plug-in 95% interval."""
 
     beta_hat: float
     sigma2_hat: float
@@ -253,21 +249,19 @@ class EstimationResult:
     method: str
     n: int
     seed: int
-    level: float = 0.95
 
     @staticmethod
-    def from_folds(fold_betas, sigma2_hat, n, method, seed,
-                   level=0.95) -> "EstimationResult":
+    def from_folds(fold_betas, sigma2_hat, n, method, seed) -> "EstimationResult":
         """Canonical constructor: averages folds, derives SE and CI."""
         fold_betas = tuple(float(b) for b in fold_betas)
         beta_hat = float(np.mean(fold_betas))
         sigma2_hat = float(sigma2_hat)
         std_err = math.sqrt(sigma2_hat / n)
-        lo, hi = make_ci(beta_hat, sigma2_hat, n, level)
+        lo, hi = make_ci(beta_hat, sigma2_hat, n)
         return EstimationResult(beta_hat=beta_hat, sigma2_hat=sigma2_hat,
                                 std_err=std_err, ci_low=lo, ci_high=hi,
                                 fold_betas=fold_betas, method=str(method),
-                                n=int(n), seed=int(seed), level=float(level))
+                                n=int(n), seed=int(seed))
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -276,8 +270,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def crossfit(data: Dataset, seed: int, fit_fold, method: str,
-             level: float) -> EstimationResult:
+def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResult:
     """Two-fold cross-fitted estimate (Chernozhukov et al. 2018, section 3).
 
     ``fit_fold(train, est, k) -> (beta_k, scores_k, slope_k)`` fits the
@@ -287,8 +280,6 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str,
     The fold estimates and the sandwich variances mean(scores_k^2) / J_k^2
     are each pooled by simple average.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
     split = split_folds(data.n, derive_seed(seed, SEED_SPLIT))
     fold_betas, fold_vars = [], []
     for k in (0, 1):
@@ -298,4 +289,4 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str,
         fold_vars.append(float(np.mean(scores * scores)) / slope ** 2)
         del scores  # not held while the next fold fits
     return EstimationResult.from_folds(fold_betas, float(np.mean(fold_vars)),
-                                       data.n, method, seed, level)
+                                       data.n, method, seed)

@@ -7,12 +7,12 @@ at those truths, and measures the finite-difference derivative
 of the mean score along a handful of fixed perturbation directions
 (via ``check_orthogonality``).  For an orthogonal score every such
 derivative is zero in expectation, so the estimate must land within
-3 Monte Carlo standard errors of zero.
+``ORTHOGONAL_BAND`` (3) Monte Carlo standard errors of zero.
 
 To confirm the harness has power to detect a violation, each target
 also carries one deliberately non-orthogonal control score whose
-derivative is bounded away from zero; its estimate must exceed 5
-standard errors.
+derivative is bounded away from zero; its estimate must exceed
+``CONTROL_BAND`` (5) standard errors.
 
 Targets:
 
@@ -54,6 +54,10 @@ __all__ = [
     "CheckReport",
     "run_check",
 ]
+
+# Pass bands of |derivative| / SE: at most ORTHOGONAL_BAND, above CONTROL_BAND.
+ORTHOGONAL_BAND = 3.0
+CONTROL_BAND = 5.0
 
 # Standard normal CDF by a table of Phi and its derivatives Phi^(k)/k!,
 # k = 1..7, on the grid j/64 over [-9, 9], and one Taylor step from the
@@ -127,8 +131,8 @@ class CheckCase:
     @property
     def passed(self) -> bool:
         if self.score == "control":
-            return self.ratio > 5.0
-        return self.ratio <= 3.0
+            return self.ratio > CONTROL_BAND
+        return self.ratio <= ORTHOGONAL_BAND
 
 
 @dataclass(frozen=True)

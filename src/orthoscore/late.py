@@ -22,9 +22,11 @@ scores are linear in beta with slope J = -1, so the solve is a fold mean.
 Each score returns a fresh array and writes none of its inputs; past
 ``core.BLOCK_ROWS`` rows it runs its formula one block of rows at a
 time (``core.in_row_blocks``), which gives every row the same bits.
-Confidence intervals use the robust-score variance for the moment
-method too (the two estimators share one asymptotic variance);
-regression methods use their own residuals.
+Every propensity is clipped into [eps, 1 - eps], eps the fixed
+``learners.CLIP_EPSILON``, before a weight divides by it.  Confidence
+intervals use the robust-score variance for the moment method too (the
+two estimators share one asymptotic variance); regression methods use
+their own residuals.
 """
 
 from __future__ import annotations
@@ -36,13 +38,13 @@ import numpy as np
 from .core import (SEED_LATE_H, SEED_LATE_LARF, SEED_LATE_LOG_ODDS, Dataset,
                    EstimationResult, FunctionEstimate, crossfit, derive_seed,
                    in_row_blocks, require_splittable)
-from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
-                       fit_logistic, fit_mlp, pipeline_train_config)
+from .learners import (MlpArchitecture, TrainConfig, clip_propensity, expit,
+                       fit_least_squares, fit_logistic, fit_mlp,
+                       pipeline_train_config)
 
 __all__ = [
     "METHODS",
     "LateConfig",
-    "clip_propensity",
     "kappa",
     "estimate_log_odds",
     "estimate_h",
@@ -62,8 +64,6 @@ class LateConfig:
     """Method choice plus learner settings for the IV pipeline."""
 
     method: str = "robust_lr"
-    clip_epsilon: float = 0.01
-    level: float = 0.95
     arch: MlpArchitecture = field(default_factory=MlpArchitecture)
     train: TrainConfig = field(default_factory=pipeline_train_config)
     seed: int = 0
@@ -71,19 +71,6 @@ class LateConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
-        require_clip_epsilon(self.clip_epsilon)
-
-
-def require_clip_epsilon(eps) -> None:
-    """Raise unless 0 < eps < 0.5; NaN fails too."""
-    if not (0.0 < eps < 0.5):
-        raise ValueError("clip_epsilon must lie in (0, 0.5)")
-
-
-def clip_propensity(g, eps: float) -> np.ndarray:
-    """Clamp propensities into [eps, 1-eps]; identity inside the band."""
-    require_clip_epsilon(eps)
-    return np.clip(np.asarray(g, dtype=float), eps, 1.0 - eps)
 
 
 def _instrument_variance(g) -> np.ndarray:
@@ -110,13 +97,13 @@ def kappa(d, z, g):
     return k0, k1
 
 
-def _propensity(f, clip_epsilon):
-    return clip_propensity(expit(f), clip_epsilon)
+def _propensity(f):
+    return clip_propensity(expit(f))
 
 
-def _weight(f, z, clip_epsilon):
+def _weight(f, z):
     """kappa1 - kappa0 = (z - g)/(g(1-g)), g the clipped expit(f)."""
-    g = _propensity(f, clip_epsilon)
+    g = _propensity(f)
     return (z - g) / _instrument_variance(g)
 
 
@@ -148,7 +135,7 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     the fitted log-odds at x_i; the exponentials are formed from the
     clipped propensity, which bounds them by (1-eps)/eps.
     """
-    g = _propensity(f_hat(train.x), config.clip_epsilon)
+    g = _propensity(f_hat(train.x))
     e_f = g / (1.0 - g)
     pseudo = train.y * ((e_f - 1.0 / e_f) * train.z - e_f)
     if not np.all(np.isfinite(pseudo)):
@@ -156,36 +143,33 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     return _fit(config, train.x, pseudo, "squared_error", (SEED_LATE_H, seed_tag))
 
 
-def robust_score(beta: float, f, h, data: Dataset,
-                 clip_epsilon: float = 0.01) -> np.ndarray:
+def robust_score(beta: float, f, h, data: Dataset) -> np.ndarray:
     """Orthogonal score w (y + h) - beta, w = (z - g)/(g(1-g)).
 
     `f` and `h` hold the log-odds and the direction at `data.x`.
     """
     def rows(f, h, z, y):
-        return _weight(f, z, clip_epsilon) * (y + h) - beta
+        return _weight(f, z) * (y + h) - beta
 
     return in_row_blocks(rows, f, h, data.z, data.y)
 
 
-def moment_score(beta: float, f, data: Dataset,
-                 clip_epsilon: float = 0.01) -> np.ndarray:
+def moment_score(beta: float, f, data: Dataset) -> np.ndarray:
     """Plain reweighting score w y - beta; `f` at `data.x`.  Reads no d."""
     def rows(f, z, y):
-        return _weight(f, z, clip_epsilon) * y - beta
+        return _weight(f, z) * y - beta
 
     return in_row_blocks(rows, f, data.z, data.y)
 
 
-def regression_score(beta: float, f, mu0, mu1, data: Dataset,
-                     clip_epsilon: float = 0.01) -> np.ndarray:
+def regression_score(beta: float, f, mu0, mu1, data: Dataset) -> np.ndarray:
     """Imputation score w (d ? mu1 : mu0) - beta = kappa1 mu1 - kappa0 mu0 - beta.
 
     `f`, `mu0` and `mu1` hold the log-odds and the fitted response
     functions at `data.x`.
     """
     def rows(f, mu0, mu1, d, z):
-        return _weight(f, z, clip_epsilon) * np.where(d == 1.0, mu1, mu0) - beta
+        return _weight(f, z) * np.where(d == 1.0, mu1, mu0) - beta
 
     return in_row_blocks(rows, f, mu0, mu1, data.d, data.z)
 
@@ -198,7 +182,7 @@ def fit_larf(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     signed, which both learners accept as-is.  One propensity and one
     ``kappa`` call serve both arms; arm 0 is fitted first.
     """
-    g = _propensity(f_hat(train.x), config.clip_epsilon)
+    g = _propensity(f_hat(train.x))
     return tuple(_fit(config, train.x, train.y, "weighted_squared_error",
                       (SEED_LATE_LARF + t, seed_tag), weights=w)
                  for t, w in enumerate(kappa(train.d, train.z, g)))
@@ -230,7 +214,6 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
     require_splittable(data.n)
     if np.all(data.z == data.z[0]):
         raise ValueError("degenerate instrument")
-    eps = config.clip_epsilon
 
     def fit_fold(train, est, k):
         try:
@@ -238,17 +221,16 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
             f = f_hat(est.x)
             if config.method in ("reg_np", "reg_lr"):
                 mu0, mu1 = (mu(est.x) for mu in fit_larf(train, f_hat, config, k))
-                point_fn = var_fn = lambda b, ds: regression_score(
-                    b, f, mu0, mu1, ds, eps)
+                point_fn = var_fn = lambda b, ds: regression_score(b, f, mu0, mu1, ds)
             else:
                 # The moment method needs h-hat only for its variance estimate.
                 h = estimate_h(train, f_hat, config, k)(est.x)
-                point_fn = var_fn = lambda b, ds: robust_score(b, f, h, ds, eps)
+                point_fn = var_fn = lambda b, ds: robust_score(b, f, h, ds)
                 if config.method == "moment":
-                    point_fn = lambda b, ds: moment_score(b, f, ds, eps)
+                    point_fn = lambda b, ds: moment_score(b, f, ds)
             beta_k = solve_beta_linear(point_fn, est)
             return beta_k, var_fn(beta_k, est), -1.0
         except (ValueError, RuntimeError) as exc:
             raise RuntimeError(f"fold {k}: {exc}") from exc
 
-    return crossfit(data, config.seed, fit_fold, config.method, config.level)
+    return crossfit(data, config.seed, fit_fold, config.method)

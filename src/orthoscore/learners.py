@@ -28,6 +28,9 @@ __all__ = [
     "fit_mlp",
     "gradient_check",
     "expit",
+    "clip_propensity",
+    "AffineEstimate",
+    "MlpEstimate",
 ]
 
 LOSS_KINDS = ("squared_error", "weighted_squared_error", "cross_entropy_on_logits")
@@ -98,6 +101,15 @@ class TrainingDiverged(RuntimeError):
 def expit(f):
     """Numerically stable logistic function."""
     return 0.5 * (1.0 + np.tanh(np.asarray(f, dtype=float) / 2.0))
+
+
+# Once clipped, g and 1 - g are at least CLIP_EPSILON where weights divide by them.
+CLIP_EPSILON = 0.01
+
+
+def clip_propensity(g) -> np.ndarray:
+    """Clamp propensities into [CLIP_EPSILON, 1 - CLIP_EPSILON]; identity inside."""
+    return np.clip(np.asarray(g, dtype=float), CLIP_EPSILON, 1.0 - CLIP_EPSILON)
 
 
 class AffineEstimate(FunctionEstimate):
@@ -265,11 +277,11 @@ def _loss_value(pred, targets, kind, w, terms=(None, None)):
     return float(np.add.reduce(per_row)) / pred.shape[0]
 
 
-def _loss_grad_pred(pred, targets, kind, w, out=None, spare=None):
+def _loss_grad_pred(pred, targets, kind, w, out, spare):
     """Derivative of the mean loss in each prediction.
 
     Written into ``out``; the weighted loss also uses ``spare``.  Both
-    are shaped like ``pred`` and allocated when absent.
+    are buffers shaped like ``pred``.
     """
     if kind == "cross_entropy_on_logits":
         grad = np.divide(pred, 2.0, out=out)    # expit(pred), in place
@@ -364,6 +376,8 @@ def _check_loss_args(kind, weights, n):
         if weights is None:
             raise ValueError("weighted loss requires a weight vector")
         return _check_weights(weights, n)
+    if weights is not None:
+        raise ValueError(f"loss {kind!r} takes no weights")
     return None
 
 

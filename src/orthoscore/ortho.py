@@ -28,7 +28,7 @@ regressing the derivative pseudo-outcomes on X with a pluggable
 regressor; the fitted denominator is kept away from zero by a
 sign-preserving clip.  ``check_orthogonality`` verifies the defining
 property by a central finite difference of the mean score along a
-supplied direction under a known truth.
+supplied direction under a known truth, with step ``CHECK_EPSILON``.
 
 Callbacks are vectorized: each receives the scalar beta, the nuisance
 values already evaluated at the sample's covariates, and the Dataset,
@@ -37,7 +37,6 @@ and returns one value per observation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -51,6 +50,7 @@ __all__ = [
     "SequentialModel",
     "RatioDirection",
     "ScoreFamily",
+    "SequentialDirections",
     "fit_coupled_direction",
     "build_coupled_score",
     "fit_decoupled_direction",
@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 DENOM_CLIP = 1e-3
+# Finite-difference step of check_orthogonality.
+CHECK_EPSILON = 1e-3
+# Draws per check shard.  Each shard draws from its own derived seed, so
+# this length fixes which draws a check sees and every check value.
+SHARD_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -248,8 +253,8 @@ def build_sequential_score(model: SequentialModel, mu_hat: FunctionEstimate,
 
 
 def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
-                direction: FunctionEstimate, which_nuisance: str,
-                epsilon: float) -> tuple[float, float]:
+                direction: FunctionEstimate,
+                which_nuisance: str) -> tuple[float, float]:
     """Sum and sum of squares of the central difference on one shard.
 
     The nuisances are evaluated, and both shifted nuisances built,
@@ -264,7 +269,7 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
     for arr in values.values():
         arr.setflags(write=False)
     base = values[which_nuisance]
-    step = direction(data.x) * epsilon
+    step = direction(data.x) * CHECK_EPSILON
     plus_nuisance, minus_nuisance = base + step, base - step
     # Without these drops a late shard exceeds LATE_SHARD_PEAK in the tests.
     del step
@@ -272,46 +277,40 @@ def _shard_sums(score: ScoreFamily, data: Dataset, beta0: float,
     del plus_nuisance
     minus = score.score(beta0, data, {**values, which_nuisance: minus_nuisance})
     del minus_nuisance
-    diff = (plus - minus) / (2.0 * epsilon)
+    diff = (plus - minus) / (2.0 * CHECK_EPSILON)
     del plus, minus
     return float(np.sum(diff)), float(np.sum(diff * diff))
 
 
 def check_orthogonality(score: ScoreFamily, sampler, beta0: float,
-                        direction: FunctionEstimate, which_nuisance: str,
-                        epsilon: float = 1e-3, n_mc: int = 1_000_000,
-                        seed: int = 0,
-                        shard_size: int = 1 << 17) -> tuple[float, float]:
+                        direction: FunctionEstimate, which_nuisance: str, *,
+                        n_mc: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
     """Finite-difference Gateaux derivative of the mean score at truth.
 
-    Draws n_mc observations from `sampler(n, seed)` in shards with
-    per-shard derived seeds, evaluates the score at beta0 with the
-    named nuisance shifted by +-epsilon * direction, and returns the
-    central-difference derivative estimate with its Monte Carlo
-    standard error.  The same draws feed both signs, so a zero
-    direction gives exactly zero.
+    Draws n_mc observations from `sampler(n, seed)` in shards of
+    ``SHARD_ROWS`` with per-shard derived seeds, evaluates the score at
+    beta0 with the named nuisance shifted by +-CHECK_EPSILON * direction,
+    and returns the central-difference derivative estimate with its
+    Monte Carlo standard error.  The same draws feed both signs, so a
+    zero direction gives exactly zero.
 
     Per shard, each nuisance of the family and the direction are
     evaluated once, at the shard's covariate matrix, and the score once
     per sign.
 
-    Before anything is drawn, raises ``ValueError`` for an epsilon that
-    is not positive and finite, an n_mc or shard_size that fails
-    ``core.require_count`` (at least 2 and 1), or an unknown nuisance
+    Before anything is drawn, raises ``ValueError`` for an n_mc that
+    fails ``core.require_count`` (at least 2) or an unknown nuisance
     name.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError("epsilon must be positive and finite")
     require_count("n_mc", n_mc, minimum=2)
-    require_count("shard_size", shard_size)
     if which_nuisance not in score.nuisances:
         raise ValueError(f"unknown nuisance names: {[which_nuisance]}")
     total, total_sq, count = 0.0, 0.0, 0
     shard = 0
     while count < n_mc:
-        m = min(shard_size, n_mc - count)
+        m = min(SHARD_ROWS, n_mc - count)
         s, s_sq = _shard_sums(score, sampler(m, derive_seed(seed, shard)),
-                              beta0, direction, which_nuisance, epsilon)
+                              beta0, direction, which_nuisance)
         total += s
         total_sq += s_sq
         count += m

@@ -36,7 +36,6 @@ class PlrConfig:
     learner: str = "linear"  # linear | mlp
     arch: MlpArchitecture = field(default_factory=MlpArchitecture)
     train: TrainConfig = field(default_factory=pipeline_train_config)
-    level: float = 0.95
     seed: int = 0
 
     def __post_init__(self):
@@ -80,4 +79,4 @@ def plr_crossfit(data: Dataset, config: PlrConfig | None = None) -> EstimationRe
         beta_k = partialled_beta(r_d, r_y)
         return beta_k, partialled_score(beta_k, r_d, r_y), -float(np.mean(r_d * r_d))
 
-    return crossfit(data, config.seed, fit_fold, "plr", config.level)
+    return crossfit(data, config.seed, fit_fold, "plr")

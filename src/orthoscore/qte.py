@@ -18,7 +18,7 @@ d (I(y <= pilot) - tau) / g^2 on x; on the estimation half, solve the
 orthogonal equation exactly (its empirical mean is a nondecreasing step
 function of beta).  The slope J of the mean score is the density of
 Y(1) at beta-hat, estimated by a Gaussian kernel on the IPW-weighted
-treated outcomes with Silverman bandwidth.
+treated outcomes with Silverman bandwidth.  g is ``clip_propensity(expit(f))``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 
 from .core import (SEED_QTE_H, SEED_QTE_LOG_ODDS, Dataset, EstimationResult,
                    crossfit, derive_seed, require_splittable)
-from .learners import (MlpArchitecture, TrainConfig, expit, fit_least_squares,
-                       fit_logistic, fit_mlp, pipeline_train_config)
-from .late import clip_propensity, require_clip_epsilon
+from .learners import (MlpArchitecture, TrainConfig, clip_propensity, expit,
+                       fit_least_squares, fit_logistic, fit_mlp,
+                       pipeline_train_config)
 
 __all__ = [
     "QteConfig",
@@ -46,17 +46,14 @@ __all__ = [
 @dataclass(frozen=True)
 class QteConfig:
     tau: float = 0.5
-    clip_epsilon: float = 0.01
     learner: str = "linear"  # linear | mlp
     arch: MlpArchitecture = field(default_factory=MlpArchitecture)
     train: TrainConfig = field(default_factory=pipeline_train_config)
-    level: float = 0.95
     seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.tau < 1.0):
             raise ValueError("tau must lie in (0, 1)")
-        require_clip_epsilon(self.clip_epsilon)
         if self.learner not in ("linear", "mlp"):
             raise ValueError("learner must be linear or mlp")
 
@@ -138,12 +135,12 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
     require_splittable(data.n)
     if np.all(data.d == data.d[0]):
         raise ValueError("degenerate treatment arms")
-    tau, eps = config.tau, config.clip_epsilon
+    tau = config.tau
 
     def fit_fold(train, est, k):
         f_hat = _fit(train.x, train.d, "cross_entropy_on_logits", config,
                      SEED_QTE_LOG_ODDS, k)
-        g_train = clip_propensity(expit(f_hat(train.x)), eps)
+        g_train = clip_propensity(expit(f_hat(train.x)))
         pilot = solve_monotone(
             lambda b: float(np.mean(ipw_quantile_score(b, train.y, train.d,
                                                        g_train, tau))),
@@ -151,7 +148,7 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
         pseudo = train.d * ((train.y <= pilot).astype(float) - tau) / g_train ** 2
         h_hat = _fit(train.x, pseudo, "squared_error", config, SEED_QTE_H, k)
 
-        g_est = clip_propensity(expit(f_hat(est.x)), eps)
+        g_est = clip_propensity(expit(f_hat(est.x)))
         h_est = h_hat(est.x)
 
         def mean_score(b):
@@ -162,4 +159,4 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
         scores = orthogonal_quantile_score(beta_k, est.y, est.d, g_est, h_est, tau)
         return beta_k, scores, _ipw_density(est.y, est.d, g_est, beta_k)
 
-    return crossfit(data, config.seed, fit_fold, "qte", config.level)
+    return crossfit(data, config.seed, fit_fold, "qte")

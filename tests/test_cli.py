@@ -419,6 +419,14 @@ class TestCheck:
         assert rc == 0
         assert capsys.readouterr().out.rstrip().endswith("PASS")
 
+    def test_each_case_prints_its_pass_band(self, capsys):
+        main(["check", "--target", "plr", "--n-mc", "4096", "--seed", "1"])
+        cases = [line.split()[0] + " " + line[line.index("["):line.index("]") + 1]
+                 for line in capsys.readouterr().out.splitlines()
+                 if "derivative" in line]
+        assert cases == ["orthogonal [<= 3*SE required]"] * 6 + \
+            ["control [> 5*SE required]"]
+
     def test_zero_mc_budget_exits_2(self, capsys):
         assert main(["check", "--target", "late", "--n-mc", "0"]) == 2
         assert "n-mc must be at least 2" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for the shared data model: datasets, folds, intervals, seeds,
 and the cross-fitting loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from orthoscore import (
     split_folds,
 )
 from orthoscore import late, plr, qte
-from orthoscore.core import (BLOCK_ROWS, SEED_LATE_H, SEED_LATE_LARF,
+from orthoscore.core import (BLOCK_ROWS, Q95, SEED_LATE_H, SEED_LATE_LARF,
                              SEED_LATE_LOG_ODDS, SEED_PLR, SEED_QTE_H,
                              SEED_QTE_LOG_ODDS, SEED_SPLIT, crossfit,
                              in_row_blocks)
@@ -28,7 +29,7 @@ from orthoscore.sim import DgpConfig, gen_dataset
 
 class TestMakeCi:
     def test_unit_normal_interval(self):
-        lo, hi = make_ci(0.0, 1.0, 1, level=0.95)
+        lo, hi = make_ci(0.0, 1.0, 1)
         assert lo == pytest.approx(-1.959964, abs=1e-12)
         assert hi == pytest.approx(1.959964, abs=1e-12)
 
@@ -37,28 +38,48 @@ class TestMakeCi:
 
     def test_hand_computed_interval(self):
         # 2 +- 1.959964 * sqrt(4/400) = 2 +- 1.959964 * 0.1
-        lo, hi = make_ci(2.0, 4.0, 400, level=0.95)
+        lo, hi = make_ci(2.0, 4.0, 400)
         assert lo == pytest.approx(1.8040036, abs=1e-7)
         assert hi == pytest.approx(2.1959964, abs=1e-7)
-
-    def test_level_must_be_interior(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                make_ci(0.0, 1.0, 10, level=bad)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             make_ci(0.0, -1.0, 10)
 
-    def test_nonstandard_level_uses_quantile(self):
-        lo, hi = make_ci(0.0, 1.0, 1, level=0.90)
-        q = normal_quantile(0.95)
-        assert hi == pytest.approx(q, abs=1e-12)
-        assert lo == pytest.approx(-q, abs=1e-12)
-
     def test_interval_ordering(self):
         lo, hi = make_ci(3.7, 2.5, 57)
         assert lo <= 3.7 <= hi
+
+    def test_q95_is_the_two_sided_95_quantile_to_six_places(self):
+        # Fixed rather than computed so intervals keep their bits everywhere.
+        assert Q95 == round(normal_quantile(0.975), 6)
+
+
+class TestIntervalLevelIsFixed:
+    """Every interval is the 95% one.  A caller who asks for another level
+    gets a TypeError, never a 95% interval under the wrong name."""
+
+    _DATA = Dataset(np.zeros((4, 1)), np.zeros(4), np.zeros(4))
+
+    @pytest.mark.parametrize("call", [
+        lambda: late.LateConfig(level=0.9),
+        lambda: plr.PlrConfig(level=0.9),
+        lambda: qte.QteConfig(level=0.9),
+        lambda: make_ci(0.0, 1.0, 10, level=0.9),
+        lambda: EstimationResult.from_folds((1.0, 2.0), 1.0, 10, "stub", 0,
+                                            level=0.9),
+        lambda: crossfit(TestIntervalLevelIsFixed._DATA, 0,
+                         lambda *a: None, "stub", level=0.9),
+    ], ids=["LateConfig", "PlrConfig", "QteConfig", "make_ci", "from_folds",
+            "crossfit"])
+    def test_level_is_not_accepted(self, call):
+        with pytest.raises(TypeError,
+                           match="unexpected keyword argument 'level'"):
+            call()
+
+    def test_result_carries_no_level(self):
+        names = {f.name for f in dataclasses.fields(EstimationResult)}
+        assert "level" not in names
 
 
 class TestNormalQuantile:
@@ -347,7 +368,7 @@ class TestCrossfit:
             beta_k, slope = steps[k]
             return beta_k, np.array([-1.0, 1.0]), slope
 
-        res = crossfit(data, 4, fit_fold, "stub", 0.95)
+        res = crossfit(data, 4, fit_fold, "stub")
         assert seen == [(3, 3), (3, 3)]
         assert res.fold_betas == (1.0, 3.0) and res.beta_hat == 2.0
         assert res.sigma2_hat == 0.625
@@ -367,26 +388,6 @@ class TestCrossfit:
             psi = plr.partialled_score(res.fold_betas[k], r_d, r_y)
             fold_vars.append(np.mean(psi * psi) / np.mean(r_d * r_d) ** 2)
         assert res.sigma2_hat == float(np.mean(fold_vars))
-
-    @pytest.mark.parametrize("name", ["late", "plr", "qte"])
-    def test_bad_level_rejected_before_any_fit(self, name, monkeypatch):
-        calls = []
-        for module in (late, plr, qte):
-            for learner in ("fit_logistic", "fit_least_squares", "fit_mlp"):
-                if hasattr(module, learner):
-                    monkeypatch.setattr(module, learner,
-                                        lambda *a, **k: calls.append(a))
-        iv, _ = gen_dataset(DgpConfig(n=200, seed=1))
-        plain = Dataset(iv.x, iv.y, iv.d)
-        run = {
-            "late": lambda: late.late_crossfit(
-                iv, late.LateConfig(method="robust_np", level=0.0)),
-            "plr": lambda: plr.plr_crossfit(plain, plr.PlrConfig(level=1.5)),
-            "qte": lambda: qte.qte_crossfit(plain, qte.QteConfig(level=1.0)),
-        }[name]
-        with pytest.raises(ValueError, match="level must lie in"):
-            run()
-        assert calls == []
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("name", ["late", "plr", "qte"])

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orthoscore import core, diagnostics
+from orthoscore import core, diagnostics, ortho
 from orthoscore.core import BLOCK_ROWS, FunctionEstimate, derive_seed
 from orthoscore.learners import expit
 from orthoscore.ortho import ScoreFamily, check_orthogonality
@@ -71,24 +71,26 @@ def _cases(target):
 
 
 @pytest.mark.parametrize("target", diagnostics.TARGETS)
-def test_checker_equals_reference_loop_on_every_case(target):
+def test_checker_equals_reference_loop_on_every_case(target, monkeypatch):
+    monkeypatch.setattr(ortho, "SHARD_ROWS", SHARD)
     cases = _cases(target)
     assert len(cases) == 7
     for k, (family, sampler, beta0, direction, nuisance) in enumerate(cases):
         args = (family, sampler, beta0, direction, nuisance)
-        kwargs = dict(n_mc=N_MC, seed=derive_seed(3, k), shard_size=SHARD)
+        kwargs = dict(n_mc=N_MC, seed=derive_seed(3, k))
         assert check_orthogonality(*args, **kwargs) == \
-            _reference_check(*args, **kwargs), (target, k)
+            _reference_check(*args, **kwargs, shard_size=SHARD), (target, k)
 
 
 @pytest.mark.parametrize("target", diagnostics.TARGETS)
-def test_checker_equals_reference_loop_across_row_blocks(target):
+def test_checker_equals_reference_loop_across_row_blocks(target, monkeypatch):
     # A first shard of two blocks, the second ragged, then a short shard.
+    monkeypatch.setattr(ortho, "SHARD_ROWS", BLOCK_ROWS + 3)
     for k, (family, sampler, beta0, direction, nuisance) in enumerate(_cases(target)):
         args = (family, sampler, beta0, direction, nuisance)
-        kwargs = dict(n_mc=N_MC, seed=derive_seed(4, k), shard_size=BLOCK_ROWS + 3)
+        kwargs = dict(n_mc=N_MC, seed=derive_seed(4, k))
         assert check_orthogonality(*args, **kwargs) == \
-            _reference_check(*args, **kwargs), (target, k)
+            _reference_check(*args, **kwargs, shard_size=BLOCK_ROWS + 3), (target, k)
 
 
 # run_check(target, RAGGED_N_MC, seed=3) per case, (derivative, std_error)
@@ -193,9 +195,10 @@ def test_late_sampler_hands_its_log_odds_to_the_truths(monkeypatch):
         return f0_true(x)
 
     monkeypatch.setattr(diagnostics, "f0_true", counting)
+    monkeypatch.setattr(ortho, "SHARD_ROWS", SHARD)
     for family, sampler, beta0, direction, nuisance in _cases("late"):
         check_orthogonality(family, sampler, beta0, direction, nuisance,
-                            n_mc=N_MC, seed=5, shard_size=SHARD)
+                            n_mc=N_MC, seed=5)
     assert calls == []
 
 
@@ -209,9 +212,10 @@ def test_late_truths_evaluate_mu_true_only_inside_gen_dataset(monkeypatch):
         return mu_true(x, t, scenario)
 
     monkeypatch.setattr(diagnostics, "mu_true", counting)
+    monkeypatch.setattr(ortho, "SHARD_ROWS", SHARD)
     for family, sampler, beta0, direction, nuisance in _cases("late"):
         check_orthogonality(family, sampler, beta0, direction, nuisance,
-                            n_mc=N_MC, seed=5, shard_size=SHARD)
+                            n_mc=N_MC, seed=5)
     assert calls == []
     # A matrix that is not the shard's is still evaluated afresh.
     _, sampler, orth, *_ = diagnostics._BUILDERS["late"]()
@@ -358,7 +362,7 @@ def test_one_shard_stays_within_its_memory_bound(target):
     sampler = cases[0][1]
     # The first call builds what later calls reuse (such as numpy's
     # lazily loaded modules); it is not part of a shard's cost.
-    check_orthogonality(*cases[0], n_mc=64, shard_size=64)
+    check_orthogonality(*cases[0], n_mc=64)
     if target == "late":
         tracemalloc.start()
         try:
@@ -371,7 +375,7 @@ def test_one_shard_stays_within_its_memory_bound(target):
     for case in cases:
         tracemalloc.start()
         try:
-            check_orthogonality(*case, n_mc=m, shard_size=m, seed=3)
+            check_orthogonality(*case, n_mc=m, seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import orthoscore.late
+import orthoscore.learners
 from orthoscore.core import (BLOCK_ROWS, SEED_SPLIT, Dataset, FunctionEstimate,
                              derive_seed, split_folds)
 from orthoscore.late import (
     METHODS,
     LateConfig,
-    clip_propensity,
     estimate_h,
     estimate_log_odds,
     fit_larf,
@@ -22,8 +22,8 @@ from orthoscore.late import (
     robust_score,
     solve_beta_linear,
 )
-from orthoscore.learners import (MlpArchitecture, TrainConfig, expit,
-                                 fit_least_squares)
+from orthoscore.learners import (MlpArchitecture, TrainConfig, clip_propensity,
+                                 expit, fit_least_squares)
 from orthoscore.qte import QteConfig
 from orthoscore.sim import DgpConfig, gen_dataset
 
@@ -77,21 +77,28 @@ class TestKappa:
 class TestClipPropensity:
     def test_identity_inside_band(self):
         g = np.array([0.01, 0.5, 0.99])
-        np.testing.assert_array_equal(clip_propensity(g, 0.01), g)
+        np.testing.assert_array_equal(clip_propensity(g), g)
 
     def test_clips_outside_band(self):
         g = np.array([0.001, 0.9999])
-        np.testing.assert_allclose(clip_propensity(g, 0.01), [0.01, 0.99])
+        np.testing.assert_allclose(clip_propensity(g), [0.01, 0.99])
 
-    @pytest.mark.parametrize("bad", [0.0, 0.5, -0.1, float("nan")])
-    @pytest.mark.parametrize("make", [
-        lambda eps: clip_propensity(np.array([0.5]), eps),
-        lambda eps: LateConfig(clip_epsilon=eps),
-        lambda eps: QteConfig(clip_epsilon=eps),
-    ], ids=["clip_propensity", "LateConfig", "QteConfig"])
-    def test_bad_epsilon_rejected(self, make, bad):
-        with pytest.raises(ValueError, match=r"^clip_epsilon must lie in \(0, 0\.5\)$"):
-            make(bad)
+    @pytest.mark.parametrize("call", [
+        lambda d: LateConfig(clip_epsilon=0.05),
+        lambda d: QteConfig(clip_epsilon=0.05),
+        lambda d: clip_propensity(np.full(4, 0.5), eps=0.05),
+        lambda d: robust_score(0.0, np.zeros(4), np.zeros(4), d,
+                               clip_epsilon=0.05),
+        lambda d: moment_score(0.0, np.zeros(4), d, clip_epsilon=0.05),
+        lambda d: regression_score(0.0, np.zeros(4), np.zeros(4), np.zeros(4),
+                                   d, clip_epsilon=0.05),
+    ], ids=["LateConfig", "QteConfig", "clip_propensity", "robust_score",
+            "moment_score", "regression_score"])
+    def test_band_is_not_a_setting(self, call):
+        # The band is learners.CLIP_EPSILON alone: asking for another one is
+        # an error rather than a silently ignored request.
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call(_iv_data(4, 0))
 
 
 class TestEstimateLogOdds:
@@ -284,10 +291,10 @@ def _score_references(beta, v, data, eps):
 
 
 SCORES = {
-    "robust": lambda beta, v, data, eps: robust_score(beta, v["f"], v["h"], data, eps),
-    "moment": lambda beta, v, data, eps: moment_score(beta, v["f"], data, eps),
-    "regression": lambda beta, v, data, eps: regression_score(
-        beta, v["f"], v["mu0"], v["mu1"], data, eps),
+    "robust": lambda beta, v, data: robust_score(beta, v["f"], v["h"], data),
+    "moment": lambda beta, v, data: moment_score(beta, v["f"], data),
+    "regression": lambda beta, v, data: regression_score(
+        beta, v["f"], v["mu0"], v["mu1"], data),
 }
 
 
@@ -351,13 +358,15 @@ class TestKappaBits:
 
 class TestScoresMatchTheWeightForm:
     """Each score has the bits of its weight-form formula, in one block or
-    many, returns a fresh writable array and writes none of its inputs."""
+    many, returns a fresh writable array and writes none of its inputs.
+    The 0.2 cases patch ``learners.CLIP_EPSILON``, so they also show that
+    the scores read the clip when they run."""
 
     @staticmethod
     def _check(data, v, betas, eps, where):
         before = {name: arr.copy() for name, arr in v.items()}
         for beta in betas:
-            got = {name: score(beta, v, data, eps) for name, score in SCORES.items()}
+            got = {name: score(beta, v, data) for name, score in SCORES.items()}
             want = _score_references(beta, v, data, eps)
             for name in got:
                 _assert_same_bits(got[name], want[name], f"{name} at {beta}, {where}")
@@ -369,7 +378,8 @@ class TestScoresMatchTheWeightForm:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("eps", [0.01, 0.2])
-    def test_on_the_grid(self, seed, eps):
+    def test_on_the_grid(self, seed, eps, monkeypatch):
+        monkeypatch.setattr(orthoscore.learners, "CLIP_EPSILON", eps)
         data, v = _grid_inputs(seed)
         g = _clipped_reference(v["f"], eps)
         assert np.any(g == eps) and np.any(g == 1.0 - eps)
@@ -377,7 +387,8 @@ class TestScoresMatchTheWeightForm:
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     @pytest.mark.parametrize("eps", [0.01, 0.2])
-    def test_past_a_block(self, n, eps):
+    def test_past_a_block(self, n, eps, monkeypatch):
+        monkeypatch.setattr(orthoscore.learners, "CLIP_EPSILON", eps)
         data, v = _edge_inputs(n, seed=n)
         self._check(data, v, (0.0, -1.7), eps, f"n={n}")
 
@@ -395,7 +406,7 @@ class TestScoresMatchTheWeightForm:
                 kappa(data.d, data.z, g)
             with monkeypatch.context() as m:
                 m.setattr(orthoscore.late, "clip_propensity",
-                          lambda g, eps: np.asarray(g, dtype=float))
+                          lambda g: np.asarray(g, dtype=float))
                 for call in (lambda: robust_score(0.0, f, v["h"], data),
                              lambda: moment_score(0.0, f, data),
                              lambda: regression_score(0.0, f, v["mu0"], v["mu1"],
@@ -416,10 +427,10 @@ def test_one_score_call_stays_within_its_memory_bound(name):
     data, v = _edge_inputs(1 << 17, seed=5)
     # The first call builds what later calls reuse; it is not the cost
     # of a call.
-    SCORES[name](0.3, v, data, 0.01)
+    SCORES[name](0.3, v, data)
     tracemalloc.start()
     try:
-        SCORES[name](0.3, v, data, 0.01)
+        SCORES[name](0.3, v, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -439,7 +450,7 @@ class TestFitLarf:
         data = _iv_data(400, seed=42)
         cfg = LateConfig(method="reg_lr", seed=0)
         f_hat = estimate_log_odds(data, cfg)
-        g = clip_propensity(expit(f_hat(data.x)), cfg.clip_epsilon)
+        g = clip_propensity(expit(f_hat(data.x)))
         arms = fit_larf(data, f_hat, cfg)
         assert len(arms) == 2
         for t, mu in enumerate(arms):
@@ -458,7 +469,7 @@ class TestFitLarf:
         data = Dataset(x, y, z, z)  # d = z: everyone complies
         cfg = LateConfig(method="reg_lr", seed=0)
         f_hat = estimate_log_odds(data, cfg)
-        g = clip_propensity(expit(f_hat(data.x)), cfg.clip_epsilon)
+        g = clip_propensity(expit(f_hat(data.x)))
         k0, k1 = kappa(data.d, data.z, g)
         assert np.all(k0 >= 0)
         assert np.all(k1 >= 0)
@@ -467,6 +478,51 @@ class TestFitLarf:
         probe = np.zeros((1, 2))
         assert mu0(probe)[0] == pytest.approx(1.0, abs=0.2)
         assert mu1(probe)[0] == pytest.approx(4.0, abs=0.2)
+
+
+class TestClipIsReadAtCallTime:
+    """With ``learners.CLIP_EPSILON`` patched to 0.2, every step that clips
+    a propensity clips into [0.2, 0.8]; a clip bound as a default argument
+    when the module loaded would still clip at 0.01."""
+
+    EPS = 0.2
+
+    @pytest.fixture(autouse=True)
+    def _wide_clip(self, monkeypatch):
+        monkeypatch.setattr(orthoscore.learners, "CLIP_EPSILON", self.EPS)
+
+    def test_clip_propensity(self):
+        g = np.array([0.01, 0.19, 0.5, 0.81, 0.99])
+        np.testing.assert_array_equal(clip_propensity(g), [0.2, 0.2, 0.5, 0.8, 0.8])
+
+    def _fitted(self):
+        # Instrument propensities well past [0.2, 0.8] at both ends.
+        data = _iv_data(600, seed=44)
+        x = data.x
+        z = (np.random.default_rng(45).random(data.n)
+             < expit(2.0 * x[:, 0])).astype(float)
+        data = Dataset(x, data.y, data.d, z)
+        cfg = LateConfig(method="reg_lr", seed=0)
+        f_hat = estimate_log_odds(data, cfg)
+        g = _clipped_reference(f_hat(data.x), self.EPS)
+        assert np.any(g == self.EPS) and np.any(g == 1.0 - self.EPS)
+        return data, cfg, f_hat, g
+
+    def test_estimate_h(self):
+        data, cfg, f_hat, g = self._fitted()
+        e_f = g / (1.0 - g)
+        oracle = fit_least_squares(data.x, data.y * ((e_f - 1.0 / e_f) * data.z - e_f))
+        h = estimate_h(data, f_hat, cfg)
+        assert h.intercept == oracle.intercept
+        assert np.array_equal(h.coef, oracle.coef)
+
+    def test_fit_larf_both_arms(self):
+        data, cfg, f_hat, g = self._fitted()
+        for t, mu in enumerate(fit_larf(data, f_hat, cfg)):
+            oracle = fit_least_squares(data.x, data.y,
+                                       weights=kappa(data.d, data.z, g)[t])
+            assert mu.intercept == oracle.intercept, t
+            assert np.array_equal(mu.coef, oracle.coef), t
 
 
 class TestSolveAndVariance:

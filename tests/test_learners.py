@@ -169,6 +169,26 @@ def test_bad_weight_vector_rejected(fit, weights, message):
         fit(x, rng.normal(size=20), weights)
 
 
+@pytest.mark.parametrize("loss", ["squared_error", "cross_entropy_on_logits"])
+@pytest.mark.parametrize("weights", [np.zeros(20), np.full(20, np.nan)],
+                         ids=["zeros", "nan"])
+@pytest.mark.parametrize("fit", [
+    lambda x, t, loss, w: fit_mlp(x, t, loss, weights=w,
+                                  arch=MlpArchitecture(depth=1, width=4),
+                                  config=TrainConfig(epochs=1, batch_size=8)),
+    lambda x, t, loss, w: gradient_check(MlpArchitecture(depth=1, width=4),
+                                         loss, x, t, weights=w),
+], ids=["fit_mlp", "gradient_check"])
+def test_weights_rejected_for_an_unweighted_loss(fit, weights, loss):
+    # Such a loss would ignore them: all-zero weights used to give the
+    # net of no weights, and NaN weights passed unchecked.
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(20, 2))
+    labels = (rng.random(20) < 0.5).astype(float)
+    with pytest.raises(ValueError, match=f"^loss '{loss}' takes no weights$"):
+        fit(x, labels, loss, weights)
+
+
 class TestMlp:
     def test_learns_sine_better_than_mean(self):
         rng = np.random.default_rng(31)

@@ -5,10 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from orthoscore import ortho
 from orthoscore.core import BLOCK_ROWS, Dataset, FunctionEstimate, derive_seed
-from orthoscore.late import LateConfig, clip_propensity, estimate_h, \
-    estimate_log_odds, robust_score
-from orthoscore.learners import expit, fit_least_squares
+from orthoscore.late import LateConfig, estimate_h, estimate_log_odds, robust_score
+from orthoscore.learners import clip_propensity, expit, fit_least_squares
 from orthoscore.ortho import (
     CoupledModel,
     DecoupledModel,
@@ -369,10 +369,9 @@ class TestSequentialScore:
         cfg = LateConfig(method="robust_lr", seed=0)
         f_hat = estimate_log_odds(data, cfg)
         h_hat = estimate_h(data, f_hat, cfg)
-        eps = cfg.clip_epsilon
 
         def kappa_diff(fv, data):
-            g = clip_propensity(expit(fv), eps)
+            g = clip_propensity(expit(fv))
             k0 = (1 - data.d) * ((1 - data.z) - (1 - g)) / ((1 - g) * g)
             k1 = data.d * (data.z - g) / ((1 - g) * g)
             return k1 - k0
@@ -385,14 +384,13 @@ class TestSequentialScore:
         )
 
         def h1_batch(xs):
-            g = clip_propensity(expit(f_hat(xs)), eps)
+            g = clip_propensity(expit(f_hat(xs)))
             return -h_hat(xs) / (g * (1 - g))
 
         family = build_decoupled_score(model, f_hat,
                                        FunctionEstimate(h1_batch))
         beta = 0.7
-        expected = robust_score(beta, f_hat(data.x), h_hat(data.x), data,
-                                clip_epsilon=eps)
+        expected = robust_score(beta, f_hat(data.x), h_hat(data.x), data)
         np.testing.assert_allclose(_evaluate(family, beta, data), expected,
                                    atol=1e-12)
 
@@ -469,61 +467,72 @@ class TestCheckOrthogonality:
         assert deriv == 0.0
         assert se == 0.0
 
-    def test_bad_epsilon_rejected(self):
-        family = self._family_at_truth()
-        with pytest.raises(ValueError, match="epsilon"):
-            check_orthogonality(family, self._plr_sampler, 1.0,
-                                FunctionEstimate.constant(1.0), "f",
-                                epsilon=0.0, n_mc=100, seed=0)
-
     def _no_draw_sampler(self, m, seed):
         raise AssertionError("sampled before the arguments were checked")
 
-    def test_zero_shard_size_rejected_before_sampling(self):
-        family = self._family_at_truth()
-        with pytest.raises(ValueError, match="shard_size"):
-            check_orthogonality(family, self._no_draw_sampler, 1.0,
-                                FunctionEstimate.constant(1.0), "f",
-                                n_mc=100, shard_size=0)
-
-    @pytest.mark.parametrize("shard_size", [1.5, 4096.0, np.float64(4096),
-                                            True, False, np.bool_(True), "4096"])
-    def test_non_integer_shard_size_rejected_before_sampling(self, shard_size):
-        # 1.5 and True used to fail inside the sampler with a TypeError;
-        # the sampler here fails the test if it is ever called.
-        family = self._family_at_truth()
-        with pytest.raises(ValueError, match="shard_size must be an integer"):
-            check_orthogonality(family, self._no_draw_sampler, 1.0,
-                                FunctionEstimate.constant(1.0), "f",
-                                n_mc=100, shard_size=shard_size)
-
-    def test_numpy_integer_shard_size_accepted(self):
-        family = self._family_at_truth()
-        args = (family, self._plr_sampler, 1.0,
-                FunctionEstimate(lambda x: x[:, 0]), "f")
-        for shard_size in (np.int64(1024), np.int32(1024), np.uint16(1024)):
-            assert check_orthogonality(*args, n_mc=3000, seed=2,
-                                       shard_size=shard_size) == \
-                check_orthogonality(*args, n_mc=3000, seed=2, shard_size=1024)
-
-    @pytest.mark.parametrize("kwargs, match", [
-        (dict(epsilon=float("nan")), "epsilon"),
-        (dict(epsilon=float("inf")), "epsilon"),
-        (dict(epsilon=-float("inf")), "epsilon"),
-        (dict(n_mc=float("inf")), "n_mc"),
-        (dict(n_mc=1000.5), "n_mc"),
-        (dict(n_mc=1000.0), "n_mc"),
-        (dict(n_mc=True), "n_mc must be an integer"),
+    @pytest.mark.parametrize("n_mc, match", [
+        (float("inf"), "n_mc"),
+        (1000.5, "n_mc"),
+        (1000.0, "n_mc"),
+        (True, "n_mc must be an integer"),
     ])
-    def test_non_finite_epsilon_and_non_integer_n_mc_rejected_before_sampling(
-            self, kwargs, match):
+    def test_non_integer_n_mc_rejected_before_sampling(self, n_mc, match):
         # n_mc = inf used to draw forever and 1000.5 to fail inside the
         # sampler; the sampler here fails the test if it is ever called.
         family = self._family_at_truth()
         with pytest.raises(ValueError, match=match):
             check_orthogonality(family, self._no_draw_sampler, 1.0,
+                                FunctionEstimate.constant(1.0), "f", n_mc=n_mc)
+
+    def test_n_mc_and_seed_are_keyword_only(self):
+        family = self._family_at_truth()
+        with pytest.raises(TypeError):
+            check_orthogonality(family, self._no_draw_sampler, 1.0,
+                                FunctionEstimate.constant(1.0), "f", 100)
+
+    @pytest.mark.parametrize("name, value", [("epsilon", 1e-2),
+                                             ("shard_size", 4096)])
+    def test_step_and_shard_are_not_settings(self, name, value):
+        family = self._family_at_truth()
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{name}'"):
+            check_orthogonality(family, self._no_draw_sampler, 1.0,
                                 FunctionEstimate.constant(1.0), "f",
-                                **{"n_mc": 100, **kwargs})
+                                **{name: value})
+
+    def test_shard_rows_is_the_length_that_sets_the_draws(self):
+        # Each shard is one sampler call with its own derived seed, so another
+        # length would draw a different sample for the same n_mc and seed.
+        assert ortho.SHARD_ROWS == 131_072
+
+    def test_check_epsilon_is_the_documented_step(self):
+        assert ortho.CHECK_EPSILON == 1e-3
+
+    @pytest.mark.parametrize("shard_rows", [4096, 3000])
+    def test_shard_count_follows_shard_rows_at_call_time(self, shard_rows,
+                                                         monkeypatch):
+        drawn = []
+
+        def sampler(m, seed):
+            drawn.append(m)
+            return _plr_data(m, seed)
+
+        monkeypatch.setattr(ortho, "SHARD_ROWS", shard_rows)
+        check_orthogonality(self._family_at_truth(), sampler, 1.0,
+                            FunctionEstimate.constant(1.0), "f", n_mc=10_000)
+        full, last = divmod(10_000, shard_rows)
+        assert drawn == [shard_rows] * full + [last]
+
+    @pytest.mark.parametrize("step", [1e-3, 0.5])
+    def test_step_follows_check_epsilon_at_call_time(self, step, monkeypatch):
+        # The central difference of f^3 at f = 0 along 1 is step^2.
+        monkeypatch.setattr(ortho, "CHECK_EPSILON", step)
+        cube = ScoreFamily(lambda beta, data, v: v["f"] ** 3,
+                           {"f": FunctionEstimate.constant(0.0)})
+        deriv, _ = check_orthogonality(cube, self._plr_sampler, 1.0,
+                                       FunctionEstimate.constant(1.0), "f",
+                                       n_mc=100)
+        assert deriv == pytest.approx(step ** 2, rel=1e-12)
 
     def test_numpy_integer_n_mc_accepted(self):
         family = self._family_at_truth()
@@ -542,9 +551,10 @@ class TestCheckOrthogonality:
     @pytest.mark.parametrize("n_mc, shard_size", [(10_000, 4096),
                                                   (70_000, 2 * BLOCK_ROWS + 5)])
     def test_each_nuisance_once_per_shard_and_score_once_per_sign(
-            self, n_mc, shard_size):
+            self, n_mc, shard_size, monkeypatch):
         # The direction runs once per shard on exactly that shard's rows,
         # also on shards longer than one row block.
+        monkeypatch.setattr(ortho, "SHARD_ROWS", shard_size)
         shard_rows = [min(shard_size, n_mc - lo)
                       for lo in range(0, n_mc, shard_size)]
         shards = len(shard_rows)
@@ -573,7 +583,7 @@ class TestCheckOrthogonality:
             dir_rows.clear()
             check_orthogonality(family, self._plr_sampler, 1.0,
                                 FunctionEstimate(direction_batch), which,
-                                n_mc=n_mc, seed=2, shard_size=shard_size)
+                                n_mc=n_mc, seed=2)
             assert calls == {"f": shards, "h": shards,
                              "evaluate": 2 * shards}, which
             assert dir_rows == shard_rows
@@ -592,9 +602,10 @@ class TestCheckOrthogonality:
                                 FunctionEstimate.constant(1.0), "f",
                                 n_mc=100, seed=0)
 
-    def test_read_only_score_results_are_not_written(self):
+    def test_read_only_score_results_are_not_written(self, monkeypatch):
         # The checker forms the central difference as a fresh array, so
         # a read-only array that a score hands back is never written.
+        monkeypatch.setattr(ortho, "SHARD_ROWS", 4096)
         returned = []
 
         def read_only(beta, data, v):
@@ -606,7 +617,7 @@ class TestCheckOrthogonality:
         nuisances = {"f": FunctionEstimate(lambda x: np.cos(x[:, 1])),
                      "h": FunctionEstimate(lambda x: x[:, 0])}
         args = (self._plr_sampler, 1.0, FunctionEstimate(lambda x: x[:, 0]))
-        kwargs = dict(n_mc=10_000, seed=2, shard_size=4096)
+        kwargs = dict(n_mc=10_000, seed=2)
         writable = ScoreFamily(lambda beta, data, v: data.d * v["f"], nuisances)
         assert check_orthogonality(ScoreFamily(read_only, nuisances), *args, "f",
                                    **kwargs) == \

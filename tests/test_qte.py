@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from orthoscore.core import SEED_SPLIT, Dataset, derive_seed, split_folds
-from orthoscore.learners import MlpArchitecture, expit
+from orthoscore import learners
+from orthoscore.core import Q95, SEED_SPLIT, Dataset, derive_seed, split_folds
+from orthoscore.learners import (MlpArchitecture, expit, fit_least_squares,
+                                 fit_logistic)
 from orthoscore.qte import (QteConfig, _ipw_density, ipw_quantile_score,
                             orthogonal_quantile_score, qte_crossfit,
                             solve_monotone)
@@ -169,7 +171,7 @@ class TestQteCrossfit:
 
     def test_result_invariants(self):
         data = _randomized_data(800, seed=31)
-        res = qte_crossfit(data, QteConfig(tau=0.25, seed=9, level=0.9))
+        res = qte_crossfit(data, QteConfig(tau=0.25, seed=9))
         assert res.beta_hat == pytest.approx(np.mean(res.fold_betas), abs=1e-12)
         assert res.std_err == pytest.approx(np.sqrt(res.sigma2_hat / res.n),
                                             abs=1e-12)
@@ -178,7 +180,38 @@ class TestQteCrossfit:
         assert res.method == "qte"
         assert res.n == 800
         assert res.seed == 9
-        assert res.level == 0.9
+        assert res.ci_high - res.beta_hat == pytest.approx(Q95 * res.std_err,
+                                                           rel=1e-12)
+
+    def test_fold_estimates_follow_the_clip_at_call_time(self, monkeypatch):
+        # Treatment propensities reach well past [0.2, 0.8], so the clip
+        # moves the fold estimates; each is recomputed by hand with the
+        # band that learners.CLIP_EPSILON holds when qte_crossfit runs.
+        rng = np.random.default_rng(8)
+        n, tau = 600, 0.5
+        x = rng.normal(size=(n, 2))
+        d = (rng.random(n) < expit(2.0 * x[:, 0])).astype(float)
+        data = Dataset(x, x[:, 1] + d + rng.normal(size=n), d)
+        split = split_folds(n, derive_seed(3, SEED_SPLIT))
+        got = {}
+        for eps in (0.01, 0.2):
+            monkeypatch.setattr(learners, "CLIP_EPSILON", eps)
+            got[eps] = qte_crossfit(data, QteConfig(tau=tau, seed=3)).fold_betas
+            want = []
+            for k in (0, 1):
+                train = data.subset(split.indices(1 - k))
+                est = data.subset(split.indices(k))
+                f_hat = fit_logistic(train.x, train.d)
+                g = np.clip(expit(f_hat(train.x)), eps, 1.0 - eps)
+                pilot = solve_monotone(lambda b: float(np.mean(
+                    ipw_quantile_score(b, train.y, train.d, g, tau))), train.y)
+                pseudo = train.d * ((train.y <= pilot).astype(float) - tau) / g ** 2
+                h = fit_least_squares(train.x, pseudo)(est.x)
+                g = np.clip(expit(f_hat(est.x)), eps, 1.0 - eps)
+                want.append(solve_monotone(lambda b: float(np.mean(
+                    orthogonal_quantile_score(b, est.y, est.d, g, h, tau))), est.y))
+            assert got[eps] == tuple(want), eps
+        assert got[0.01] != got[0.2]
 
     def test_constant_treated_outcome_hits_the_bandwidth_floor(self):
         # Every treated y is 2.0, so the IPW spread is zero and the
@@ -243,7 +276,6 @@ class TestQteCrossfit:
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0},
         {"tau": 1.0},
-        {"clip_epsilon": 0.6},
         {"learner": "banana"},
     ])
     def test_config_validation(self, kwargs):
