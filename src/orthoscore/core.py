@@ -151,10 +151,18 @@ class Dataset:
         return self.x.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        """Row subset as a new Dataset (used for fold restriction)."""
-        z = None if self.z is None else self.z[idx]
-        return Dataset(self.x[idx], self.y[idx], self.d[idx], z,
-                       real_treatment=self.real_treatment)
+        """Row subset as a new Dataset (used for fold restriction).
+
+        Rows are gathered with ``take``, which copies them faster than
+        fancy indexing.  Any index that is not an integer array (a
+        boolean mask, a list) is first read as fancy indexing reads it,
+        as row numbers, so every index selects or rejects what it did.
+        """
+        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"):
+            idx = np.arange(self.n)[idx]
+        z = None if self.z is None else self.z.take(idx)
+        return Dataset(self.x.take(idx, axis=0), self.y.take(idx),
+                       self.d.take(idx), z, real_treatment=self.real_treatment)
 
 
 class FunctionEstimate:

@@ -207,16 +207,16 @@ def fit_logistic(x, labels) -> AffineEstimate:
         moved = False
         while t > 1e-14:
             cand = theta - t * step
-            cand_loss = _loss_value(a @ cand, labels,
+            cand_f = a @ cand
+            cand_loss = _loss_value(cand_f, labels,
                                     "cross_entropy_on_logits", None)
             if cand_loss <= losses[-1]:
-                theta, moved = cand, True
+                theta, f, moved = cand, cand_f, True
                 losses.append(cand_loss)
                 break
             t /= 2.0
         if not moved:
             break
-        f = a @ theta
     est = AffineEstimate(theta[0], theta[1:], label="logistic log-odds")
     est.newton_losses = tuple(losses)
     return est

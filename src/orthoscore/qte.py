@@ -72,25 +72,65 @@ def orthogonal_quantile_score(beta, y, d, g, h_values, tau) -> np.ndarray:
     return ipw_quantile_score(beta, y, d, g, tau) + (g - d) * np.asarray(h_values, dtype=float)
 
 
-def solve_monotone(score_fn, y) -> float:
+def solve_monotone(score_fn, y, *, guess=None) -> float:
     """Least sample value of y at which a nondecreasing mean score is >= 0.
 
     This is the exact root: the empirical score is a step function of
     beta that jumps only at sample outcomes.  Raises when the score is
     negative at max(y) or positive below every sample value, so that no
-    root exists.
+    root exists, and at any non-finite score.
+
+    ``guess`` changes how many scores are evaluated, never the root: a
+    nondecreasing score has one least nonnegative sample value, which
+    every exact bracketing search finds.  The score at the least
+    distinct value >= guess and at its predecessor confirm an exact
+    guess in two evaluations; otherwise the side of the guess that holds
+    the root is searched by bisection.
     """
     values = np.unique(y)
-    if score_fn(values[-1]) < 0.0 or score_fn(-np.inf) > 0.0:
+
+    def score(b):
+        s = score_fn(b)
+        if not math.isfinite(s):
+            raise ValueError("non-finite mean score")
+        return s
+
+    lo, hi = 0, values.size - 1  # the root's index lies in [lo, hi]
+    top_known = False  # the score at values[hi] is known to be >= 0
+    if guess is not None:
+        i = min(int(np.searchsorted(values, guess)), hi)
+        if score(values[i]) < 0.0:
+            if i == hi:
+                raise ValueError("root not bracketed")
+            lo = i + 1
+        else:
+            top_known = True
+            if i > 0 and score(values[i - 1]) < 0.0:
+                return float(values[i])
+            hi = max(i - 1, 0)
+    if not top_known and score(values[hi]) < 0.0:
         raise ValueError("root not bracketed")
-    lo, hi = 0, values.size - 1
+    if lo == 0 and score(-np.inf) > 0.0:
+        raise ValueError("root not bracketed")
     while lo < hi:
         mid = (lo + hi) // 2
-        if score_fn(values[mid]) < 0.0:
+        if score(values[mid]) < 0.0:
             lo = mid + 1
         else:
             hi = mid
     return float(values[lo])
+
+
+def _root_guess(y, jump, offset) -> float:
+    """Sample value at which sum(jump * I(y <= b)) first reaches `offset`.
+
+    With jump >= 0 and offset = tau * sum(jump) - sum(correction), this
+    is the root of the quantile score's mean up to rounding, found from
+    one sort of y instead of a search over score evaluations.
+    """
+    order = np.argsort(y)
+    k = int(np.searchsorted(np.cumsum(jump[order]), offset))
+    return float(y[order[min(k, y.size - 1)]])
 
 
 def _weighted_quantile(values, weights, q):
@@ -141,10 +181,11 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
         f_hat = _fit(train.x, train.d, "cross_entropy_on_logits", config,
                      SEED_QTE_LOG_ODDS, k)
         g_train = clip_propensity(expit(f_hat(train.x)))
+        jump = train.d / g_train
         pilot = solve_monotone(
             lambda b: float(np.mean(ipw_quantile_score(b, train.y, train.d,
                                                        g_train, tau))),
-            train.y)
+            train.y, guess=_root_guess(train.y, jump, tau * np.sum(jump)))
         pseudo = train.d * ((train.y <= pilot).astype(float) - tau) / g_train ** 2
         h_hat = _fit(train.x, pseudo, "squared_error", config, SEED_QTE_H, k)
 
@@ -155,7 +196,10 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
             return float(np.mean(orthogonal_quantile_score(
                 b, est.y, est.d, g_est, h_est, tau)))
 
-        beta_k = solve_monotone(mean_score, est.y)
+        jump = est.d / g_est
+        offset = tau * np.sum(jump) - np.sum((g_est - est.d) * h_est)
+        beta_k = solve_monotone(mean_score, est.y,
+                                guess=_root_guess(est.y, jump, offset))
         scores = orthogonal_quantile_score(beta_k, est.y, est.d, g_est, h_est, tau)
         return beta_k, scores, _ipw_density(est.y, est.d, g_est, beta_k)
 

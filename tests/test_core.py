@@ -215,6 +215,37 @@ class TestDataset:
         np.testing.assert_array_equal(sub.y, y[[1, 3]])
         np.testing.assert_array_equal(sub.x, x[[1, 3]])
 
+    @pytest.mark.parametrize("idx", [
+        np.array([1, 3]), np.array([5, 0, 5, 2]), np.array([-1, -6, 2]),
+        [4, -2], np.array([], dtype=int), [], np.array([3], dtype=np.int32),
+        np.array([2, 1], dtype=np.uint8), np.array([True, False, True, True, False, True]),
+        np.zeros(6, dtype=bool), [False, True, False, False, False, True],
+    ], ids=repr)
+    @pytest.mark.parametrize("instrument", [True, False])
+    def test_subset_equals_fancy_indexing(self, idx, instrument):
+        x, y, d, z = self._cols()
+        if not instrument:
+            z = None
+        sub = Dataset(x, y, d, z).subset(idx)
+        want = Dataset(x[idx], y[idx], d[idx], None if z is None else z[idx])
+        for got_col, want_col in ((sub.x, want.x), (sub.y, want.y),
+                                  (sub.d, want.d), (sub.z, want.z)):
+            if want_col is None:
+                assert got_col is None
+            else:
+                assert got_col.shape == want_col.shape
+                assert got_col.tobytes() == want_col.tobytes()
+                assert not got_col.flags.writeable
+
+    @pytest.mark.parametrize("idx", [
+        np.array([1.0, 3.0]), np.array([]), np.array([6]), np.array([-7]),
+        np.array([True, False]), np.ones(7, dtype=bool),
+    ], ids=repr)
+    def test_subset_rejects_what_fancy_indexing_rejects(self, idx):
+        x, y, d, z = self._cols()
+        with pytest.raises(IndexError):
+            Dataset(x, y, d, z).subset(idx)
+
 
 class TestFunctionEstimate:
     def test_batch_and_single_agree(self):

@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orthoscore import late
+from orthoscore import late, learners
 from orthoscore.late import LateConfig, late_crossfit
 from orthoscore.learners import (
+    NEWTON_GRAD_TOL,
+    NEWTON_MAX_ITER,
+    AffineEstimate,
     MlpArchitecture,
     MlpEstimate,
     TrainConfig,
@@ -148,6 +151,80 @@ class TestLogistic:
         assert np.isfinite(est.intercept)
         assert np.all(np.isfinite(est.coef))
         assert np.all(np.isfinite(est(x)))
+
+
+def _reference_fit_logistic(x, labels):
+    """The damped Newton loop that recomputed a @ theta after every
+    accepted step, kept verbatim so that the loop reusing the line
+    search's logits can be compared with it bit for bit."""
+    x, labels = _validate_design(x, labels)
+    n, p = x.shape
+    a = np.column_stack([np.ones(n), x])
+    theta = np.zeros(p + 1)
+    f = a @ theta
+    losses = [learners._loss_value(f, labels, "cross_entropy_on_logits", None)]
+    for _ in range(NEWTON_MAX_ITER):
+        g = expit(f)
+        grad = a.T @ (g - labels) / n
+        if np.linalg.norm(grad) <= NEWTON_GRAD_TOL:
+            break
+        curv = np.clip(g * (1.0 - g), 1e-12, None)
+        hess = (a * curv[:, None]).T @ a / n
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            hess = hess + (1e-12 * np.trace(hess)) * np.eye(p + 1)
+            step = np.linalg.solve(hess, grad)
+        t = 1.0
+        moved = False
+        while t > 1e-14:
+            cand = theta - t * step
+            cand_loss = learners._loss_value(a @ cand, labels,
+                                             "cross_entropy_on_logits", None)
+            if cand_loss <= losses[-1]:
+                theta, moved = cand, True
+                losses.append(cand_loss)
+                break
+            t /= 2.0
+        if not moved:
+            break
+        f = a @ theta
+    est = AffineEstimate(theta[0], theta[1:], label="logistic log-odds")
+    est.newton_losses = tuple(losses)
+    return est
+
+
+def _logistic_design(seed):
+    """Designs from balanced to rare labels; one in five is separable."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 3000))
+    p = int(rng.integers(1, 6))
+    x = rng.normal(size=(n, p)) * rng.uniform(0.2, 5.0, size=p) + rng.normal(size=p)
+    f = rng.normal() + x @ rng.normal(size=p) * rng.uniform(0.1, 3.0)
+    if seed % 5 == 4:
+        # Separable in covariates of order 1e6: the gradient, taken in
+        # those units, stays above the tolerance until the cap.
+        return 1e6 * x, (f > np.median(f)).astype(float)
+    labels = (rng.random(n) < expit(f)).astype(float)
+    labels[:2] = (0.0, 1.0)
+    return x, labels
+
+
+class TestNewtonReusesLineSearchLogits:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_hex_equal_to_the_recomputing_loop(self, seed):
+        x, labels = _logistic_design(seed)
+        got = fit_logistic(x, labels)
+        want = _reference_fit_logistic(x, labels)
+        assert got.intercept.hex() == want.intercept.hex()
+        assert [c.hex() for c in got.coef] == [c.hex() for c in want.coef]
+        assert ([v.hex() for v in got.newton_losses]
+                == [v.hex() for v in want.newton_losses])
+
+    def test_separable_designs_run_to_the_iteration_cap(self):
+        iters = [len(fit_logistic(*_logistic_design(seed)).newton_losses) - 1
+                 for seed in range(4, 20, 5)]
+        assert iters == [NEWTON_MAX_ITER] * 4
 
 
 @pytest.mark.parametrize("fit", [
