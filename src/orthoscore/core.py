@@ -142,6 +142,23 @@ class Dataset:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "z", z)
 
+    @classmethod
+    def _from_checked(cls, x, y, d, z=None, real_treatment=False) -> "Dataset":
+        """Dataset of columns that already pass ``__post_init__``'s checks.
+
+        The columns must be float arrays, x 2-D and the rest 1-D of its
+        length: rows of a checked ``Dataset``, or draws the package makes
+        finite and 0/1 where required.  They are set read-only and used
+        as they are; nothing is checked again.
+        """
+        data = object.__new__(cls)
+        for name, col in (("x", x), ("y", y), ("d", d), ("z", z)):
+            if col is not None:
+                col.setflags(write=False)
+            object.__setattr__(data, name, col)
+        object.__setattr__(data, "real_treatment", real_treatment)
+        return data
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -154,15 +171,20 @@ class Dataset:
         """Row subset as a new Dataset (used for fold restriction).
 
         Rows are gathered with ``take``, which copies them faster than
-        fancy indexing.  Any index that is not an integer array (a
-        boolean mask, a list) is first read as fancy indexing reads it,
-        as row numbers, so every index selects or rejects what it did.
+        fancy indexing.  Any index that is not a 1-D integer array (a
+        boolean mask, a list, one row number) is first read as fancy
+        indexing reads it, as row numbers, so every index selects or
+        rejects what it did.  The rows of a checked Dataset need no
+        checks, so the subset is built without them.
         """
-        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"):
-            idx = np.arange(self.n)[idx]
+        if not (isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
+                and idx.ndim == 1):
+            idx = np.atleast_1d(np.arange(self.n)[idx])
+            if idx.ndim != 1:
+                raise ValueError("row index must be one-dimensional")
         z = None if self.z is None else self.z.take(idx)
-        return Dataset(self.x.take(idx, axis=0), self.y.take(idx),
-                       self.d.take(idx), z, real_treatment=self.real_treatment)
+        return Dataset._from_checked(self.x.take(idx, axis=0), self.y.take(idx),
+                                     self.d.take(idx), z, self.real_treatment)
 
 
 class FunctionEstimate:

@@ -244,7 +244,7 @@ def _plr_target():
         m0, b0 = expit(x[:, 0]), _plr_background(x)
         d = m0 + rng.standard_normal(m)
         y = beta0 * d + b0 + rng.standard_normal(m)
-        data = Dataset(x, y, d, real_treatment=True)
+        data = Dataset._from_checked(x, y, d, real_treatment=True)  # finite draws
         truths.remember(data.x, (m0, b0))
         return data
 
@@ -282,7 +282,7 @@ def _qte_target():
         y1 = beta0 + x[:, 0] - x[:, 1] + rng.standard_normal(m)
         y0 = rng.standard_normal(m)
         y = np.where(d == 1.0, y1, y0)
-        data = Dataset(x, y, d)
+        data = Dataset._from_checked(x, y, d)  # finite draws, d 0/1
         truths.remember(data.x, (g0,))
         return data
 

@@ -31,6 +31,7 @@ their own residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,7 +75,8 @@ class LateConfig:
 
 
 def _instrument_variance(g) -> np.ndarray:
-    if np.any(g <= 0.0) or np.any(g >= 1.0):
+    # Written so that a NaN g fails: NaN <= 0 and NaN >= 1 are both false.
+    if not ((g > 0.0) & (g < 1.0)).all():
         raise ValueError("g must lie strictly inside (0, 1)")
     return g * (1.0 - g)
 
@@ -192,11 +194,14 @@ def solve_beta_linear(score_fn, fold: Dataset) -> float:
     """Root of a score of the form A(w) - beta: the fold mean of A.
 
     `score_fn(beta, data)` must return per-observation scores with
-    slope exactly -1 in beta.
+    slope exactly -1 in beta.  A mean score that is not finite raises
+    ``ValueError``.
     """
     if fold.n == 0:
         raise ValueError("empty fold")
     beta_hat = float(np.mean(score_fn(0.0, fold)))
+    if not math.isfinite(beta_hat):
+        raise ValueError("non-finite mean score")
     residual = abs(float(np.mean(score_fn(beta_hat, fold))))
     if residual > 1e-10 * max(1.0, abs(beta_hat)):
         raise RuntimeError("score is not linear in beta with slope -1")

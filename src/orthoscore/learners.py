@@ -146,9 +146,10 @@ def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     """Affine fit minimizing sum_i w_i (y_i - b0 - x_i'b)^2.
 
     Solved through the weighted normal equations.  Weights may be
-    signed.  When the condition estimate of the weighted Gram matrix
-    exceeds 1e12 (or the matrix is singular), a ridge of
-    1e-8 * trace / ncol is added to the diagonal before solving.
+    signed.  When the condition number of the weighted Gram matrix (the
+    ratio of its extreme singular values, as ``np.linalg.cond``) exceeds
+    1e12 or is not finite, a ridge of 1e-8 * trace / ncol is added to
+    the diagonal before solving.
     """
     x, y = _validate_design(x, y)
     n, p = x.shape
@@ -158,8 +159,9 @@ def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     a = np.column_stack([np.ones(n), x])
     gram = a.T @ (a * w[:, None])
     rhs = a.T @ (w * y)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    sv = np.linalg.svd(gram, compute_uv=False)
+    # A zero or NaN smallest singular value is singular, as cond's inf or NaN.
+    if not (sv[-1] > 0.0 and float(sv[0]) / float(sv[-1]) <= 1e12):
         gram = gram + (1e-8 * np.trace(gram) / gram.shape[0]) * np.eye(gram.shape[0])
     try:
         theta = np.linalg.solve(gram, rhs)
@@ -182,6 +184,8 @@ def fit_logistic(x, labels) -> AffineEstimate:
     The returned estimate carries the loss path as `newton_losses`.
     """
     x, labels = _validate_design(x, labels)
+    if labels.shape[0] == 0:
+        raise ValueError("no rows")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0/1")
     if np.all(labels == labels[0]):
@@ -189,14 +193,14 @@ def fit_logistic(x, labels) -> AffineEstimate:
     n, p = x.shape
     a = np.column_stack([np.ones(n), x])
     theta = np.zeros(p + 1)
-    f = a @ theta
-    losses = [_loss_value(f, labels, "cross_entropy_on_logits", None)]
+    # At theta = 0 every logit is +-0: each row's loss is log 2, g is 0.5.
+    losses = [float(np.add.reduce(np.full(n, math.log(2.0)))) / n]
+    g = np.full(n, 0.5)
     for _ in range(NEWTON_MAX_ITER):
-        g = expit(f)
         grad = a.T @ (g - labels) / n
-        if np.linalg.norm(grad) <= NEWTON_GRAD_TOL:
+        if math.sqrt(grad.dot(grad)) <= NEWTON_GRAD_TOL:   # np.linalg.norm
             break
-        curv = np.clip(g * (1.0 - g), 1e-12, None)
+        curv = np.maximum(g * (1.0 - g), 1e-12)
         hess = (a * curv[:, None]).T @ a / n
         try:
             step = np.linalg.solve(hess, grad)
@@ -211,7 +215,7 @@ def fit_logistic(x, labels) -> AffineEstimate:
             cand_loss = _loss_value(cand_f, labels,
                                     "cross_entropy_on_logits", None)
             if cand_loss <= losses[-1]:
-                theta, f, moved = cand, cand_f, True
+                theta, g, moved = cand, expit(cand_f), True
                 losses.append(cand_loss)
                 break
             t /= 2.0

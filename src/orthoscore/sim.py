@@ -188,7 +188,8 @@ def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:
     y[rows] += complier_mean(mu0[rows], d[rows])
     rows = np.flatnonzero(u == 3)
     y[rows] += never_taker_mean(x[rows])
-    data = Dataset(x, y, d, z)
+    # x lies in [-1, 1], y is finite, and d and z are 0/1 by construction.
+    data = Dataset._from_checked(x, y, d, z)
     for arr in (f0, g0, u, mu0):
         arr.setflags(write=False)
     return data, DgpTruth(beta0=BETA0, g0=g0, u=u, scenario=config.scenario,

@@ -150,6 +150,21 @@ class TestSplitFolds:
         np.testing.assert_array_equal(merged, np.arange(n))
 
 
+def assert_same_dataset(got, want):
+    """Same columns to the bit, read-only, and the same treatment flag."""
+    assert type(got) is Dataset
+    assert got.real_treatment == want.real_treatment
+    for got_col, want_col in ((got.x, want.x), (got.y, want.y),
+                              (got.d, want.d), (got.z, want.z)):
+        if want_col is None:
+            assert got_col is None
+        else:
+            assert got_col.dtype == want_col.dtype
+            assert got_col.shape == want_col.shape
+            assert got_col.tobytes() == want_col.tobytes()
+            assert not got_col.flags.writeable
+
+
 class TestDataset:
     def _cols(self, n=6):
         rng = np.random.default_rng(0)
@@ -220,22 +235,33 @@ class TestDataset:
         [4, -2], np.array([], dtype=int), [], np.array([3], dtype=np.int32),
         np.array([2, 1], dtype=np.uint8), np.array([True, False, True, True, False, True]),
         np.zeros(6, dtype=bool), [False, True, False, False, False, True],
+        4, np.int64(-2), np.array(3),
     ], ids=repr)
     @pytest.mark.parametrize("instrument", [True, False])
     def test_subset_equals_fancy_indexing(self, idx, instrument):
+        # The subset skips the checks; the checking constructor on the
+        # same rows must give the same Dataset.
         x, y, d, z = self._cols()
         if not instrument:
             z = None
         sub = Dataset(x, y, d, z).subset(idx)
         want = Dataset(x[idx], y[idx], d[idx], None if z is None else z[idx])
-        for got_col, want_col in ((sub.x, want.x), (sub.y, want.y),
-                                  (sub.d, want.d), (sub.z, want.z)):
-            if want_col is None:
-                assert got_col is None
-            else:
-                assert got_col.shape == want_col.shape
-                assert got_col.tobytes() == want_col.tobytes()
-                assert not got_col.flags.writeable
+        assert_same_dataset(sub, want)
+
+    @pytest.mark.parametrize("idx", [
+        np.array([5, 0, 2]), [1, 4], np.array([], dtype=int),
+        np.array([False, True, True, False, False, True]),
+    ], ids=repr)
+    def test_subset_keeps_a_real_treatment(self, idx):
+        x, y, d, _ = self._cols()
+        sub = Dataset(x, y, d + 0.25, real_treatment=True).subset(idx)
+        want = Dataset(x[idx], y[idx], (d + 0.25)[idx], real_treatment=True)
+        assert_same_dataset(sub, want)
+
+    def test_subset_rejects_a_two_dimensional_index(self):
+        x, y, d, z = self._cols()
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Dataset(x, y, d, z).subset(np.array([[0], [2]]))
 
     @pytest.mark.parametrize("idx", [
         np.array([1.0, 3.0]), np.array([]), np.array([6]), np.array([-7]),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from orthoscore import core, diagnostics, ortho
-from orthoscore.core import BLOCK_ROWS, FunctionEstimate, derive_seed
+from orthoscore.core import BLOCK_ROWS, Dataset, FunctionEstimate, derive_seed
 from orthoscore.learners import expit
 from orthoscore.ortho import ScoreFamily, check_orthogonality
 from orthoscore.sim import (STRATUM_PROBS, always_taker_mean, complier_mean,
@@ -380,3 +380,18 @@ def test_one_shard_stays_within_its_memory_bound(target):
         finally:
             tracemalloc.stop()
     assert max(peaks) <= SHARD_PEAKS[target], [p / 2**20 for p in peaks]
+
+
+@pytest.mark.parametrize("target", ["plr", "qte"])
+def test_sampler_equals_the_checking_constructor(target):
+    # The samplers skip the Dataset checks their draws pass by construction.
+    sampler = diagnostics._BUILDERS[target]()[1]
+    data = sampler(300, 5)
+    real = target == "plr"
+    want = Dataset(data.x.copy(), data.y.copy(), data.d.copy(), real_treatment=real)
+    assert type(data) is Dataset and data.real_treatment == real and data.z is None
+    for got_col, want_col in ((data.x, want.x), (data.y, want.y), (data.d, want.d)):
+        assert got_col.dtype == want_col.dtype
+        assert got_col.shape == want_col.shape
+        assert got_col.tobytes() == want_col.tobytes()
+        assert not got_col.flags.writeable

@@ -59,6 +59,12 @@ class TestKappa:
             with pytest.raises(ValueError):
                 kappa(np.array([1.0]), np.array([1.0]), np.array([bad]))
 
+    def test_nan_propensity_rejected(self):
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            kappa(1.0, 1.0, np.nan)
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            kappa(np.ones(3), np.ones(3), np.array([0.5, np.nan, 0.5]))
+
     def test_complier_reweighting_identity(self):
         # With the true instrument propensity, both kappa weights
         # average to the complier share.
@@ -193,6 +199,12 @@ class TestScores:
         val = robust_score(0.0, np.array([0.0]), np.array([1.0]), data)
         # w = (1 - 0.5)/0.25 = 2, so 2*(3 + 1) - 0 = 8.
         assert val[0] == pytest.approx(8.0)
+
+    def test_robust_rejects_a_nan_log_odds(self):
+        data = _iv_data(6, seed=44)
+        f = np.array([0.1, -0.2, np.nan, 0.0, 0.3, 0.2])
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            robust_score(0.0, f, np.zeros(6), data)
 
     def test_moment_hand_value(self):
         x = np.zeros((1, 1))
@@ -549,6 +561,13 @@ class TestSolveAndVariance:
         with pytest.raises(ValueError):
             solve_beta_linear(lambda b, fold: fold.y - b, empty)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_score_rejected(self, bad):
+        data = _iv_data(4, seed=54)
+        vals = np.array([1.0, bad, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^non-finite mean score$"):
+            solve_beta_linear(lambda b, fold: vals - b, data)
+
 
 class TestLateCrossfit:
     def test_deterministic(self):
@@ -571,6 +590,24 @@ class TestLateCrossfit:
         assert abs(res.beta_hat - truth.beta0) <= 3.0 * res.std_err
         assert res.ci_low < res.ci_high
         assert res.n == 2000
+
+    @pytest.mark.parametrize("method", ["robust_lr", "moment", "reg_lr"])
+    def test_checks_no_dataset_again(self, method, monkeypatch):
+        # The fold subsets are rows of a checked Dataset: building them
+        # runs none of the construction checks.
+        data = _iv_data(200, seed=64)
+        checks = Dataset.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            checks(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting)
+        late_crossfit(data, LateConfig(method=method, seed=1))
+        assert calls == []
+        Dataset(data.x, data.y, data.d, data.z)
+        assert len(calls) == 1
 
     def test_result_invariants(self):
         data = _iv_data(600, seed=63)

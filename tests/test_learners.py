@@ -97,6 +97,61 @@ class TestLeastSquares:
             fit_least_squares(x, np.ones(3))
 
 
+def _reference_fit_least_squares(x, y, weights=None):
+    """The least-squares fit as it was when it asked ``np.linalg.cond``
+    for the condition number, kept verbatim so that the singular-value
+    ratio it now computes can be compared with it bit for bit."""
+    x, y = _validate_design(x, y)
+    n, p = x.shape
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    a = np.column_stack([np.ones(n), x])
+    gram = a.T @ (a * w[:, None])
+    rhs = a.T @ (w * y)
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > 1e12:
+        gram = gram + (1e-8 * np.trace(gram) / gram.shape[0]) * np.eye(gram.shape[0])
+    try:
+        theta = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("degenerate weighted design") from exc
+    return AffineEstimate(theta[0], theta[1:], label="least squares")
+
+
+def _ridge_design(kind):
+    """(x, y, weights, cond of the weighted Gram matrix is past 1e12)."""
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(80, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=80)
+    if kind == "well conditioned":
+        return x, y, rng.uniform(0.5, 2.0, size=80), False
+    if kind == "duplicated column":
+        return np.column_stack([x, x[:, 1]]), y, None, True
+    if kind == "near-collinear pair":
+        near = x[:, 0] + 1e-6 * rng.normal(size=80)     # cond about 6e12
+        return np.column_stack([x, near]), y, None, True
+    return x, y, np.zeros(80), True     # all-zero weights: a NaN ratio
+
+
+class TestLeastSquaresRidgeFallback:
+    @pytest.mark.parametrize("kind", ["well conditioned", "duplicated column",
+                                      "near-collinear pair", "all-zero weights"])
+    def test_hex_equal_to_the_cond_form(self, kind):
+        x, y, w, ill = _ridge_design(kind)
+        a = np.column_stack([np.ones(len(y)), x])
+        gram = a.T @ (a * (np.ones(len(y)) if w is None else w)[:, None])
+        cond = np.linalg.cond(gram)
+        assert (not np.isfinite(cond) or cond > 1e12) == ill
+        if kind == "all-zero weights":
+            for fit in (fit_least_squares, _reference_fit_least_squares):
+                with pytest.raises(ValueError, match="^degenerate weighted design$"):
+                    fit(x, y, w)
+            return
+        got = fit_least_squares(x, y, weights=w)
+        want = _reference_fit_least_squares(x, y, weights=w)
+        assert got.intercept.hex() == want.intercept.hex()
+        assert [c.hex() for c in got.coef] == [c.hex() for c in want.coef]
+
+
 class TestLogistic:
     def test_no_signal_fits_marginal_rate(self):
         rng = np.random.default_rng(21)
@@ -143,6 +198,11 @@ class TestLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="degenerate labels"):
             fit_logistic(np.zeros((10, 1)), np.ones(10))
+
+    def test_no_rows_rejected(self):
+        # Before the label checks, which would read labels[0].
+        with pytest.raises(ValueError, match="^no rows$"):
+            fit_logistic(np.empty((0, 2)), np.empty(0))
 
     def test_separable_data_stays_finite(self):
         x = np.linspace(-1, 1, 50)[:, None]

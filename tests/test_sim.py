@@ -191,6 +191,19 @@ class TestGenCovariates:
 
 
 class TestGenDataset:
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_equals_the_checking_constructor(self, n):
+        # gen_dataset skips the Dataset checks its draws pass by construction.
+        data, _ = gen_dataset(DgpConfig(n=n, seed=4))
+        want = Dataset(*(col.copy() for col in (data.x, data.y, data.d, data.z)))
+        assert type(data) is Dataset and not data.real_treatment
+        for got_col, want_col in ((data.x, want.x), (data.y, want.y),
+                                  (data.d, want.d), (data.z, want.z)):
+            assert got_col.dtype == want_col.dtype
+            assert got_col.shape == want_col.shape
+            assert got_col.tobytes() == want_col.tobytes()
+            assert not got_col.flags.writeable
+
     def test_treatment_structure_is_exact(self, big_draw):
         data, truth = big_draw
         assert np.all(data.d[truth.u == 1] == 1.0)
@@ -427,6 +440,23 @@ class TestRunReplications:
         assert math.isnan(broken.bias)
         intact = report.by_method("robust_lr")
         assert intact.failures == 0 and intact.reps_done == 4
+
+    def test_non_finite_mean_score_is_a_failed_replicate(self, monkeypatch):
+        # The first fold of the first replicate sees a NaN score; that
+        # replicate fails, and the metrics of the rest stay finite.
+        score = orthoscore.late.moment_score
+        calls = []
+
+        def poisoned(beta, f, data):
+            calls.append(beta)
+            out = score(beta, f, data)
+            return out if len(calls) > 1 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(orthoscore.late, "moment_score", poisoned)
+        summary = run_replications(DgpConfig(n=120, p=4, seed=0), ("moment",),
+                                   reps=4, master_seed=3).by_method("moment")
+        assert summary.failures == 1 and summary.reps_done == 3
+        assert math.isfinite(summary.bias) and math.isfinite(summary.smse)
 
     def test_programming_error_is_not_counted_as_a_failure(self, monkeypatch):
         def broken(*args, **kwargs):
