@@ -157,8 +157,14 @@ def cmd_simulate(args) -> int:
         _err(str(exc))
         return 2
 
-    report = run_replications(dgp, [METHOD_LABELS[m] for m in labels],
-                              reps=args.reps, master_seed=seed, jobs=args.jobs)
+    try:
+        # Its arguments are checked before any replicate runs; a failed
+        # replicate is counted, never raised.
+        report = run_replications(dgp, [METHOD_LABELS[m] for m in labels],
+                                  reps=args.reps, master_seed=seed, jobs=args.jobs)
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
 
     print(f"scenario={report.scenario} n={report.n} p={report.p} "
           f"reps={report.reps} seed={seed}")
@@ -185,9 +191,10 @@ def _read_columns(path: str, names) -> dict:
     """The named columns of a CSV file as float64 arrays, in one pass.
 
     Comma-separated, header row, no quoting: quoted fields are rejected
-    outright rather than being guessed at.  Blank lines are skipped, and
-    rows are numbered by their line after the header, blank lines
-    included.  Only the named columns need to be numeric.
+    outright rather than being guessed at.  Blank lines, those holding
+    only whitespace, are skipped, and rows are numbered by their line
+    after the header, blank lines included.  Only the named columns need
+    to be numeric.
     """
     names = list(dict.fromkeys(names))
     with open(path, "r", encoding="utf-8") as fh:
@@ -208,7 +215,7 @@ def _read_columns(path: str, names) -> dict:
         for row, line in enumerate(fh, start=1):
             if '"' in line:
                 raise ValueError("quoted fields are not supported")
-            if line == "\n":
+            if line.isspace():
                 continue
             cells = line.rstrip("\n").split(",")
             if len(cells) != len(header):

@@ -284,7 +284,7 @@ class EstimationResult:
     def from_folds(fold_betas, sigma2_hat, n, method, seed) -> "EstimationResult":
         """Canonical constructor: averages folds, derives SE and CI."""
         fold_betas = tuple(float(b) for b in fold_betas)
-        beta_hat = float(np.mean(fold_betas))
+        beta_hat = float(np.add.reduce(fold_betas)) / len(fold_betas)  # np.mean
         sigma2_hat = float(sigma2_hat)
         std_err = math.sqrt(sigma2_hat / n)
         lo, hi = make_ci(beta_hat, sigma2_hat, n)
@@ -311,12 +311,16 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResul
     are each pooled by simple average.
     """
     split = split_folds(data.n, derive_seed(seed, SEED_SPLIT))
+    rows = (split.indices(0), split.indices(1))
     fold_betas, fold_vars = [], []
     for k in (0, 1):
-        beta_k, scores, slope = fit_fold(data.subset(split.indices(1 - k)),
-                                         data.subset(split.indices(k)), k)
+        beta_k, scores, slope = fit_fold(data.subset(rows[1 - k]),
+                                         data.subset(rows[k]), k)
         fold_betas.append(beta_k)
-        fold_vars.append(float(np.mean(scores * scores)) / slope ** 2)
+        # Means are the sum and the divide that np.mean performs.
+        fold_vars.append(float(np.add.reduce(scores * scores)) / scores.shape[0]
+                         / slope ** 2)
         del scores  # not held while the next fold fits
-    return EstimationResult.from_folds(fold_betas, float(np.mean(fold_vars)),
+    return EstimationResult.from_folds(fold_betas,
+                                       float(np.add.reduce(fold_vars)) / len(fold_vars),
                                        data.n, method, seed)

@@ -140,7 +140,7 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     g = _propensity(f_hat(train.x))
     e_f = g / (1.0 - g)
     pseudo = train.y * ((e_f - 1.0 / e_f) * train.z - e_f)
-    if not np.all(np.isfinite(pseudo)):
+    if not np.isfinite(pseudo).all():
         raise RuntimeError("non-finite pseudo-outcome")
     return _fit(config, train.x, pseudo, "squared_error", (SEED_LATE_H, seed_tag))
 
@@ -199,10 +199,11 @@ def solve_beta_linear(score_fn, fold: Dataset) -> float:
     """
     if fold.n == 0:
         raise ValueError("empty fold")
-    beta_hat = float(np.mean(score_fn(0.0, fold)))
+    # Each mean is the sum and the divide that np.mean performs.
+    beta_hat = float(np.add.reduce(score_fn(0.0, fold))) / fold.n
     if not math.isfinite(beta_hat):
         raise ValueError("non-finite mean score")
-    residual = abs(float(np.mean(score_fn(beta_hat, fold))))
+    residual = abs(float(np.add.reduce(score_fn(beta_hat, fold))) / fold.n)
     if residual > 1e-10 * max(1.0, abs(beta_hat)):
         raise RuntimeError("score is not linear in beta with slope -1")
     return beta_hat
@@ -217,7 +218,7 @@ def late_crossfit(data: Dataset, config: LateConfig) -> EstimationResult:
     if data.z is None:
         raise ValueError("instrument required")
     require_splittable(data.n)
-    if np.all(data.z == data.z[0]):
+    if (data.z == data.z[0]).all():
         raise ValueError("degenerate instrument")
 
     def fit_fold(train, est, k):

@@ -109,7 +109,8 @@ CLIP_EPSILON = 0.01
 
 def clip_propensity(g) -> np.ndarray:
     """Clamp propensities into [CLIP_EPSILON, 1 - CLIP_EPSILON]; identity inside."""
-    return np.clip(np.asarray(g, dtype=float), CLIP_EPSILON, 1.0 - CLIP_EPSILON)
+    # The ndarray method: np.clip's bits, NaN included, without its wrapper.
+    return np.asarray(g, dtype=float).clip(CLIP_EPSILON, 1.0 - CLIP_EPSILON)
 
 
 class AffineEstimate(FunctionEstimate):
@@ -127,7 +128,7 @@ def _check_weights(weights, n):
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape[0] != n:
         raise ValueError("weights must have length n")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("non-finite values in weights")
     return w
 
@@ -137,9 +138,18 @@ def _validate_design(x, y):
     y = np.asarray(y, dtype=float).ravel()
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and targets must have matching length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in inputs")
     return x, y
+
+
+def _design(x):
+    """[1, x], C-contiguous: the values of np.column_stack([np.ones(n), x])."""
+    n, p = x.shape
+    a = np.empty((n, p + 1))
+    a[:, 0] = 1.0
+    a[:, 1:] = x
+    return a
 
 
 def fit_least_squares(x, y, weights=None) -> AffineEstimate:
@@ -156,7 +166,7 @@ def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     if n <= p:
         raise ValueError("underdetermined")
     w = np.ones(n) if weights is None else _check_weights(weights, n)
-    a = np.column_stack([np.ones(n), x])
+    a = _design(x)
     gram = a.T @ (a * w[:, None])
     rhs = a.T @ (w * y)
     sv = np.linalg.svd(gram, compute_uv=False)
@@ -186,12 +196,12 @@ def fit_logistic(x, labels) -> AffineEstimate:
     x, labels = _validate_design(x, labels)
     if labels.shape[0] == 0:
         raise ValueError("no rows")
-    if not np.all((labels == 0.0) | (labels == 1.0)):
+    if not ((labels == 0.0) | (labels == 1.0)).all():
         raise ValueError("labels must be 0/1")
-    if np.all(labels == labels[0]):
+    if (labels == labels[0]).all():
         raise ValueError("degenerate labels")
     n, p = x.shape
-    a = np.column_stack([np.ones(n), x])
+    a = _design(x)
     theta = np.zeros(p + 1)
     # At theta = 0 every logit is +-0: each row's loss is log 2, g is 0.5.
     losses = [float(np.add.reduce(np.full(n, math.log(2.0)))) / n]

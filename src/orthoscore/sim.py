@@ -268,9 +268,12 @@ def run_replications(dgp: DgpConfig, methods, reps: int, master_seed: int,
     require_count("reps", reps)
     require_count("jobs", jobs)
     methods = tuple(methods)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method: {m!r}")
+        # Results are keyed by name, so a second copy would replace the first.
+        if m in methods[:i]:
+            raise ValueError(f"duplicate method: {m!r}")
     run = functools.partial(_one_replicate, dgp, methods, master_seed)
     if jobs == 1:
         results = [run(i) for i in range(reps)]

@@ -73,6 +73,47 @@ def test_compare_counts_lower_pairs_and_quartile_distance():
     assert "digest_first_op same: sha256:aa" in lines[-1]
 
 
+def _op_ref_line(parent_values, change_values, failed_a=0, failed_b=0):
+    lines = bench.compare(_bench("parent", parent_values, failed=failed_a),
+                          _bench("change", change_values, failed=failed_b))
+    return next(line for line in lines if line.strip().startswith("op_ref"))
+
+
+PARENT_10 = [19.0, 19.5, 20.0, 19.2, 19.8, 19.4, 19.6, 19.1, 19.9, 19.3]
+# 9 of 10 lower; median 17.35 against 19.45, quartile distance 0.525
+CHANGE_10 = [17.0, 17.2, 20.5, 16.9, 17.1, 17.5, 17.6, 17.4, 17.8, 17.3]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    (CHANGE_10, "met"),
+    # 8 of 10 lower: too few pairs
+    ([17.0, 17.2, 20.5, 16.9, 17.1, 17.5, 17.6, 17.4, 20.1, 17.3], "not met"),
+    # 10 of 10 lower, but the medians differ by 0.2 < 0.525
+    ([v - 0.2 for v in PARENT_10], "not met"),
+    # the medians differ by more than the quartile distance, upward
+    ([v + 2.0 for v in PARENT_10], "not met"),
+], ids=["9 of 10 and beyond", "8 of 10", "inside the quartiles", "higher"])
+def test_compare_states_the_claim_verdict(change, verdict):
+    line = _op_ref_line(PARENT_10, change)
+    assert line.endswith(f"claim rule: {verdict}")
+    assert line.count("claim rule:") == 1
+
+
+def test_claim_rule_needs_ten_pairs():
+    # 19 of 20 lower counts; 5 of 5 and 9 of 9 are too few pairs to claim.
+    assert _op_ref_line(PARENT_10 * 2, CHANGE_10 * 2).endswith("claim rule: met")
+    assert _op_ref_line(PARENT_10[:5], [v - 2.0 for v in PARENT_10[:5]]).endswith(
+        "claim rule: not met")
+    assert _op_ref_line(PARENT_10[:9], [v - 2.0 for v in PARENT_10[:9]]).endswith(
+        "claim rule: not met")
+
+
+def test_claim_rule_is_not_met_when_b_fails_more_operations():
+    assert _op_ref_line(PARENT_10, CHANGE_10, failed_b=1).endswith("claim rule: not met")
+    assert _op_ref_line(PARENT_10, CHANGE_10, failed_a=1, failed_b=1).endswith(
+        "claim rule: met")
+
+
 def test_compare_reports_a_moved_digest():
     lines = bench.compare(_bench("a", [19.0, 19.0]), _bench("b", [19.0, 19.0], "sha256:bb"))
     assert lines[-1] == "  digest_first_op differs: A sha256:aa, B sha256:bb"

@@ -118,6 +118,13 @@ class TestSimulate:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_repeated_method_exits_2_before_any_replicate(self, monkeypatch, capsys):
+        monkeypatch.setattr(orthoscore.sim, "gen_dataset", _never)
+        argv = list(SIM_ARGV)
+        argv[argv.index("--methods") + 1] = "r-lr,m,r-lr"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: duplicate method: 'robust_lr'\n"
+
     def test_too_few_rows_to_split_exits_2_before_any_replicate(
             self, monkeypatch, capsys):
         monkeypatch.setattr(orthoscore.cli, "run_replications", _never)
@@ -312,6 +319,23 @@ class TestAnalyze:
                         encoding="utf-8")
         assert main(_analyze_argv(path, p=1)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("blank", [b"   \n", b"\t\n", b" \r\n"],
+                             ids=["spaces", "tab", "space before CRLF"])
+    def test_whitespace_only_lines_are_skipped(self, blank, iv_csv, tmp_path, capsys):
+        path, _ = iv_csv
+        lines = path.read_bytes().splitlines(keepends=True)
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_bytes(b"".join(lines[:3] + [blank] + lines[3:] + [blank]))
+        assert main(_analyze_argv(path)) == 0
+        plain = capsys.readouterr().out
+        assert main(_analyze_argv(gappy)) == 0
+        assert capsys.readouterr().out == plain
+        # The skipped line still counts when rows are numbered.
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x1,y,d,z\n0.1,1.0,1,0\n" + blank + b"abc,1.0,1,0\n")
+        assert main(_analyze_argv(bad, p=1)) == 2
+        assert capsys.readouterr().err == "error: missing or non-numeric values in rows: 3\n"
 
     def test_unnamed_text_column_is_accepted(self, iv_csv, tmp_path, capsys):
         path, _ = iv_csv

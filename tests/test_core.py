@@ -319,6 +319,38 @@ class TestInRowBlocks:
         np.testing.assert_array_equal(total, x[:, 0] + y)
 
 
+class TestMeansAreNpMean:
+    """Fold means are np.mean's sum and divide, bit for bit."""
+
+    ROWS = 8193     # past numpy's 8-way unrolled and 128-element pairwise blocks
+
+    def _scores(self, seed):
+        return np.random.default_rng(seed).standard_normal(self.ROWS) * 3.0 + 0.7
+
+    def test_solve_beta_linear(self):
+        a = self._scores(1)
+        fold = Dataset(np.zeros((self.ROWS, 1)), a, np.zeros(self.ROWS))
+        got = late.solve_beta_linear(lambda beta, ds: ds.y - beta, fold)
+        assert got.hex() == float(np.mean(a)).hex()
+
+    def test_crossfit_pools_fold_variances_and_estimates(self):
+        data = Dataset(np.zeros((2 * self.ROWS, 1)), np.zeros(2 * self.ROWS),
+                       np.zeros(2 * self.ROWS))
+        steps = {0: (0.1, self._scores(2), -1.0), 1: (0.2, self._scores(3), 0.3)}
+        res = crossfit(data, 5, lambda train, est, k: steps[k], "stub")
+        fold_vars = [float(np.mean(s * s)) / slope ** 2 for _, s, slope in steps.values()]
+        assert res.sigma2_hat.hex() == float(np.mean(fold_vars)).hex()
+        assert res.beta_hat.hex() == float(np.mean([0.1, 0.2])).hex()
+
+    def test_from_folds_beta_hat(self):
+        rng = np.random.default_rng(4)
+        for count in (1, 2, 3, 9):
+            for _ in range(50):
+                betas = rng.standard_normal(count) * 10.0 ** rng.integers(-3, 4)
+                res = EstimationResult.from_folds(betas, 1.0, 10, "m", 0)
+                assert res.beta_hat.hex() == float(np.mean(betas)).hex()
+
+
 class TestEstimationResult:
     def test_from_folds_invariants(self):
         res = EstimationResult.from_folds(

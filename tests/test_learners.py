@@ -152,6 +152,64 @@ class TestLeastSquaresRidgeFallback:
         assert [c.hex() for c in got.coef] == [c.hex() for c in want.coef]
 
 
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestSameBitsForms:
+    """The linear path's fast forms against the numpy forms they replace."""
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    def test_design_is_column_stack(self, n, p):
+        x = np.random.default_rng(10 * n + p).standard_normal((n, p))
+        want = np.column_stack([np.ones(n), x])
+        assert want.flags.c_contiguous
+        # column_stack keeps a Fortran-ordered x's layout; _design does not.
+        for x_in in (x, np.asfortranarray(x), x.repeat(2, axis=1)[:, ::2]):
+            got = learners._design(x_in)
+            assert got.flags.c_contiguous
+            assert got.shape == want.shape == (n, p + 1)
+            assert _hex(got) == _hex(want)
+
+    def test_affine_fits_do_not_depend_on_the_layout_of_x(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((600, 4))
+        y = x @ np.array([1.0, -0.5, 0.25, 2.0]) + rng.normal(size=600)
+        labels = (rng.random(600) < expit(x[:, 0] - x[:, 2])).astype(float)
+        for fit, target in ((fit_least_squares, y), (fit_logistic, labels)):
+            want = fit(x, target)
+            got = fit(np.asfortranarray(x), target)
+            assert _hex([got.intercept, *got.coef]) == _hex([want.intercept, *want.coef])
+
+    def test_clip_propensity_is_np_clip(self):
+        eps = learners.CLIP_EPSILON
+        edges = [np.nan, np.inf, -np.inf, -0.0, 0.0, eps, 1.0 - eps,
+                 np.nextafter(eps, 0.0), np.nextafter(1.0 - eps, 2.0), 0.5]
+        g = np.concatenate([edges, np.random.default_rng(5).uniform(-0.5, 1.5, 999)])
+        got = learners.clip_propensity(g)
+        assert _hex(got) == _hex(np.clip(g, eps, 1.0 - eps))
+        assert _hex(got[:7]) == _hex([np.nan, 1.0 - eps, eps, eps, eps, eps, 1.0 - eps])
+        for value in edges:
+            got = learners.clip_propensity(np.array(value))
+            want = np.clip(np.array(value), eps, 1.0 - eps)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want) == ()
+            assert float(got).hex() == float(want).hex()
+
+    def test_unweighted_least_squares_at_100k_rows(self):
+        # Large enough that BLAS blocks the Gram product; the design built
+        # by _design must still give the reference's bits.
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-1.0, 1.0, size=(100_000, 4))
+        y = x @ np.array([0.3, -1.2, 2.0, 0.7]) + np.sin(3.0 * x[:, 0]) + rng.normal(size=100_000)
+        got = fit_least_squares(x, y)
+        want = _reference_fit_least_squares(x, y)
+        assert got.intercept.hex() == want.intercept.hex()
+        assert _hex(got.coef) == _hex(want.coef)
+        ones = fit_least_squares(x, y, weights=np.ones(100_000))
+        assert _hex([ones.intercept, *ones.coef]) == _hex([got.intercept, *got.coef])
+
+
 class TestLogistic:
     def test_no_signal_fits_marginal_rate(self):
         rng = np.random.default_rng(21)

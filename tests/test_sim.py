@@ -471,6 +471,17 @@ class TestRunReplications:
         with pytest.raises(ValueError, match="unknown method"):
             run_replications(DgpConfig(n=120), ("banana",), 2, 0)
 
+    def test_duplicate_method_rejected_before_any_replicate(self, monkeypatch):
+        # Results are keyed by method name: a second copy, seeded from its
+        # own list position, would silently replace the first one's.
+        def never(config):
+            raise AssertionError("drew before the methods were checked")
+
+        monkeypatch.setattr(orthoscore.sim, "gen_dataset", never)
+        with pytest.raises(ValueError, match="^duplicate method: 'robust_lr'$"):
+            run_replications(DgpConfig(n=120), ("robust_lr", "moment", "robust_lr"),
+                             2, 0)
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"reps": 0}, "reps must be at least 1"),
         ({"reps": 2.5}, "reps must be an integer"),

@@ -17,9 +17,12 @@ Files are rewritten after every run, so an interrupted run keeps its pairs.
 
 ``compare A.json B.json`` prints, per workload and gated metric, the median
 [q1, q3] of each side, in how many of the n pairs B read lower than A, and
-whether the medians differ by more than A's quartile distance; then any
-``digest_first_op`` that differs between the sides.  A run of
-``--seconds 1`` is the quick mode.
+whether the medians differ by more than A's quartile distance, and a
+verdict on the claim rule: a gain is claimed only from at least 10 pairs,
+when B reads lower in at least 9 of every 10 of them, B's median is below
+A's by more than A's quartile distance, and B failed no more operations
+than A.  Then it prints any ``digest_first_op`` that differs
+between the sides.  A run of ``--seconds 1`` is the quick mode.
 
 Known blind spot: ``ortho_check`` times ``run_check`` in a process whose
 reference kernel has already freed an 8 MB block.  That raises glibc's mmap
@@ -147,19 +150,22 @@ def compare(a: dict, b: dict) -> list[str]:
             lines.append(f"{workload}: only in A")
             continue
         n = min(len(runs_a), len(runs_b))
-        lines.append(f"{workload} ({n} pairs; failed A {sum(r['failed'] for r in runs_a)}, "
-                     f"B {sum(r['failed'] for r in runs_b)})")
+        failed_a, failed_b = (sum(r["failed"] for r in runs) for runs in (runs_a, runs_b))
+        lines.append(f"{workload} ({n} pairs; failed A {failed_a}, B {failed_b})")
         for name in runs_a[0]["metrics"]:
             va = [r["metrics"][name] for r in runs_a[:n]]
             vb = [r["metrics"][name] for r in runs_b[:n]]
             qa, qb = _quartiles(va), _quartiles(vb)
             lower = sum(y < x for x, y in zip(va, vb))
             beyond = abs(qb[1] - qa[1]) > qa[2] - qa[0]
+            claim = (n >= 10 and 10 * lower >= 9 * n and beyond and qb[1] < qa[1]
+                     and failed_b <= failed_a)
             lines.append(
                 f"  {name:12s} A {qa[1]:.4g} [{qa[0]:.4g}, {qa[2]:.4g}]  "
                 f"B {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]  "
                 f"{100.0 * (qb[1] / qa[1] - 1.0):+.1f} %  B lower in {lower}/{n}  "
-                f"beyond A's quartile distance: {'yes' if beyond else 'no'}")
+                f"beyond A's quartile distance: {'yes' if beyond else 'no'}  "
+                f"claim rule: {'met' if claim else 'not met'}")
         digests = sorted({(ra["digest_first_op"], rb["digest_first_op"])
                           for ra, rb in zip(runs_a[:n], runs_b[:n])})
         differ = [f"A {da}, B {db}" for da, db in digests if da != db]
