@@ -280,7 +280,14 @@ def _loss_value(pred, targets, kind, w, terms=(None, None)):
     """
     per_row, spare = terms
     if kind == "cross_entropy_on_logits":
-        per_row = np.logaddexp(0.0, pred, out=per_row)
+        # softplus(f) = log1p(exp(-|f|)) + max(f, 0): np.logaddexp(0, f)
+        # to a few ULP, on numpy's vectorized exp and log1p.
+        per_row = np.abs(pred, out=per_row)
+        np.negative(per_row, out=per_row)
+        np.exp(per_row, out=per_row)
+        np.log1p(per_row, out=per_row)
+        spare = np.maximum(pred, 0.0, out=spare)
+        per_row += spare
         per_row -= np.multiply(targets, pred, out=spare)
     else:
         per_row = np.subtract(pred, targets, out=per_row)

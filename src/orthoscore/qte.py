@@ -133,11 +133,12 @@ def _root_guess(y, jump, offset) -> float:
     return float(y[order[min(k, y.size - 1)]])
 
 
-def _weighted_quantile(values, weights, q):
+def _weighted_quartiles(values, weights):
+    """The weighted 0.25 and 0.75 quantiles, from one sort of `values`."""
     order = np.argsort(values)
-    v, w = values[order], weights[order]
-    cum = np.cumsum(w)
-    return float(np.interp(q * cum[-1], cum, v))
+    cum = np.cumsum(weights[order])
+    q1, q3 = np.interp(np.array([0.25, 0.75]) * cum[-1], cum, values[order])
+    return float(q1), float(q3)
 
 
 def _ipw_density(y, d, g, at: float) -> float:
@@ -150,7 +151,8 @@ def _ipw_density(y, d, g, at: float) -> float:
         raise ValueError("no treated observations in fold")
     mean = float(np.average(yt, weights=w))
     sd = float(np.sqrt(np.average((yt - mean) ** 2, weights=w)))
-    iqr = _weighted_quantile(yt, w, 0.75) - _weighted_quantile(yt, w, 0.25)
+    q1, q3 = _weighted_quartiles(yt, w)
+    iqr = q3 - q1
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     bandwidth = max(0.9 * spread * n_t ** (-0.2), 1e-6 * (1.0 + abs(at)))
     u = (at - yt) / bandwidth

@@ -121,6 +121,27 @@ def test_compare_reports_a_moved_digest():
                for line in lines)
 
 
+def test_compare_prints_the_raw_time_ratio(tmp_path, capsys):
+    # Every canned parent run has the median operation time 0.41 s.
+    parent = _bench("parent", [19.0, 19.5, 20.0])
+    change = _bench("change", [19.0, 19.5, 20.0])
+    for run, times in zip(change["workloads"]["linear_large_n"],
+                          ([0.36, 0.35, 0.40], [0.50, 0.38, 0.36], [0.44, 0.45, 0.42])):
+        run["op_times_s"] = times
+    paths = []
+    for data in (parent, change):
+        paths.append(tmp_path / f"{data['label']}.json")
+        paths[-1].write_text(json.dumps(data))
+    assert bench.main(["compare", *map(str, paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    raw = [line for line in lines if line.strip().startswith("raw time")]
+    # Ratios 0.36/0.41, 0.38/0.41 and 0.44/0.41; op_ref is the same on both sides.
+    assert raw == ["  raw time     B/A 0.927 (median over pairs of B's median "
+                   "operation time over A's)  B lower in 2/3"]
+    assert lines.index(raw[0]) == len(lines) - 2
+    assert any(line.strip().startswith("op_ref") and "+0.0 %" in line for line in lines)
+
+
 def test_compare_command_exits_2_on_a_malformed_file(tmp_path, capsys):
     good = tmp_path / "a.json"
     good.write_text(json.dumps(_bench("a", [19.0])))

@@ -1,5 +1,6 @@
 """Tests for the nuisance learners: weighted LS, logistic, MLP."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,119 @@ class TestNewtonReusesLineSearchLogits:
         iters = [len(fit_logistic(*_logistic_design(seed)).newton_losses) - 1
                  for seed in range(4, 20, 5)]
         assert iters == [NEWTON_MAX_ITER] * 4
+
+
+def _cross_entropy_rows(f, labels):
+    """The per-row cross-entropy that ``learners._loss_value`` sums."""
+    terms = (np.empty_like(f), np.empty_like(f))
+    learners._loss_value(f, labels, "cross_entropy_on_logits", None, terms)
+    return terms[0]
+
+
+def _logaddexp_rows(f, labels):
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp(0.0, f) - labels * f
+
+
+def _wide_logits():
+    return np.concatenate([np.random.default_rng(31).uniform(-40.0, 40.0, 1_000_000),
+                           [36.7, -36.7, 745.0, -745.0, 800.0, -800.0]])
+
+
+class TestSoftplusCrossEntropy:
+    """The loss's softplus against np.logaddexp(0, f), which it replaced."""
+
+    def test_softplus_within_4_ulp_of_logaddexp(self):
+        f = _wide_logits()
+        got = _cross_entropy_rows(f, np.zeros(f.size))
+        want = np.logaddexp(0.0, f)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+    def test_cross_entropy_within_4_ulp_of_its_larger_term(self):
+        # With label 1, -f cancels against the softplus: an ULP of f is
+        # many ULP of the difference, in this formula and the old one.
+        f = _wide_logits()
+        labels = (np.random.default_rng(32).random(f.size) < 0.5).astype(float)
+        got = _cross_entropy_rows(f, labels)
+        want = _logaddexp_rows(f, labels)
+        scale = np.maximum(np.logaddexp(0.0, f), np.abs(labels * f))
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(scale))
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_non_finite_logits_give_the_logaddexp_rows(self, label):
+        # fit_mlp raises TrainingDiverged on a loss that is not finite.
+        f = np.array([np.inf, -np.inf, np.nan, 0.5])
+        labels = np.full(4, label)
+        with np.errstate(invalid="ignore"):
+            got = _cross_entropy_rows(f, labels)
+        np.testing.assert_array_equal(got, _logaddexp_rows(f, labels))
+        # The softplus is inf, 0 and NaN; label * f makes NaN of inf - inf
+        # and of 0 * inf.
+        np.testing.assert_array_equal(got[:3], [np.nan, np.inf if label else np.nan, np.nan])
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_zero_logits_cost_exactly_log_two(self, label):
+        got = _cross_entropy_rows(np.array([0.0, -0.0]), np.full(2, label))
+        assert _hex(got) == _hex([math.log(2.0)] * 2)
+
+    def test_fit_logistic_first_loss_is_the_computed_one(self):
+        x, labels = _logistic_design(3)
+        want = learners._loss_value(np.zeros(labels.size), labels,
+                                    "cross_entropy_on_logits", None)
+        assert fit_logistic(x, labels).newton_losses[0].hex() == want.hex()
+
+
+def _logaddexp_fit_logistic(x, labels):
+    """fit_logistic's damped Newton loop as it was when the line search
+    priced candidates with np.logaddexp(0, f), kept so that the
+    softplus loss can be shown to move no coefficient."""
+    x, labels = _validate_design(x, labels)
+    n, p = x.shape
+    a = learners._design(x)
+    theta = np.zeros(p + 1)
+    losses = [float(np.add.reduce(np.full(n, math.log(2.0)))) / n]
+    g = np.full(n, 0.5)
+    for _ in range(NEWTON_MAX_ITER):
+        grad = a.T @ (g - labels) / n
+        if math.sqrt(grad.dot(grad)) <= NEWTON_GRAD_TOL:
+            break
+        curv = np.maximum(g * (1.0 - g), 1e-12)
+        hess = (a * curv[:, None]).T @ a / n
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            hess = hess + (1e-12 * np.trace(hess)) * np.eye(p + 1)
+            step = np.linalg.solve(hess, grad)
+        t = 1.0
+        moved = False
+        while t > 1e-14:
+            cand = theta - t * step
+            cand_f = a @ cand
+            cand_loss = float(np.add.reduce(np.logaddexp(0.0, cand_f)
+                                            - labels * cand_f)) / n
+            if cand_loss <= losses[-1]:
+                theta, g, moved = cand, expit(cand_f), True
+                losses.append(cand_loss)
+                break
+            t /= 2.0
+        if not moved:
+            break
+    est = AffineEstimate(theta[0], theta[1:], label="logistic log-odds")
+    est.newton_losses = tuple(losses)
+    return est
+
+
+class TestSoftplusMovesNoCoefficient:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_hex_equal_to_the_logaddexp_loop(self, seed):
+        x, labels = _logistic_design(seed)
+        got = fit_logistic(x, labels)
+        want = _logaddexp_fit_logistic(x, labels)
+        assert got.intercept.hex() == want.intercept.hex()
+        assert _hex(got.coef) == _hex(want.coef)
+        assert len(got.newton_losses) == len(want.newton_losses)
+        np.testing.assert_allclose(got.newton_losses, want.newton_losses,
+                                   rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("fit", [

@@ -7,9 +7,9 @@ from orthoscore import learners
 from orthoscore.core import Q95, SEED_SPLIT, Dataset, derive_seed, split_folds
 from orthoscore.learners import (MlpArchitecture, expit, fit_least_squares,
                                  fit_logistic)
-from orthoscore.qte import (QteConfig, _ipw_density, ipw_quantile_score,
-                            orthogonal_quantile_score, qte_crossfit,
-                            solve_monotone)
+from orthoscore.qte import (QteConfig, _ipw_density, _weighted_quartiles,
+                            ipw_quantile_score, orthogonal_quantile_score,
+                            qte_crossfit, solve_monotone)
 from orthoscore.sim import DgpConfig, gen_dataset
 
 
@@ -126,6 +126,40 @@ class TestQuantileReduction:
                 return float(np.mean(orthogonal_quantile_score(b, y, d, g, h, tau)))
 
             assert solve_monotone(mean_score, y) == _sample_quantile(y, tau)
+
+
+def _two_sort_quartiles(values, weights):
+    """The weighted quartiles as ``_ipw_density`` took them before, with
+    one sort of ``values`` for each quartile."""
+    def quantile(q):
+        order = np.argsort(values)
+        v, w = values[order], weights[order]
+        cum = np.cumsum(w)
+        return float(np.interp(q * cum[-1], cum, v))
+    return quantile(0.25), quantile(0.75)
+
+
+class TestWeightedQuartiles:
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_sort_is_hex_equal_to_two(self, seed, ties):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5000))
+        values = rng.normal(size=n)
+        if ties:
+            values = np.round(values, 1)
+        weights = 1.0 / rng.uniform(0.01, 0.99, size=n)
+        got = _weighted_quartiles(values, weights)
+        assert [v.hex() for v in got] == [v.hex() for v in _two_sort_quartiles(values, weights)]
+
+    @pytest.mark.parametrize("values", [[1.5], [2.0, -1.0], [3.0] * 7,
+                                        [0.0, 1.0, 1.0, 1.0, 0.0, 2.0, -0.0]])
+    def test_small_and_point_mass_inputs(self, values):
+        values = np.array(values)
+        weights = np.linspace(1.0, 3.0, values.size)
+        got = _weighted_quartiles(values, weights)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in _two_sort_quartiles(values, weights)]
 
 
 def _randomized_data(n, seed, median1=0.0):

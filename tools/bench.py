@@ -21,8 +21,11 @@ whether the medians differ by more than A's quartile distance, and a
 verdict on the claim rule: a gain is claimed only from at least 10 pairs,
 when B reads lower in at least 9 of every 10 of them, B's median is below
 A's by more than A's quartile distance, and B failed no more operations
-than A.  Then it prints any ``digest_first_op`` that differs
-between the sides.  A run of ``--seconds 1`` is the quick mode.
+than A.  Beside the gated metrics it prints the raw time: the median over
+pairs of B's median operation time divided by A's, which ``op_ref`` hides
+when the reference kernel it is divided by runs faster or slower on one
+side.  Then it prints any ``digest_first_op`` that differs between the
+sides.  A run of ``--seconds 1`` is the quick mode.
 
 Known blind spot: ``ortho_check`` times ``run_check`` in a process whose
 reference kernel has already freed an 8 MB block.  That raises glibc's mmap
@@ -166,6 +169,11 @@ def compare(a: dict, b: dict) -> list[str]:
                 f"{100.0 * (qb[1] / qa[1] - 1.0):+.1f} %  B lower in {lower}/{n}  "
                 f"beyond A's quartile distance: {'yes' if beyond else 'no'}  "
                 f"claim rule: {'met' if claim else 'not met'}")
+        ratios = [statistics.median(rb["op_times_s"]) / statistics.median(ra["op_times_s"])
+                  for ra, rb in zip(runs_a[:n], runs_b[:n])]
+        lines.append(f"  raw time     B/A {statistics.median(ratios):.3f} (median over "
+                     f"pairs of B's median operation time over A's)  B lower in "
+                     f"{sum(r < 1.0 for r in ratios)}/{n}")
         digests = sorted({(ra["digest_first_op"], rb["digest_first_op"])
                           for ra, rb in zip(runs_a[:n], runs_b[:n])})
         differ = [f"A {da}, B {db}" for da, db in digests if da != db]
