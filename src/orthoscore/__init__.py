@@ -15,7 +15,6 @@ and the command line in ``cli``.
 from .core import (
     Dataset,
     EstimationResult,
-    FoldSplit,
     FunctionEstimate,
     derive_seed,
     make_ci,
@@ -87,7 +86,7 @@ from .diagnostics import CheckCase, CheckReport, TARGETS, run_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "EstimationResult", "FoldSplit", "FunctionEstimate",
+    "Dataset", "EstimationResult", "FunctionEstimate",
     "derive_seed", "make_ci", "normal_quantile", "split_folds",
     "AffineEstimate", "MlpArchitecture", "MlpEstimate", "TrainConfig",
     "TrainingDiverged", "clip_propensity", "expit", "fit_least_squares",

@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "FunctionEstimate",
-    "FoldSplit",
     "EstimationResult",
     "split_folds",
     "crossfit",
@@ -217,35 +216,24 @@ class FunctionEstimate:
                                 label or f"const {c:g}")
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Balanced random 2-way partition of indices 0..n-1."""
-
-    fold_assignment: np.ndarray
-
-    def indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_assignment == fold)
-
-
 def require_splittable(n: int) -> None:
     """Raise unless n rows can be split into two folds of at least two."""
     if n < 4:
         raise ValueError("sample too small to split")
 
 
-def split_folds(n: int, seed: int) -> FoldSplit:
-    """Uniformly random balanced split into two folds.
+def split_folds(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random balanced split into two folds: their sorted rows.
 
     Fold sizes are n//2 and n - n//2 (equal for even n, differing by
     one for odd n).  Reproducible from the seed.
     """
     require_splittable(n)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
     assignment = np.zeros(n, dtype=np.int8)
     assignment[order[n // 2:]] = 1
-    assignment.setflags(write=False)
-    return FoldSplit(fold_assignment=assignment)
+    # flatnonzero of a bool mask: on the int8 array itself it is 8x slower.
+    return np.flatnonzero(assignment == 0), np.flatnonzero(assignment == 1)
 
 
 def normal_quantile(p: float) -> float:
@@ -308,10 +296,10 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResul
     (split half k) and returns the fold estimate, the score at it on
     every row of ``est`` and the slope J_k of the mean score in beta.
     The fold estimates and the sandwich variances mean(scores_k^2) / J_k^2
-    are each pooled by simple average.
+    are each pooled by simple average; a pooled variance that is not
+    finite raises ``ValueError``.
     """
-    split = split_folds(data.n, derive_seed(seed, SEED_SPLIT))
-    rows = (split.indices(0), split.indices(1))
+    rows = split_folds(data.n, derive_seed(seed, SEED_SPLIT))
     fold_betas, fold_vars = [], []
     for k in (0, 1):
         beta_k, scores, slope = fit_fold(data.subset(rows[1 - k]),
@@ -321,6 +309,7 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResul
         fold_vars.append(float(np.add.reduce(scores * scores)) / scores.shape[0]
                          / slope ** 2)
         del scores  # not held while the next fold fits
-    return EstimationResult.from_folds(fold_betas,
-                                       float(np.add.reduce(fold_vars)) / len(fold_vars),
-                                       data.n, method, seed)
+    sigma2_hat = float(np.add.reduce(fold_vars)) / len(fold_vars)
+    if not math.isfinite(sigma2_hat):
+        raise ValueError("non-finite variance")
+    return EstimationResult.from_folds(fold_betas, sigma2_hat, data.n, method, seed)

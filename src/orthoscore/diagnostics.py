@@ -44,9 +44,7 @@ from .learners import expit
 from .ortho import ScoreFamily, check_orthogonality
 from .plr import partialled_score
 from .qte import ipw_quantile_score, orthogonal_quantile_score
-from .sim import (BETA0, STRATUM_PROBS, DgpConfig, always_taker_mean,
-                  complier_mean, f0_true, gen_dataset, mu_true,
-                  never_taker_mean)
+from .sim import BETA0, DgpConfig, f0_true, gen_dataset, h0_true, mu_true
 
 __all__ = [
     "TARGETS",
@@ -198,23 +196,10 @@ def _late_target():
 
     f_true = FunctionEstimate(lambda x: truths(x)[0], "true log-odds")
 
-    def h_true_rows(x, g, mu0):
-        # (e^f - e^-f) E[YZ|x] - e^f E[Y|x] with e^f = g / (1 - g),
-        #   E[Y|x]  = p_a a + p_c (g mu1 + (1 - g) mu0) + p_n nv,
-        #   E[YZ|x] = g (p_a a + p_c mu1 + p_n nv).
-        p_a, p_c, p_n = STRATUM_PROBS
-        always = p_a * always_taker_mean(x)
-        never = p_n * never_taker_mean(x)
-        mu1 = complier_mean(mu0, 1.0)
-        e_y = always + p_c * (g * mu1 + (1.0 - g) * mu0) + never
-        e_yz = g * (always + p_c * mu1 + never)
-        e_f = g / (1.0 - g)
-        return (e_f - 1.0 / e_f) * e_yz - e_f * e_y
-
     def h_true_batch(x):
         # One block of rows at a time, so the temporaries are block-sized.
         _, g, mu0 = truths(x)
-        return in_row_blocks(h_true_rows, x, g, mu0)
+        return in_row_blocks(h0_true, x, g, mu0)
 
     h_true = FunctionEstimate(h_true_batch, "true h")
 
@@ -241,12 +226,10 @@ def _plr_target():
     def sampler(m, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, 2))
-        m0, b0 = expit(x[:, 0]), _plr_background(x)
+        m0, b0 = truths(x)
         d = m0 + rng.standard_normal(m)
         y = beta0 * d + b0 + rng.standard_normal(m)
-        data = Dataset._from_checked(x, y, d, real_treatment=True)  # finite draws
-        truths.remember(data.x, (m0, b0))
-        return data
+        return Dataset._from_checked(x, y, d, real_treatment=True)  # finite draws
 
     def l_true_batch(x):
         m0, b0 = truths(x)
@@ -277,14 +260,12 @@ def _qte_target():
     def sampler(m, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, 2))
-        g0 = expit(0.8 * x[:, 0])
+        (g0,) = truths(x)
         d = (rng.random(m) < g0).astype(float)
         y1 = beta0 + x[:, 0] - x[:, 1] + rng.standard_normal(m)
         y0 = rng.standard_normal(m)
         y = np.where(d == 1.0, y1, y0)
-        data = Dataset._from_checked(x, y, d)  # finite draws, d 0/1
-        truths.remember(data.x, (g0,))
-        return data
+        return Dataset._from_checked(x, y, d)  # finite draws, d 0/1
 
     f_true = FunctionEstimate(lambda x: 0.8 * x[:, 0], "true log-odds")
 

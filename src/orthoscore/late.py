@@ -39,9 +39,8 @@ import numpy as np
 from .core import (SEED_LATE_H, SEED_LATE_LARF, SEED_LATE_LOG_ODDS, Dataset,
                    EstimationResult, FunctionEstimate, crossfit, derive_seed,
                    in_row_blocks, require_splittable)
-from .learners import (MlpArchitecture, TrainConfig, clip_propensity, expit,
-                       fit_least_squares, fit_logistic, fit_mlp,
-                       pipeline_train_config)
+from .learners import (MlpArchitecture, TrainConfig, fit_least_squares,
+                       fit_logistic, fit_mlp, pipeline_train_config, propensity)
 
 __all__ = [
     "METHODS",
@@ -99,13 +98,9 @@ def kappa(d, z, g):
     return k0, k1
 
 
-def _propensity(f):
-    return clip_propensity(expit(f))
-
-
 def _weight(f, z):
     """kappa1 - kappa0 = (z - g)/(g(1-g)), g the clipped expit(f)."""
-    g = _propensity(f)
+    g = propensity(f)
     return (z - g) / _instrument_variance(g)
 
 
@@ -137,7 +132,7 @@ def estimate_h(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     the fitted log-odds at x_i; the exponentials are formed from the
     clipped propensity, which bounds them by (1-eps)/eps.
     """
-    g = _propensity(f_hat(train.x))
+    g = propensity(f_hat(train.x))
     e_f = g / (1.0 - g)
     pseudo = train.y * ((e_f - 1.0 / e_f) * train.z - e_f)
     if not np.isfinite(pseudo).all():
@@ -184,7 +179,7 @@ def fit_larf(train: Dataset, f_hat: FunctionEstimate, config: LateConfig,
     signed, which both learners accept as-is.  One propensity and one
     ``kappa`` call serve both arms; arm 0 is fitted first.
     """
-    g = _propensity(f_hat(train.x))
+    g = propensity(f_hat(train.x))
     return tuple(_fit(config, train.x, train.y, "weighted_squared_error",
                       (SEED_LATE_LARF + t, seed_tag), weights=w)
                  for t, w in enumerate(kappa(train.d, train.z, g)))

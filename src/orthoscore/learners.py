@@ -29,6 +29,7 @@ __all__ = [
     "gradient_check",
     "expit",
     "clip_propensity",
+    "propensity",
     "AffineEstimate",
     "MlpEstimate",
 ]
@@ -113,6 +114,11 @@ def clip_propensity(g) -> np.ndarray:
     return np.asarray(g, dtype=float).clip(CLIP_EPSILON, 1.0 - CLIP_EPSILON)
 
 
+def propensity(f) -> np.ndarray:
+    """The clipped propensity of log-odds f, the g every weight divides by."""
+    return clip_propensity(expit(f))
+
+
 class AffineEstimate(FunctionEstimate):
     """intercept + x @ coef, with the coefficients exposed."""
 
@@ -152,32 +158,52 @@ def _design(x):
     return a
 
 
+def _normal_equations(a, w, y):
+    """Gram matrix and right-hand side of design ``a``'s weighted fit."""
+    return a.T @ (a * w[:, None]), a.T @ (w * y)
+
+
+def _well_conditioned(gram) -> bool:
+    """Condition number (as ``np.linalg.cond``) finite and at most 1e12."""
+    sv = np.linalg.svd(gram, compute_uv=False)
+    # A zero or NaN smallest singular value is singular, as cond's inf or NaN.
+    return bool(sv[-1] > 0.0 and float(sv[0]) / float(sv[-1]) <= 1e12)
+
+
 def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     """Affine fit minimizing sum_i w_i (y_i - b0 - x_i'b)^2.
 
     Solved through the weighted normal equations.  Weights may be
     signed.  When the condition number of the weighted Gram matrix (the
     ratio of its extreme singular values, as ``np.linalg.cond``) exceeds
-    1e12 or is not finite, a ridge of 1e-8 * trace / ncol is added to
-    the diagonal before solving.
+    1e12 or is not finite, the fit is made again on the standardized
+    design [1, (x - mean) / sd], so that it does not depend on the
+    covariates' units (a column with sd 0 is only centred), and its
+    coefficients are mapped back.  Only if that Gram matrix is ill
+    conditioned too is a ridge of 1e-8 * trace / ncol added to its
+    diagonal before solving.
     """
     x, y = _validate_design(x, y)
     n, p = x.shape
     if n <= p:
         raise ValueError("underdetermined")
     w = np.ones(n) if weights is None else _check_weights(weights, n)
-    a = _design(x)
-    gram = a.T @ (a * w[:, None])
-    rhs = a.T @ (w * y)
-    sv = np.linalg.svd(gram, compute_uv=False)
-    # A zero or NaN smallest singular value is singular, as cond's inf or NaN.
-    if not (sv[-1] > 0.0 and float(sv[0]) / float(sv[-1]) <= 1e12):
-        gram = gram + (1e-8 * np.trace(gram) / gram.shape[0]) * np.eye(gram.shape[0])
+    gram, rhs = _normal_equations(_design(x), w, y)
+    standardized = not _well_conditioned(gram)
+    if standardized:
+        shift, scale = x.mean(axis=0), x.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        gram, rhs = _normal_equations(_design((x - shift) / scale), w, y)
+        if not _well_conditioned(gram):
+            gram = gram + (1e-8 * np.trace(gram) / gram.shape[0]) * np.eye(gram.shape[0])
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("degenerate weighted design") from exc
-    return AffineEstimate(theta[0], theta[1:], label="least squares")
+    if not standardized:
+        return AffineEstimate(theta[0], theta[1:], label="least squares")
+    coef = theta[1:] / scale
+    return AffineEstimate(theta[0] - shift @ coef, coef, label="least squares")
 
 
 NEWTON_MAX_ITER = 100

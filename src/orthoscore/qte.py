@@ -18,7 +18,8 @@ d (I(y <= pilot) - tau) / g^2 on x; on the estimation half, solve the
 orthogonal equation exactly (its empirical mean is a nondecreasing step
 function of beta).  The slope J of the mean score is the density of
 Y(1) at beta-hat, estimated by a Gaussian kernel on the IPW-weighted
-treated outcomes with Silverman bandwidth.  g is ``clip_propensity(expit(f))``.
+treated outcomes with Silverman bandwidth.  g is ``learners.propensity(f)``,
+the clipped expit(f).
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import numpy as np
 
 from .core import (SEED_QTE_H, SEED_QTE_LOG_ODDS, Dataset, EstimationResult,
                    crossfit, derive_seed, require_splittable)
-from .learners import (MlpArchitecture, TrainConfig, clip_propensity, expit,
-                       fit_least_squares, fit_logistic, fit_mlp,
-                       pipeline_train_config)
+from .learners import (MlpArchitecture, TrainConfig, fit_least_squares,
+                       fit_logistic, fit_mlp, pipeline_train_config, propensity)
 
 __all__ = [
     "QteConfig",
@@ -182,7 +182,7 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
     def fit_fold(train, est, k):
         f_hat = _fit(train.x, train.d, "cross_entropy_on_logits", config,
                      SEED_QTE_LOG_ODDS, k)
-        g_train = clip_propensity(expit(f_hat(train.x)))
+        g_train = propensity(f_hat(train.x))
         jump = train.d / g_train
         pilot = solve_monotone(
             lambda b: float(np.mean(ipw_quantile_score(b, train.y, train.d,
@@ -191,7 +191,7 @@ def qte_crossfit(data: Dataset, config: QteConfig) -> EstimationResult:
         pseudo = train.d * ((train.y <= pilot).astype(float) - tau) / g_train ** 2
         h_hat = _fit(train.x, pseudo, "squared_error", config, SEED_QTE_H, k)
 
-        g_est = clip_propensity(expit(f_hat(est.x)))
+        g_est = propensity(f_hat(est.x))
         h_est = h_hat(est.x)
 
         def mean_score(b):

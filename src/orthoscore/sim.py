@@ -47,6 +47,7 @@ __all__ = [
     "always_taker_mean",
     "complier_mean",
     "never_taker_mean",
+    "h0_true",
     "gen_dataset",
     "summarize_replicates",
     "run_replications",
@@ -154,6 +155,25 @@ def complier_mean(mu0, d):
 def never_taker_mean(x):
     """0.6 x1 + 0.8 x2 + x3 + 1.2 x4."""
     return 0.6 * x[:, 0] + 0.8 * x[:, 1] + x[:, 2] + 1.2 * x[:, 3]
+
+
+def h0_true(x, g0, mu0):
+    """The late correction direction E[Y ((e^f - e^-f) Z - e^f) | X = x].
+
+    ``g0`` and ``mu0`` are ``DgpTruth.g0`` and ``DgpTruth.mu0`` at the
+    rows of x.  With e^f = g0 / (1 - g0) it is
+    (e^f - e^-f) E[YZ|x] - e^f E[Y|x], where
+    E[Y|x] = p_a a + p_c (g0 mu1 + (1 - g0) mu0) + p_n nv and
+    E[YZ|x] = g0 (p_a a + p_c mu1 + p_n nv) average over the strata.
+    """
+    p_a, p_c, p_n = STRATUM_PROBS
+    always = p_a * always_taker_mean(x)
+    never = p_n * never_taker_mean(x)
+    mu1 = complier_mean(mu0, 1.0)
+    e_y = always + p_c * (g0 * mu1 + (1.0 - g0) * mu0) + never
+    e_yz = g0 * (always + p_c * mu1 + never)
+    e_f = g0 / (1.0 - g0)
+    return (e_f - 1.0 / e_f) * e_yz - e_f * e_y
 
 
 def gen_dataset(config: DgpConfig) -> tuple[Dataset, DgpTruth]:

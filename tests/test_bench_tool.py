@@ -121,6 +121,35 @@ def test_compare_reports_a_moved_digest():
                for line in lines)
 
 
+def _with_simd(data, level):
+    data["env"] = {**data["env"], "simd": level}
+    return data
+
+
+def test_compare_says_digests_at_other_simd_levels_are_not_comparable():
+    avx512 = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+    a = _with_simd(_bench("a", [19.0, 19.0]), avx512)
+    b = _with_simd(_bench("b", [19.0, 19.0], "sha256:bb"), ["X86_V3"])
+    assert bench.compare(a, b)[-1] == (
+        "  digest_first_op: SIMD level differs; digests not comparable "
+        "(A X86_V3 X86_V4 AVX512_ICL AVX512_SPR, B X86_V3)")
+    # At one level, or when a file has no level, a moved digest is reported.
+    same = _with_simd(_bench("b", [19.0, 19.0], "sha256:bb"), avx512)
+    for b in (same, _bench("b", [19.0, 19.0], "sha256:bb")):
+        assert bench.compare(a, b)[-1] == (
+            "  digest_first_op differs: A sha256:aa, B sha256:bb")
+    # Equal digests are equal at any level.
+    b = _with_simd(_bench("b", [19.0, 19.0]), ["X86_V3"])
+    assert bench.compare(a, b)[-1] == "  digest_first_op same: sha256:aa"
+
+
+def test_simd_level_lists_enabled_dispatch_targets():
+    import numpy
+    umath = getattr(numpy, "_core", numpy.core)._multiarray_umath
+    level = bench._simd_level()
+    assert level == [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+
+
 def test_compare_prints_the_raw_time_ratio(tmp_path, capsys):
     # Every canned parent run has the median operation time 0.41 s.
     parent = _bench("parent", [19.0, 19.5, 20.0])

@@ -10,6 +10,7 @@ import orthoscore.cli
 import orthoscore.sim
 from orthoscore.cli import METHOD_LABELS, main
 from orthoscore.cli import _read_columns
+from orthoscore.core import Dataset
 from orthoscore.late import LateConfig, late_crossfit
 from orthoscore.sim import DgpConfig, gen_dataset
 
@@ -416,6 +417,14 @@ class TestAnalyze:
         path, _ = iv_csv
         assert main(_analyze_argv(path, method="banana")) == 2
         assert "unknown method label" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_variance_exits_1(self, tmp_path, capsys):
+        data, _ = gen_dataset(DgpConfig(scenario="s1", n=400, p=4, seed=5))
+        path = tmp_path / "huge_y.csv"
+        _export_csv(path, Dataset(data.x, data.y * 1e300, data.d, data.z))
+        assert main(_analyze_argv(path)) == 1
+        assert "estimation failed: non-finite variance" in capsys.readouterr().err
 
     def test_degenerate_instrument_exits_1(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -112,22 +112,23 @@ class TestNormalQuantile:
 class TestSplitFolds:
     def test_even_n_balanced(self):
         fs = split_folds(4, seed=0)
-        assert len(fs.indices(0)) == 2
-        assert len(fs.indices(1)) == 2
+        assert len(fs[0]) == 2
+        assert len(fs[1]) == 2
 
     def test_odd_n_differs_by_one(self):
         fs = split_folds(5, seed=3)
-        sizes = sorted([len(fs.indices(0)), len(fs.indices(1))])
+        sizes = sorted([len(fs[0]), len(fs[1])])
         assert sizes == [2, 3]
 
     def test_deterministic(self):
         a = split_folds(1000, seed=7)
         b = split_folds(1000, seed=7)
-        np.testing.assert_array_equal(a.fold_assignment, b.fold_assignment)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_partition_is_bijection(self):
         fs = split_folds(101, seed=11)
-        merged = np.sort(np.concatenate([fs.indices(0), fs.indices(1)]))
+        merged = np.sort(np.concatenate([fs[0], fs[1]]))
         np.testing.assert_array_equal(merged, np.arange(101))
 
     def test_too_small_rejected(self):
@@ -137,14 +138,14 @@ class TestSplitFolds:
     def test_seed_changes_assignment(self):
         a = split_folds(200, seed=0)
         b = split_folds(200, seed=1)
-        assert not np.array_equal(a.fold_assignment, b.fold_assignment)
+        assert not np.array_equal(a[0], b[0])
 
     @given(n=st.integers(min_value=4, max_value=400),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_partition_properties_hold(self, n, seed):
         fs = split_folds(n, seed)
-        i0, i1 = fs.indices(0), fs.indices(1)
+        i0, i1 = fs
         assert abs(len(i0) - len(i1)) <= 1
         merged = np.sort(np.concatenate([i0, i1]))
         np.testing.assert_array_equal(merged, np.arange(n))
@@ -446,6 +447,32 @@ class TestNetSeedPaths:
 
 
 class TestCrossfit:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_variance_raises(self):
+        # Finite fold estimates whose squared scores overflow.
+        data = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6), np.zeros(6))
+
+        def fit_fold(train, est, k):
+            return 1.0, np.array([-1e300, 1e300]), -1.0
+
+        with pytest.raises(ValueError, match="^non-finite variance$"):
+            crossfit(data, 4, fit_fold, "stub")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["robust_lr", "moment", "reg_lr", "plr"])
+    def test_outcome_scaled_by_1e300_fails_instead_of_an_infinite_interval(self, name):
+        # The fold estimates stay finite, but mean(scores^2) overflows;
+        # the interval would have been (-inf, inf).
+        iv, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        y = iv.y * 1e300
+        if name == "plr":
+            run = lambda: plr.plr_crossfit(Dataset(iv.x, y, iv.d), plr.PlrConfig(seed=1))
+        else:
+            run = lambda: late.late_crossfit(Dataset(iv.x, y, iv.d, iv.z),
+                                             late.LateConfig(method=name, seed=1))
+        with pytest.raises(ValueError, match="^non-finite variance$"):
+            run()
+
     def test_fold_variance_is_mean_square_score_over_squared_slope(self):
         # Fold 0: mean([-1, 1]^2) / (-1)^2 = 1; fold 1: 1 / 2^2 = 0.25.
         data = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6), np.zeros(6))
@@ -467,11 +494,11 @@ class TestCrossfit:
         iv, _ = gen_dataset(DgpConfig(n=300, seed=2))
         data = Dataset(iv.x, iv.y, iv.d)
         res = plr.plr_crossfit(data, plr.PlrConfig(seed=9))
-        split = split_folds(data.n, derive_seed(9, SEED_SPLIT))
+        rows = split_folds(data.n, derive_seed(9, SEED_SPLIT))
         fold_vars = []
         for k in (0, 1):
-            train = data.subset(split.indices(1 - k))
-            est = data.subset(split.indices(k))
+            train = data.subset(rows[1 - k])
+            est = data.subset(rows[k])
             r_d = est.d - fit_least_squares(train.x, train.d)(est.x)
             r_y = est.y - fit_least_squares(train.x, train.y)(est.x)
             psi = plr.partialled_score(res.fold_betas[k], r_d, r_y)
@@ -499,7 +526,7 @@ class TestCrossfit:
     def test_smallest_splits_are_two_and_the_rest(self, n):
         for seed in range(20):
             fs = split_folds(n, seed)
-            assert (len(fs.indices(0)), len(fs.indices(1))) == (2, n - 2)
+            assert (len(fs[0]), len(fs[1])) == (2, n - 2)
 
     @pytest.mark.parametrize("n", [4, 5])
     @pytest.mark.parametrize("name, error, message", [

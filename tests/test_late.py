@@ -417,7 +417,7 @@ class TestScoresMatchTheWeightForm:
             with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
                 kappa(data.d, data.z, g)
             with monkeypatch.context() as m:
-                m.setattr(orthoscore.late, "clip_propensity",
+                m.setattr(orthoscore.learners, "clip_propensity",
                           lambda g: np.asarray(g, dtype=float))
                 for call in (lambda: robust_score(0.0, f, v["h"], data),
                              lambda: moment_score(0.0, f, data),
@@ -650,7 +650,7 @@ class TestLateCrossfit:
                                        train=TrainConfig(epochs=2, weight_decay=1.0)))
         split = split_folds(data.n, derive_seed(4, SEED_SPLIT))
         for k in (0, 1):
-            halves = [len(split.indices(1 - k)), len(split.indices(k))]
+            halves = [len(split[1 - k]), len(split[k])]
             assert sorted(rows[k]) == sorted(halves)
 
     def test_unknown_method_rejected(self):
@@ -690,7 +690,7 @@ class TestLateCrossfit:
         data = _iv_data(300, seed=67)
         split = split_folds(data.n, derive_seed(4, SEED_SPLIT))
         z = np.zeros(data.n)
-        z[split.indices(0)] = 1.0
+        z[split[0]] = 1.0
         data = Dataset(data.x, data.y, data.d, z)
         with pytest.raises(RuntimeError, match="fold 0: degenerate labels"):
             late_crossfit(data, LateConfig(method=method, seed=4))
@@ -703,7 +703,7 @@ class TestLateCrossfit:
         data, _ = gen_dataset(DgpConfig(n=400, seed=3))
         split = split_folds(data.n, derive_seed(5, SEED_SPLIT))
         d = data.d.copy()
-        d[split.indices(1)] = 0.0
+        d[split[1]] = 0.0
         data = Dataset(data.x, data.y, d, data.z)
         config = LateConfig(method=method, seed=5)
         if method == "reg_lr":

@@ -118,6 +118,20 @@ def _reference_fit_least_squares(x, y, weights=None):
     return AffineEstimate(theta[0], theta[1:], label="least squares")
 
 
+def _reference_standardized_fit(x, y, weights=None):
+    """The fallback of an ill-conditioned least-squares fit, written out:
+    the cond-form fit of ``_reference_fit_least_squares`` on the
+    standardized design [1, (x - mean) / sd] (a column with sd 0 only
+    centred), its coefficients mapped back to the units of x."""
+    x, y = _validate_design(x, y)
+    mean = np.mean(x, axis=0)
+    sd = np.std(x, axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    fit = _reference_fit_least_squares((x - mean) / sd, y, weights)
+    coef = fit.coef / sd
+    return AffineEstimate(fit.intercept - mean @ coef, coef, label="least squares")
+
+
 def _ridge_design(kind):
     """(x, y, weights, cond of the weighted Gram matrix is past 1e12)."""
     rng = np.random.default_rng(16)
@@ -148,9 +162,49 @@ class TestLeastSquaresRidgeFallback:
                     fit(x, y, w)
             return
         got = fit_least_squares(x, y, weights=w)
-        want = _reference_fit_least_squares(x, y, weights=w)
+        # An ill-conditioned design is refitted in standardized units.
+        reference = _reference_standardized_fit if ill else _reference_fit_least_squares
+        want = reference(x, y, weights=w)
         assert got.intercept.hex() == want.intercept.hex()
         assert [c.hex() for c in got.coef] == [c.hex() for c in want.coef]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_predictions_do_not_depend_on_the_covariates_units(self, seed):
+        # An affine map of x that pushes the Gram matrix's condition
+        # number past 1e12 sends the fit to its standardized refit; the
+        # predictions are those of the well-conditioned raw fit.
+        rng = np.random.default_rng(seed)
+        n, p = 300, 3
+        x = rng.normal(size=(n, p))
+        y = x @ rng.normal(size=p) + np.sin(x[:, 0]) + rng.normal(size=n)
+        w = None if seed % 2 else rng.uniform(-0.5, 2.0, size=n)
+        # One column in units of 1e-6, the others in units from 1 to 1e-3,
+        # each origin 1e3 to 2e3 away: no value of the moved x loses more
+        # than about 1e-13 of its x to rounding.
+        scale = 10.0 ** rng.uniform(0.0, 3.0, size=p) * rng.choice([-1.0, 1.0], size=p)
+        scale[seed % p] = 1e6 * np.sign(scale[seed % p])
+        shift = rng.uniform(1e3, 2e3, size=p) * rng.choice([-1.0, 1.0], size=p)
+        moved = x * scale + shift
+        for design, ill in ((x, False), (moved, True)):
+            a = np.column_stack([np.ones(n), design])
+            gram = a.T @ (a * (np.ones(n) if w is None else w)[:, None])
+            assert (np.linalg.cond(gram) > 1e12) == ill
+        want = fit_least_squares(x, y, weights=w)(x)
+        got = fit_least_squares(moved, y, weights=w)(moved)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_constant_column_is_absorbed_by_the_intercept(self):
+        # A constant column duplicates the intercept; centred, it is all
+        # zeros, the standardized Gram matrix is singular and the ridge
+        # gives that column a zero coefficient.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(200, 2))
+        y = x @ np.array([1.0, -1.0]) + rng.normal(size=200)
+        fit = fit_least_squares(np.column_stack([x, np.full(200, 7.0)]), y)
+        want = fit_least_squares(x, y)
+        assert fit.coef[2] == 0.0
+        np.testing.assert_allclose(fit.coef[:2], want.coef, rtol=1e-6)
+        np.testing.assert_allclose(fit.intercept, want.intercept, rtol=1e-6)
 
 
 def _hex(values):

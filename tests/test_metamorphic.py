@@ -9,6 +9,7 @@ uses RTOL, far below any statistical difference.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,27 @@ def test_late_is_invariant_to_affine_covariate_maps(n, seed):
     rng = np.random.default_rng(seed)
     a = _orthogonal(data.p, rng) * rng.uniform(0.5, 2.0, size=data.p)
     moved = Dataset(data.x @ a + rng.normal(size=data.p), data.y, data.d, data.z)
+    for method in LATE_METHODS:
+        _close(_late(moved, method, seed), _late(data, method, seed),
+               rtol=AFFINE_RTOL)
+
+
+# Changes of units that push the least-squares Gram matrix's condition
+# number past 1e12, where fit_least_squares refits on standardized
+# covariates instead of solving in these units.
+UNIT_CHANGES = {
+    "column 0 x 1e6": lambda x: x * np.array([1e6, 1.0, 1.0, 1.0]),
+    "column 0 + 1e3": lambda x: x + np.array([1e3, 0.0, 0.0, 0.0]),
+    "every column + 2000": lambda x: x + 2000.0,
+}
+
+
+@pytest.mark.parametrize("change", list(UNIT_CHANGES))
+@given(n=sizes, seed=seeds)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_late_does_not_depend_on_the_covariates_units(change, n, seed):
+    data = _iv_sample(n, seed)
+    moved = Dataset(UNIT_CHANGES[change](data.x), data.y, data.d, data.z)
     for method in LATE_METHODS:
         _close(_late(moved, method, seed), _late(data, method, seed),
                rtol=AFFINE_RTOL)

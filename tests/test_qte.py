@@ -233,8 +233,8 @@ class TestQteCrossfit:
             got[eps] = qte_crossfit(data, QteConfig(tau=tau, seed=3)).fold_betas
             want = []
             for k in (0, 1):
-                train = data.subset(split.indices(1 - k))
-                est = data.subset(split.indices(k))
+                train = data.subset(split[1 - k])
+                est = data.subset(split[k])
                 f_hat = fit_logistic(train.x, train.d)
                 g = np.clip(expit(f_hat(train.x)), eps, 1.0 - eps)
                 pilot = solve_monotone(lambda b: float(np.mean(
@@ -303,7 +303,7 @@ class TestQteCrossfit:
         data, _ = gen_dataset(DgpConfig(n=400, seed=3))
         split = split_folds(data.n, derive_seed(5, SEED_SPLIT))
         d = data.d.copy()
-        d[split.indices(1)] = 0.0
+        d[split[1]] = 0.0
         with pytest.raises(ValueError, match="degenerate labels"):
             qte_crossfit(Dataset(data.x, data.y, d), QteConfig(seed=5))
 

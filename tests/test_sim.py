@@ -8,11 +8,11 @@ from scipy import integrate
 
 import orthoscore.late
 import orthoscore.sim
-from orthoscore.core import Dataset
+from orthoscore.core import Dataset, in_row_blocks
 from orthoscore.late import LateConfig, late_crossfit
 from orthoscore.learners import expit
 from orthoscore.sim import (BETA0, DgpConfig, f0_true, gen_covariates,
-                            gen_dataset, mu_true, run_replications,
+                            gen_dataset, h0_true, mu_true, run_replications,
                             summarize_replicates)
 
 # Variance of a standard normal truncated to [-1, 1]:
@@ -137,6 +137,50 @@ class TestTruthFunctions:
     def test_mu_rejects_unknown_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
             mu_true(np.zeros((1, 4)), 0, "s3")
+
+
+class TestLateDirection:
+    """h0_true is E[t | X] for the pseudo-outcome t that estimate_h
+    regresses on x, t = y ((e^f - e^-f) z - e^f), e^f = g0 / (1 - g0).
+
+    Checked on one large draw: E[(t - h0(X)) phi(X)] = 0 for every phi,
+    so each sample mean lies within a few standard errors of 0.  Criterion
+    5's 3-SE band at 1e6 draws cannot see an error in h0 below about
+    0.26 %; at 2e6 draws an error of 0.3 % moves the mean along 1 or
+    cos x1 by about 4.4 standard errors (2.6 to 6.2 over seeds 0-7).
+    """
+
+    N = 2_000_000
+    PHIS = {"1": lambda x: np.ones(len(x)), "x1": lambda x: x[:, 0],
+            "x2": lambda x: x[:, 1], "cos x1": lambda x: np.cos(x[:, 0]),
+            "x3 x4": lambda x: x[:, 2] * x[:, 3]}
+
+    @pytest.fixture(scope="class")
+    def draw(self):
+        data, truth = gen_dataset(DgpConfig(n=self.N, seed=2))
+        e_f = truth.g0 / (1.0 - truth.g0)
+        t = data.y * ((e_f - 1.0 / e_f) * data.z - e_f)
+        h0 = in_row_blocks(h0_true, data.x, truth.g0, truth.mu0)
+        return data.x, t, h0
+
+    def _ratios(self, x, residual):
+        out = {}
+        for name, phi in self.PHIS.items():
+            v = residual * phi(x)
+            out[name] = float(np.mean(v) / (np.std(v) / math.sqrt(len(v))))
+        return out
+
+    def test_h0_is_the_conditional_mean_of_the_pseudo_outcome(self, draw):
+        # Measured ratios: 1 +0.18, x1 +1.89, x2 -0.50, cos x1 +0.06, x3 x4 -0.17.
+        x, t, h0 = draw
+        ratios = self._ratios(x, t - h0)
+        assert all(abs(r) <= 4.0 for r in ratios.values()), ratios
+
+    def test_h0_off_by_three_tenths_of_a_percent_is_seen(self, draw):
+        # Measured ratios along 1 and cos x1: +4.60 and +4.45.
+        x, t, h0 = draw
+        ratios = self._ratios(x, t - 1.003 * h0)
+        assert max(abs(r) for r in ratios.values()) > 4.0, ratios
 
 
 class TestGenCovariates:
@@ -457,6 +501,28 @@ class TestRunReplications:
                                    reps=4, master_seed=3).by_method("moment")
         assert summary.failures == 1 and summary.reps_done == 3
         assert math.isfinite(summary.bias) and math.isfinite(summary.smse)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_variance_is_a_failed_replicate(self, monkeypatch):
+        # The first replicate's outcome is scaled by 1e300: its estimate is
+        # finite but its variance is not, so it fails and the rest count.
+        draw = orthoscore.sim.gen_dataset
+        calls = []
+
+        def huge_first_outcome(config):
+            data, truth = draw(config)
+            calls.append(config.seed)
+            if len(calls) == 1:
+                data = Dataset(data.x, data.y * 1e300, data.d, data.z)
+            return data, truth
+
+        monkeypatch.setattr(orthoscore.sim, "gen_dataset", huge_first_outcome)
+        report = run_replications(DgpConfig(n=120, p=4, seed=0),
+                                  ("robust_lr", "moment", "reg_lr"), reps=3,
+                                  master_seed=3)
+        for summary in report.methods:
+            assert summary.failures == 1 and summary.reps_done == 2
+            assert math.isfinite(summary.bias) and math.isfinite(summary.smse)
 
     def test_programming_error_is_not_counted_as_a_failure(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -7,7 +7,10 @@
 once per workload of ``BENCHMARK.json`` and pair, each in a fresh process,
 and writes ``BENCH_<label>.json`` with the git head (and whether the working
 tree differs from it), the environment line, and for each workload and pair
-the gated metrics, ``op_times_s``, ``failed`` and ``digest_first_op``.
+the gated metrics, ``op_times_s``, ``failed`` and ``digest_first_op``.  The
+environment gains ``simd``: numpy's enabled dispatch targets in a process
+started like the runs (``NPY_DISABLE_CPU_FEATURES`` lowers them), because
+the same seed gives other float bits, so other digests, at another level.
 
 With ``--against REV``, REV is exported with ``git archive`` into a temporary
 directory, and each pair runs both trees one after the other: REV first in
@@ -25,7 +28,9 @@ than A.  Beside the gated metrics it prints the raw time: the median over
 pairs of B's median operation time divided by A's, which ``op_ref`` hides
 when the reference kernel it is divided by runs faster or slower on one
 side.  Then it prints any ``digest_first_op`` that differs between the
-sides.  A run of ``--seconds 1`` is the quick mode.
+sides; when both files record a ``simd`` level and the levels differ, it
+says that the digests are not comparable.  A run of ``--seconds 1`` is the
+quick mode.
 
 Known blind spot: ``ortho_check`` times ``run_check`` in a process whose
 reference kernel has already freed an 8 MB block.  That raises glibc's mmap
@@ -97,6 +102,17 @@ def _run_once(tree: Path, workload: str, seconds: float) -> dict:
     return parse_output(done.stdout)
 
 
+# numpy.core became numpy._core in numpy 2.
+SIMD_PROBE = ("import numpy; u = getattr(numpy, '_core', numpy.core)._multiarray_umath; "
+              "print(' '.join(t for t in u.__cpu_dispatch__ if u.__cpu_features__[t]))")
+
+
+def _simd_level() -> list[str]:
+    """numpy's enabled dispatch targets, read in a child process."""
+    return subprocess.run((sys.executable, "-c", SIMD_PROBE), check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 def _bench_file(label, head, dirty, against, seconds) -> dict:
     return {"label": label, "head": head, "dirty": dirty, "against": against,
             "seed": SEED, "seconds": seconds, "env": None, "workloads": {}}
@@ -115,6 +131,7 @@ def cmd_run(args) -> int:
     head = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     against = _git("rev-parse", "--verify", args.against + "^{commit}") if args.against else None
+    simd = _simd_level()
     sides = [(ROOT, Path(f"BENCH_{args.label}.json"),
               _bench_file(args.label, head, dirty, against, args.seconds))]
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
@@ -128,6 +145,7 @@ def cmd_run(args) -> int:
                 order = sides if pair % 2 == 0 else sides[::-1]
                 for position, (tree, out, bench) in enumerate(order):
                     run = _run_once(tree, workload, args.seconds)
+                    run["env"]["simd"] = simd
                     _add_run(bench, workload, pair, position == 0, run)
                     (ROOT / out).write_text(json.dumps(bench, indent=1) + "\n")
                     print(f"pair {pair} {workload} {out}: op_ref "
@@ -147,6 +165,7 @@ def compare(a: dict, b: dict) -> list[str]:
     """Report lines comparing BENCH file b (the change) against a (the base)."""
     lines = [f"A: {a['label']} at {a['head'][:12]}; B: {b['label']} at "
              f"{b['head'][:12]}{' (dirty)' if b['dirty'] else ''}"]
+    simd = [(side["env"] or {}).get("simd") for side in (a, b)]
     for workload, runs_a in a["workloads"].items():
         runs_b = b["workloads"].get(workload)
         if not runs_b:
@@ -179,6 +198,9 @@ def compare(a: dict, b: dict) -> list[str]:
         differ = [f"A {da}, B {db}" for da, db in digests if da != db]
         lines.append("  digest_first_op " + ("differs: " + "; ".join(differ) if differ
                                              else "same: " + digests[0][0]))
+        if differ and None not in simd and simd[0] != simd[1]:
+            lines[-1] = (f"  digest_first_op: SIMD level differs; digests not comparable "
+                         f"(A {' '.join(simd[0])}, B {' '.join(simd[1])})")
     return lines
 
 
