@@ -193,6 +193,14 @@ class FunctionEstimate:
     on an (n, p) matrix returns an (n,) vector.  Identical input must yield
     identical output, and finite input must yield finite output; the
     learners are responsible for returning parameters that satisfy this.
+
+    A subclass evaluates through its own ``_batch(x)`` method and sets
+    ``label`` itself; it never hands this constructor a function that
+    closes over ``self``.  Such a closure puts the object in a reference
+    cycle, so it outlives its last reference until the cyclic garbage
+    collector happens to run, and a fitted net keeps its parameters.
+    A function passed here may close over arrays, never over the
+    estimate it builds.
     """
 
     def __init__(self, batch_fn, label: str = "fn"):
@@ -296,11 +304,12 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResul
     (split half k) and returns the fold estimate, the score at it on
     every row of ``est`` and the slope J_k of the mean score in beta.
     The fold estimates and the sandwich variances mean(scores_k^2) / J_k^2
-    are each pooled by simple average; a pooled variance that is not
-    finite raises ``ValueError``.
+    are each pooled by simple average.  A pooled variance that is not
+    finite raises ``ValueError``, and so does a pooled variance of 0
+    from scores that are not all exactly 0 (their squares underflowed).
     """
     rows = split_folds(data.n, derive_seed(seed, SEED_SPLIT))
-    fold_betas, fold_vars = [], []
+    fold_betas, fold_vars, underflow = [], [], False
     for k in (0, 1):
         beta_k, scores, slope = fit_fold(data.subset(rows[1 - k]),
                                          data.subset(rows[k]), k)
@@ -308,8 +317,11 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResul
         # Means are the sum and the divide that np.mean performs.
         fold_vars.append(float(np.add.reduce(scores * scores)) / scores.shape[0]
                          / slope ** 2)
+        underflow = underflow or (fold_vars[-1] == 0.0 and bool(scores.any()))
         del scores  # not held while the next fold fits
     sigma2_hat = float(np.add.reduce(fold_vars)) / len(fold_vars)
     if not math.isfinite(sigma2_hat):
         raise ValueError("non-finite variance")
+    if sigma2_hat == 0.0 and underflow:
+        raise ValueError("variance underflows to 0")
     return EstimationResult.from_folds(fold_betas, sigma2_hat, data.n, method, seed)

@@ -127,7 +127,10 @@ class AffineEstimate(FunctionEstimate):
         coef = np.array(coef, dtype=float)
         coef.setflags(write=False)
         self.coef = coef
-        super().__init__(lambda x: self.intercept + x @ self.coef, label)
+        self.label = label
+
+    def _batch(self, x):
+        return self.intercept + x @ self.coef
 
 
 def _check_weights(weights, n):
@@ -164,7 +167,10 @@ def _normal_equations(a, w, y):
 
 
 def _well_conditioned(gram) -> bool:
-    """Condition number (as ``np.linalg.cond``) finite and at most 1e12."""
+    """Entries finite, condition number (as ``np.linalg.cond``) at most 1e12."""
+    # LAPACK rejects an inf or NaN entry with a message on stderr.
+    if not np.isfinite(gram).all():
+        return False
     sv = np.linalg.svd(gram, compute_uv=False)
     # A zero or NaN smallest singular value is singular, as cond's inf or NaN.
     return bool(sv[-1] > 0.0 and float(sv[0]) / float(sv[-1]) <= 1e12)
@@ -174,14 +180,15 @@ def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     """Affine fit minimizing sum_i w_i (y_i - b0 - x_i'b)^2.
 
     Solved through the weighted normal equations.  Weights may be
-    signed.  When the condition number of the weighted Gram matrix (the
-    ratio of its extreme singular values, as ``np.linalg.cond``) exceeds
-    1e12 or is not finite, the fit is made again on the standardized
-    design [1, (x - mean) / sd], so that it does not depend on the
-    covariates' units (a column with sd 0 is only centred), and its
-    coefficients are mapped back.  Only if that Gram matrix is ill
-    conditioned too is a ridge of 1e-8 * trace / ncol added to its
-    diagonal before solving.
+    signed.  When the weighted Gram matrix overflows, or its condition
+    number (the ratio of its extreme singular values, as
+    ``np.linalg.cond``) exceeds 1e12 or is not finite, the fit is made
+    again on the standardized design [1, (x - mean) / sd], so that it
+    does not depend on the covariates' units (a column with sd 0 is only
+    centred), and its coefficients are mapped back.  A mean or sd that
+    overflows, or a standardized Gram matrix that does, raises
+    ``ValueError``.  Only if that Gram matrix is ill conditioned is a
+    ridge of 1e-8 * trace / ncol added to its diagonal before solving.
     """
     x, y = _validate_design(x, y)
     n, p = x.shape
@@ -192,9 +199,13 @@ def fit_least_squares(x, y, weights=None) -> AffineEstimate:
     standardized = not _well_conditioned(gram)
     if standardized:
         shift, scale = x.mean(axis=0), x.std(axis=0)
+        if not (np.isfinite(shift).all() and np.isfinite(scale).all()):
+            raise ValueError("covariate scale overflows")
         scale[scale == 0.0] = 1.0
         gram, rhs = _normal_equations(_design((x - shift) / scale), w, y)
         if not _well_conditioned(gram):
+            if not np.isfinite(gram).all():
+                raise ValueError("weighted Gram matrix overflows")
             gram = gram + (1e-8 * np.trace(gram) / gram.shape[0]) * np.eye(gram.shape[0])
     try:
         theta = np.linalg.solve(gram, rhs)
@@ -413,7 +424,10 @@ class MlpEstimate(FunctionEstimate):
         for w, b in self.params:
             w.setflags(write=False)
             b.setflags(write=False)
-        super().__init__(lambda x: _forward(self.params, x)[0], label)
+        self.label = label
+
+    def _batch(self, x):
+        return _forward(self.params, x)[0]
 
 
 def _check_loss_args(kind, weights, n):

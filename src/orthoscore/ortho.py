@@ -124,18 +124,19 @@ class RatioDirection(FunctionEstimate):
 
     def __init__(self, numerator: FunctionEstimate, denominator: FunctionEstimate,
                  label: str = "direction"):
+        self.numerator = numerator
+        self.denominator = denominator
         self.clip_count = 0
+        self.label = label
 
-        def batch(x):
-            num = numerator(x)
-            den = denominator(x)
-            small = np.abs(den) < DENOM_CLIP
-            self.clip_count += int(np.count_nonzero(small))
-            den = np.where(den >= 0.0, np.maximum(den, DENOM_CLIP),
-                           np.minimum(den, -DENOM_CLIP))
-            return -num / den
-
-        super().__init__(batch, label)
+    def _batch(self, x):
+        num = self.numerator(x)
+        den = self.denominator(x)
+        small = np.abs(den) < DENOM_CLIP
+        self.clip_count += int(np.count_nonzero(small))
+        den = np.where(den >= 0.0, np.maximum(den, DENOM_CLIP),
+                       np.minimum(den, -DENOM_CLIP))
+        return -num / den
 
 
 def _fit_ratio(x, num_targets, den_targets, regressor, label):

@@ -114,6 +114,33 @@ def test_claim_rule_is_not_met_when_b_fails_more_operations():
         "claim rule: met")
 
 
+@pytest.mark.parametrize("change, verdict", [
+    (CHANGE_10, "within bound"),
+    # 24 % worse: inside the 25 % bound of op_ref
+    ([v * 1.24 for v in PARENT_10], "within bound"),
+    ([v * 1.3 for v in PARENT_10], "worse beyond bound"),
+    # B's quartile distance, 6.5 on a median of 19.5, is wider than 25 %
+    ([14.0, 19.5, 26.0, 14.5, 25.0, 19.0, 20.0, 13.0, 27.0, 19.6], "unresolved"),
+], ids=["lower", "worse within", "worse beyond", "spread"])
+def test_compare_states_the_regression_verdict(change, verdict):
+    assert f"regression: {verdict}  claim rule:" in _op_ref_line(PARENT_10, change)
+
+
+def test_regression_verdict_reads_bound_and_direction():
+    base = (9.9, 10.0, 10.1)
+    assert bench.regression_verdict(base, (10.9, 11.0, 11.1), 0.05, "lower") == (
+        "worse beyond bound")
+    assert bench.regression_verdict(base, (10.9, 11.0, 11.1), 0.05, "higher") == (
+        "within bound")
+    assert bench.regression_verdict(base, (8.9, 9.0, 9.1), 0.05, "higher") == (
+        "worse beyond bound")
+    # A quartile distance of 1.0 is wider than 5 % of the median 10.0.
+    wide = (9.5, 10.0, 10.5)
+    assert bench.regression_verdict(wide, base, 0.05, "lower") == "unresolved"
+    assert bench.regression_verdict(base, wide, 0.05, "lower") == "unresolved"
+    assert bench.regression_verdict(wide, base, 0.1, "lower") == "within bound"
+
+
 def test_compare_reports_a_moved_digest():
     lines = bench.compare(_bench("a", [19.0, 19.0]), _bench("b", [19.0, 19.0], "sha256:bb"))
     assert lines[-1] == "  digest_first_op differs: A sha256:aa, B sha256:bb"

@@ -426,6 +426,13 @@ class TestAnalyze:
         assert main(_analyze_argv(path)) == 1
         assert "estimation failed: non-finite variance" in capsys.readouterr().err
 
+    def test_underflowed_variance_exits_1(self, tmp_path, capsys):
+        data, _ = gen_dataset(DgpConfig(scenario="s1", n=400, p=4, seed=5))
+        path = tmp_path / "tiny_y.csv"
+        _export_csv(path, Dataset(data.x, data.y * 1e-300, data.d, data.z))
+        assert main(_analyze_argv(path)) == 1
+        assert "estimation failed: variance underflows to 0" in capsys.readouterr().err
+
     def test_degenerate_instrument_exits_1(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         rows = [f"{rng.uniform(-1, 1)!r},{rng.normal()!r},{i % 2},1.0"

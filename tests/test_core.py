@@ -473,6 +473,36 @@ class TestCrossfit:
         with pytest.raises(ValueError, match="^non-finite variance$"):
             run()
 
+    def test_underflowed_variance_raises(self):
+        # Nonzero scores whose squares underflow to 0.
+        data = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6), np.zeros(6))
+
+        def fit_fold(train, est, k):
+            return 1.0, np.array([-1e-200, 1e-200 * k]), -1.0
+
+        with pytest.raises(ValueError, match="^variance underflows to 0$"):
+            crossfit(data, 4, fit_fold, "stub")
+
+    def test_scores_that_are_all_zero_give_variance_0(self):
+        data = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6), np.zeros(6))
+        res = crossfit(data, 4, lambda train, est, k: (1.0, np.zeros(3), -1.0), "stub")
+        assert res.sigma2_hat == 0.0 and res.ci_low == res.ci_high == 1.0
+
+    @pytest.mark.parametrize("name", ["robust_lr", "moment", "reg_lr", "plr"])
+    def test_outcome_scaled_by_1e_minus_300_fails_instead_of_a_zero_width_interval(
+            self, name):
+        # The fold estimates are about 2e-300, but every squared score
+        # underflows; the interval would have had width 0.
+        iv, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        y = iv.y * 1e-300
+        if name == "plr":
+            run = lambda: plr.plr_crossfit(Dataset(iv.x, y, iv.d), plr.PlrConfig(seed=1))
+        else:
+            run = lambda: late.late_crossfit(Dataset(iv.x, y, iv.d, iv.z),
+                                             late.LateConfig(method=name, seed=1))
+        with pytest.raises(ValueError, match="^variance underflows to 0$"):
+            run()
+
     def test_fold_variance_is_mean_square_score_over_squared_slope(self):
         # Fold 0: mean([-1, 1]^2) / (-1)^2 = 1; fold 1: 1 / 2^2 = 0.25.
         data = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6), np.zeros(6))

@@ -206,6 +206,33 @@ class TestLeastSquaresRidgeFallback:
         np.testing.assert_allclose(fit.coef[:2], want.coef, rtol=1e-6)
         np.testing.assert_allclose(fit.intercept, want.intercept, rtol=1e-6)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_covariates_past_1e154_raise_without_a_lapack_message(self, capfd):
+        # The Gram matrix of x * 1e200 overflows; SVD would print LAPACK's
+        # "DLASCL ... illegal value" to stderr and the fit return zero slopes.
+        iv, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        with pytest.raises(ValueError, match="^covariate scale overflows$"):
+            fit_least_squares(iv.x * 1e200, iv.y)
+        assert capfd.readouterr().err == ""
+
+    def test_covariates_at_1e150_still_fit(self, capfd):
+        iv, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        x = iv.x * 1e150
+        fit = fit_least_squares(x, iv.y)
+        pred = fit(x)
+        assert np.isfinite(pred).all()
+        np.testing.assert_allclose(pred, fit_least_squares(iv.x, iv.y)(iv.x),
+                                   rtol=1e-8, atol=1e-8)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_weights_that_overflow_the_standardized_gram_raise(self, capfd):
+        iv, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        with pytest.raises(ValueError, match="^weighted Gram matrix overflows$"):
+            fit_least_squares(iv.x, iv.y, weights=np.full(400, 1e307))
+        assert capfd.readouterr().err == ""
+
 
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]

@@ -31,7 +31,11 @@ LATE_METHODS = ("robust_lr", "moment", "reg_lr")
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(min_value=80, max_value=600)
-scales = st.floats(min_value=-50.0, max_value=50.0)
+# An outcome scaled below about 1e-154 has squared scores that underflow
+# to 0, and the estimators raise instead of reporting a variance of 0
+# (tests/test_core.py), so scales are 0 or at least 1e-100 in size.
+scales = st.floats(min_value=-50.0, max_value=50.0).filter(
+    lambda v: v == 0.0 or abs(v) >= 1e-100)
 
 
 def _close(got, want, rtol=RTOL):

@@ -502,24 +502,36 @@ class TestRunReplications:
         assert summary.failures == 1 and summary.reps_done == 3
         assert math.isfinite(summary.bias) and math.isfinite(summary.smse)
 
+    @staticmethod
+    def _first_outcome_scaled(monkeypatch, factor):
+        """Three replicates whose first outcome is multiplied by `factor`."""
+        draw = orthoscore.sim.gen_dataset
+        calls = []
+
+        def scaled_first_outcome(config):
+            data, truth = draw(config)
+            calls.append(config.seed)
+            if len(calls) == 1:
+                data = Dataset(data.x, data.y * factor, data.d, data.z)
+            return data, truth
+
+        monkeypatch.setattr(orthoscore.sim, "gen_dataset", scaled_first_outcome)
+        return run_replications(DgpConfig(n=120, p=4, seed=0),
+                                ("robust_lr", "moment", "reg_lr"), reps=3,
+                                master_seed=3)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_variance_is_a_failed_replicate(self, monkeypatch):
         # The first replicate's outcome is scaled by 1e300: its estimate is
         # finite but its variance is not, so it fails and the rest count.
-        draw = orthoscore.sim.gen_dataset
-        calls = []
+        report = self._first_outcome_scaled(monkeypatch, 1e300)
+        for summary in report.methods:
+            assert summary.failures == 1 and summary.reps_done == 2
+            assert math.isfinite(summary.bias) and math.isfinite(summary.smse)
 
-        def huge_first_outcome(config):
-            data, truth = draw(config)
-            calls.append(config.seed)
-            if len(calls) == 1:
-                data = Dataset(data.x, data.y * 1e300, data.d, data.z)
-            return data, truth
-
-        monkeypatch.setattr(orthoscore.sim, "gen_dataset", huge_first_outcome)
-        report = run_replications(DgpConfig(n=120, p=4, seed=0),
-                                  ("robust_lr", "moment", "reg_lr"), reps=3,
-                                  master_seed=3)
+    def test_underflowed_variance_is_a_failed_replicate(self, monkeypatch):
+        # Scaled by 1e-300, every squared score underflows to 0.
+        report = self._first_outcome_scaled(monkeypatch, 1e-300)
         for summary in report.methods:
             assert summary.failures == 1 and summary.reps_done == 2
             assert math.isfinite(summary.bias) and math.isfinite(summary.smse)

@@ -24,7 +24,11 @@ whether the medians differ by more than A's quartile distance, and a
 verdict on the claim rule: a gain is claimed only from at least 10 pairs,
 when B reads lower in at least 9 of every 10 of them, B's median is below
 A's by more than A's quartile distance, and B failed no more operations
-than A.  Beside the gated metrics it prints the raw time: the median over
+than A.  Each gated metric with a bound in ``BENCHMARK.json`` also gets a
+regression verdict: ``unresolved`` when either side's quartile distance is
+wider than the bound relative to its median, else ``worse beyond bound``
+when B's median is worse than A's by more than the bound, else ``within
+bound``.  Beside the gated metrics it prints the raw time: the median over
 pairs of B's median operation time divided by A's, which ``op_ref`` hides
 when the reference kernel it is divided by runs faster or slower on one
 side.  Then it prints any ``digest_first_op`` that differs between the
@@ -161,8 +165,21 @@ def _quartiles(values):
     return q1, median, q3
 
 
+def regression_verdict(qa, qb, bound: float, better: str) -> str:
+    """Whether B's quartiles (q1, median, q3) are worse than A's beyond `bound`.
+
+    The bound, and each side's quartile distance, are fractions of a median.
+    """
+    if any(q3 - q1 > bound * abs(median) for q1, median, q3 in (qa, qb)):
+        return "unresolved"
+    worse = (qb[1] - qa[1]) if better == "lower" else (qa[1] - qb[1])
+    return "worse beyond bound" if worse > bound * abs(qa[1]) else "within bound"
+
+
 def compare(a: dict, b: dict) -> list[str]:
     """Report lines comparing BENCH file b (the change) against a (the base)."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
     lines = [f"A: {a['label']} at {a['head'][:12]}; B: {b['label']} at "
              f"{b['head'][:12]}{' (dirty)' if b['dirty'] else ''}"]
     simd = [(side["env"] or {}).get("simd") for side in (a, b)]
@@ -182,12 +199,14 @@ def compare(a: dict, b: dict) -> list[str]:
             beyond = abs(qb[1] - qa[1]) > qa[2] - qa[0]
             claim = (n >= 10 and 10 * lower >= 9 * n and beyond and qb[1] < qa[1]
                      and failed_b <= failed_a)
+            regression = (f"regression: {regression_verdict(qa, qb, *bounds[name])}  "
+                          if name in bounds else "")
             lines.append(
                 f"  {name:12s} A {qa[1]:.4g} [{qa[0]:.4g}, {qa[2]:.4g}]  "
                 f"B {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]  "
                 f"{100.0 * (qb[1] / qa[1] - 1.0):+.1f} %  B lower in {lower}/{n}  "
                 f"beyond A's quartile distance: {'yes' if beyond else 'no'}  "
-                f"claim rule: {'met' if claim else 'not met'}")
+                f"{regression}claim rule: {'met' if claim else 'not met'}")
         ratios = [statistics.median(rb["op_times_s"]) / statistics.median(ra["op_times_s"])
                   for ra, rb in zip(runs_a[:n], runs_b[:n])]
         lines.append(f"  raw time     B/A {statistics.median(ratios):.3f} (median over "
