@@ -1,13 +1,14 @@
 """Command-line surface: simulate, analyze, check.
 
 ``simulate`` runs the replication study on the synthetic design and
-writes a CSV report (optionally mirrored as JSON).  ``analyze`` runs
-the instrumented estimator on a user-supplied CSV, with an optional
-row filter for subgroup analyses.  The CSV has a header row and no
-quoting; blank lines are skipped, rows are numbered by their line after
-the header, and only the columns the command names need to be numeric.
-``check`` runs the Monte Carlo orthogonality suite against a
-closed-form truth.
+writes a CSV report (optionally mirrored as JSON); a metric with no
+successful replicate is ``nan`` in the CSV and ``null`` in the JSON.
+``analyze`` runs the instrumented estimator on a user-supplied CSV,
+with an optional row filter for subgroup analyses.  The CSV has a
+header row and no quoting; blank lines are skipped, rows are numbered
+by their line after the header, and only the columns the command names
+need to be numeric.  ``check`` runs the Monte Carlo orthogonality
+suite against a closed-form truth.
 
 Exit codes are a stable contract: 0 success, 1 statistical-quality
 failure (estimation failed, too many replicate failures, or a
@@ -23,7 +24,9 @@ negative seed from either source is a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import operator
 import os
 import sys
@@ -117,24 +120,17 @@ def _simulate_csv(report, labels) -> str:
 
 
 def _simulate_json(report, labels) -> str:
+    methods = [{**dataclasses.asdict(report.by_method(METHOD_LABELS[label])),
+                "method": label} for label in labels]
     payload = {
         "scenario": report.scenario,
         "n": report.n,
         "p": report.p,
         "reps": report.reps,
         "seed": report.master_seed,
-        "methods": [
-            {
-                "method": label,
-                "bias": s.bias,
-                "smse": s.smse,
-                "coverage": s.coverage,
-                "reps_done": s.reps_done,
-                "failures": s.failures,
-            }
-            for label in labels
-            for s in [report.by_method(METHOD_LABELS[label])]
-        ],
+        # JSON has no NaN or infinity; such a metric is written as null.
+        "methods": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in entry.items()} for entry in methods],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -153,11 +149,6 @@ def cmd_simulate(args) -> int:
         require_count("jobs", args.jobs)
         dgp = DgpConfig(scenario=args.scenario, n=args.n, p=args.p, seed=0)
         _require_out_dirs(args.out, args.json)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-
-    try:
         # Its arguments are checked before any replicate runs; a failed
         # replicate is counted, never raised.
         report = run_replications(dgp, [METHOD_LABELS[m] for m in labels],

@@ -124,22 +124,18 @@ class Dataset:
         n = x.shape[0]
         if y.shape[0] != n or d.shape[0] != n or (z is not None and z.shape[0] != n):
             raise ValueError("all columns must have the same length")
-        for name, col in (("x", x), ("y", y), ("d", d)):
-            if not np.all(np.isfinite(col)):
+        columns = (("x", x), ("y", y), ("d", d), ("z", z))
+        for name, col in columns:
+            if col is not None and not np.all(np.isfinite(col)):
                 raise ValueError(f"{name} contains non-finite values")
         if z is not None:
-            if not np.all(np.isfinite(z)):
-                raise ValueError("z contains non-finite values")
             _check_binary("z", z)
         if z is not None or not self.real_treatment:
             _check_binary("d", d)
-        for name, col in (("x", x), ("y", y), ("d", d), ("z", z)):
+        for name, col in columns:
             if col is not None:
                 col.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "z", z)
+            object.__setattr__(self, name, col)
 
     @classmethod
     def _from_checked(cls, x, y, d, z=None, real_treatment=False) -> "Dataset":

@@ -276,12 +276,8 @@ def _qte_target():
 
     h_true = FunctionEstimate(h_true_batch, "true h")
 
-    # Keyed on the log-odds array: when h is perturbed, both signs pass
-    # the same stored f and share one expit.
-    propensity = _TruthRecord(lambda f: (expit(f),))
-
     orth = ScoreFamily(lambda beta, data, v: orthogonal_quantile_score(
-        beta, data.y, data.d, propensity(v["f"])[0], v["h"], tau),
+        beta, data.y, data.d, expit(v["f"]), v["h"], tau),
         {"f": f_true, "h": h_true})
     ctrl = ScoreFamily(lambda beta, data, v: ipw_quantile_score(
         beta, data.y, data.d, expit(v["f"]), tau), {"f": f_true})

@@ -419,12 +419,12 @@ def _batch_gradient(params, grads, ws, x, targets, kind, w, idx):
 class MlpEstimate(FunctionEstimate):
     """Frozen feedforward ReLU net."""
 
-    def __init__(self, params, label="mlp"):
+    def __init__(self, params):
         self.params = [[w.copy(), b.copy()] for w, b in params]
         for w, b in self.params:
             w.setflags(write=False)
             b.setflags(write=False)
-        self.label = label
+        self.label = "mlp"
 
     def _batch(self, x):
         return _forward(self.params, x)[0]

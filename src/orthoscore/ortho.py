@@ -144,7 +144,7 @@ def _fit_ratio(x, num_targets, den_targets, regressor, label):
     den_fit = regressor(x, np.asarray(den_targets, dtype=float))
     if np.max(np.abs(den_fit(x))) == 0.0:
         raise ValueError("direction undefined")
-    return RatioDirection(num_fit, den_fit, label=label), den_fit
+    return RatioDirection(num_fit, den_fit, label=label)
 
 
 def fit_coupled_direction(model: CoupledModel, beta_pilot: float,
@@ -158,8 +158,7 @@ def fit_coupled_direction(model: CoupledModel, beta_pilot: float,
     fv = f_hat(data.x)
     num = model.d2_beta_f_m(beta_pilot, fv, data)
     den = model.d2_ff_m(beta_pilot, fv, data)
-    direction, _ = _fit_ratio(data.x, num, den, regressor, "coupled h")
-    return direction
+    return _fit_ratio(data.x, num, den, regressor, "coupled h")
 
 
 def fit_decoupled_direction(model: DecoupledModel, beta_pilot: float,
@@ -169,8 +168,7 @@ def fit_decoupled_direction(model: DecoupledModel, beta_pilot: float,
     fv = f_hat(data.x)
     num = model.d_f_psi(beta_pilot, fv, data)
     den = model.d2_ff_m1(fv, data)
-    direction, _ = _fit_ratio(data.x, num, den, regressor, "decoupled h")
-    return direction
+    return _fit_ratio(data.x, num, den, regressor, "decoupled h")
 
 
 @dataclass
@@ -185,20 +183,20 @@ def fit_sequential_directions(model: SequentialModel, beta_pilot: float,
                               data: Dataset, regressor) -> SequentialDirections:
     """Estimate (h10, h20, h30) on one fold.
 
-    h10 and h20 come from ratio-of-regression recipes; h30 reuses the
-    fitted m1-curvature denominator and regresses the transported
-    pseudo-outcome d2_{muf} m2 * h20(x).
+    h10 and h20 come from ratio-of-regression recipes; h30 regresses the
+    transported pseudo-outcome d2_{muf} m2 * h20(x) over h10's fitted
+    m1-curvature denominator, reusing the object ``h1.denominator``.
     """
     fv = f_hat(data.x)
     mv = mu_hat(data.x)
     m1_curv = model.d2_ff_m1(fv, data)
-    h1, den1_fit = _fit_ratio(data.x, model.d_f_psi(beta_pilot, mv, fv, data),
-                              m1_curv, regressor, "sequential h1")
-    h2, _ = _fit_ratio(data.x, model.d_mu_psi(beta_pilot, mv, fv, data),
-                       model.d2_mumu_m2(mv, fv, data), regressor, "sequential h2")
+    h1 = _fit_ratio(data.x, model.d_f_psi(beta_pilot, mv, fv, data),
+                    m1_curv, regressor, "sequential h1")
+    h2 = _fit_ratio(data.x, model.d_mu_psi(beta_pilot, mv, fv, data),
+                    model.d2_mumu_m2(mv, fv, data), regressor, "sequential h2")
     num3 = model.d2_muf_m2(mv, fv, data) * h2(data.x)
     num3_fit = regressor(data.x, num3)
-    h3 = RatioDirection(num3_fit, den1_fit, label="sequential h3")
+    h3 = RatioDirection(num3_fit, h1.denominator, label="sequential h3")
     return SequentialDirections(h1=h1, h2=h2, h3=h3)
 
 

@@ -12,7 +12,7 @@ from orthoscore.cli import METHOD_LABELS, main
 from orthoscore.cli import _read_columns
 from orthoscore.core import Dataset
 from orthoscore.late import LateConfig, late_crossfit
-from orthoscore.sim import DgpConfig, gen_dataset
+from orthoscore.sim import DgpConfig, gen_dataset, run_replications
 
 SIM_ARGV = ["simulate", "--scenario", "s1", "--n", "120", "--p", "4",
             "--reps", "3", "--methods", "r-lr,m", "--seed", "4"]
@@ -532,3 +532,71 @@ def test_method_labels_cover_all_estimators():
     assert set(METHOD_LABELS) == {"r-np", "r-lr", "m", "reg-np", "reg-lr"}
     assert set(METHOD_LABELS.values()) == {"robust_np", "robust_lr", "moment",
                                            "reg_np", "reg_lr"}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token!r}")
+
+
+def test_all_failed_method_writes_null_in_json(tmp_path, monkeypatch, capsys):
+    # NaN is no JSON value: a metric without a successful replicate is
+    # null in the JSON report and nan in the CSV.
+    def broken(data, config):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(orthoscore.sim, "late_crossfit", broken)
+    out, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    argv = ["simulate", "--n", "120", "--reps", "2", "--methods", "m",
+            "--seed", "0", "--out", str(out), "--json", str(out_json)]
+    assert main(argv) == 1
+    assert "failure rate" in capsys.readouterr().err
+    payload = json.loads(out_json.read_text(encoding="utf-8"),
+                         parse_constant=_reject_constant)
+    assert payload["methods"] == [{"method": "m", "bias": None, "smse": None,
+                                   "coverage": None, "reps_done": 0,
+                                   "failures": 2}]
+    assert np.isnan(_read_columns(str(out), ["bias"])["bias"][0])
+
+
+def _hand_written_simulate_json(report, labels):
+    """The JSON report as it was written before it was built from
+    ``MethodSummary``'s fields."""
+    payload = {
+        "scenario": report.scenario,
+        "n": report.n,
+        "p": report.p,
+        "reps": report.reps,
+        "seed": report.master_seed,
+        "methods": [
+            {
+                "method": label,
+                "bias": s.bias,
+                "smse": s.smse,
+                "coverage": s.coverage,
+                "reps_done": s.reps_done,
+                "failures": s.failures,
+            }
+            for label in labels
+            for s in [report.by_method(METHOD_LABELS[label])]
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_simulate_json_matches_hand_written_writer(tmp_path, monkeypatch):
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(run_replications(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(orthoscore.cli, "run_replications", recording)
+    out_json = tmp_path / "r.json"
+    labels = ["reg-lr", "r-lr", "m"]
+    argv = ["simulate", "--n", "120", "--reps", "3", "--methods",
+            ",".join(labels), "--seed", "4", "--json", str(out_json)]
+    assert main(argv) == 0
+    (report,) = reports
+    assert all(s.failures == 0 for s in report.methods)
+    assert out_json.read_bytes() == _hand_written_simulate_json(
+        report, labels).encode("utf-8")

@@ -749,3 +749,99 @@ class TestSequentialAgainstTruth:
             n_mc=200_000, seed=31)
         assert abs(deriv) > 5.0 * se
         assert deriv == pytest.approx(1.0, abs=0.05)
+
+
+def _mean_score_derivative(family, beta, data, which, direction, step=1e-3):
+    """Central difference of the mean score in nuisance `which` along
+    `direction`, on the sample the directions were fitted on."""
+    values = {name: fn(data.x) for name, fn in family.nuisances.items()}
+    shift = step * direction(data.x)
+    plus = family.score(beta, data, {**values, which: values[which] + shift})
+    minus = family.score(beta, data, {**values, which: values[which] - shift})
+    return float(np.mean(plus - minus)) / (2.0 * step)
+
+
+def _on_first_two(x, t):
+    """Least squares on the structural covariates x1, x2 only."""
+    fit = fit_least_squares(x[:, :2], t)
+    return FunctionEstimate(lambda xs: fit(xs[:, :2]))
+
+
+SPAN = (FunctionEstimate.constant(1.0), FunctionEstimate(lambda x: x[:, 0]),
+        FunctionEstimate(lambda x: x[:, 1]))
+
+
+class TestInSampleOrthogonality:
+    """With least-squares directions the constructed score is orthogonal
+    on the fitting sample along every function the regressor spans.
+
+    Both models are linear in the nuisances, so the central difference is
+    the exact derivative, and the normal equations make it vanish along
+    1, x1 and x2 whatever (wrong) nuisance values the score is taken at.
+    """
+
+    BETA = 0.7
+
+    def _plr(self, flip=False):
+        data = _plr_data(5000, seed=40)
+        f_wrong = FunctionEstimate(lambda x: np.sin(x[:, 0]))
+        h = fit_coupled_direction(PLR_MODEL, self.BETA, f_wrong, data,
+                                  fit_least_squares)
+        if flip:
+            h = FunctionEstimate(lambda x, h=h: -h(x))
+        return data, build_coupled_score(PLR_MODEL, f_wrong, h)
+
+    def _sequential(self, drop_h3=False):
+        data = _seq_data(5000, seed=41)
+        mu_wrong = FunctionEstimate(lambda x: 0.5 * x[:, 0])
+        f_wrong = FunctionEstimate(lambda x: np.cos(x[:, 1]))
+        dirs = fit_sequential_directions(_seq_model(), self.BETA, mu_wrong,
+                                         f_wrong, data, _on_first_two)
+        if drop_h3:
+            dirs = SimpleNamespace(h1=dirs.h1, h2=dirs.h2,
+                                   h3=FunctionEstimate.constant(0.0))
+        return data, build_sequential_score(_seq_model(), mu_wrong, f_wrong,
+                                            dirs)
+
+    def test_plr_derivative_vanishes_on_the_span(self):
+        data, family = self._plr()
+        for direction in SPAN:
+            deriv = _mean_score_derivative(family, self.BETA, data, "f",
+                                           direction)
+            assert abs(deriv) <= 1e-12, direction.label
+
+    def test_sequential_derivatives_vanish_on_the_span(self):
+        data, family = self._sequential()
+        for which in ("mu", "f"):
+            for direction in SPAN:
+                deriv = _mean_score_derivative(family, self.BETA, data, which,
+                                               direction)
+                assert abs(deriv) <= 1e-12, (which, direction.label)
+
+    def test_sequential_derivative_off_the_span(self):
+        # Along u the f-derivative is mean(u (u - u_hat)), the residual
+        # variance of u given x1, x2, which is 1 in the population.
+        data, family = self._sequential()
+        deriv = _mean_score_derivative(family, self.BETA, data, "f",
+                                       FunctionEstimate(lambda x: x[:, 2]))
+        assert deriv == pytest.approx(1.0, abs=0.1)
+
+    def test_dropping_h3_breaks_orthogonality(self):
+        # The f-derivative along 1 becomes mean(y_hat) = mean(y), near 1.
+        data, family = self._sequential(drop_h3=True)
+        deriv = _mean_score_derivative(family, self.BETA, data, "f", SPAN[0])
+        assert deriv > 0.05
+
+    def test_flipped_plr_direction_breaks_orthogonality(self):
+        # The f-derivative along x1 becomes 4 mean(x1 d_hat), near 2.8.
+        data, family = self._plr(flip=True)
+        deriv = _mean_score_derivative(family, self.BETA, data, "f", SPAN[1])
+        assert deriv > 0.05
+
+
+def test_h3_reuses_h1_denominator():
+    dirs = fit_sequential_directions(_seq_model(), 0.0,
+                                     FunctionEstimate.constant(0.0),
+                                     FunctionEstimate.constant(0.0),
+                                     _seq_data(500, seed=42), _on_first_two)
+    assert dirs.h3.denominator is dirs.h1.denominator
