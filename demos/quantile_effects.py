@@ -10,9 +10,11 @@ value of the outcome) and carries an orthogonalizing correction, so a
 sloppy propensity model costs only second-order error.
 """
 
+from statistics import NormalDist
+
 import numpy as np
 
-from orthoscore import Dataset, QteConfig, normal_quantile, qte_crossfit
+from orthoscore import Dataset, QteConfig, qte_crossfit
 
 # ------------------------------------------------------------------
 # Treatment probability depends on x; Y(1) ~ N(1, 1.5^2); Y(0) is a
@@ -32,6 +34,6 @@ data = Dataset(x=x, y=y, d=d)
 print(f"{'tau':>5} {'estimate':>9} {'truth':>7} {'95% CI':>19}")
 for tau in (0.25, 0.5, 0.75):
     res = qte_crossfit(data, QteConfig(tau=tau, seed=2))
-    truth = 1.0 + 1.5 * normal_quantile(tau)
+    truth = 1.0 + 1.5 * NormalDist().inv_cdf(tau)
     ci = f"({res.ci_low:.3f}, {res.ci_high:.3f})"
     print(f"{tau:>5} {res.beta_hat:>9.3f} {truth:>7.3f} {ci:>19}")

@@ -18,7 +18,6 @@ from .core import (
     FunctionEstimate,
     derive_seed,
     make_ci,
-    normal_quantile,
     split_folds,
 )
 from .learners import (
@@ -87,7 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "EstimationResult", "FunctionEstimate",
-    "derive_seed", "make_ci", "normal_quantile", "split_folds",
+    "derive_seed", "make_ci", "split_folds",
     "AffineEstimate", "MlpArchitecture", "MlpEstimate", "TrainConfig",
     "TrainingDiverged", "clip_propensity", "expit", "fit_least_squares",
     "fit_logistic", "fit_mlp", "gradient_check", "pipeline_train_config",

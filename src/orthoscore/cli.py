@@ -37,7 +37,7 @@ import numpy as np
 from .core import Dataset, require_count
 from .diagnostics import CONTROL_BAND, ORTHOGONAL_BAND, TARGETS, run_check
 from .late import LateConfig, late_crossfit
-from .sim import DgpConfig, run_replications
+from .sim import SCENARIOS, DgpConfig, run_replications
 
 __all__ = ["main", "METHOD_LABELS"]
 
@@ -145,8 +145,6 @@ def cmd_simulate(args) -> int:
             if label not in METHOD_LABELS:
                 raise ValueError(f"unknown method label: {label!r}")
         require_count("n", args.n, minimum=4)   # two rows per fold
-        require_count("reps", args.reps)
-        require_count("jobs", args.jobs)
         dgp = DgpConfig(scenario=args.scenario, n=args.n, p=args.p, seed=0)
         _require_out_dirs(args.out, args.json)
         # Its arguments are checked before any replicate runs; a failed
@@ -346,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the synthetic replication study")
-    sim.add_argument("--scenario", default="s1", choices=["s1", "s2"])
+    sim.add_argument("--scenario", default="s1", choices=SCENARIOS)
     sim.add_argument("--n", type=int, default=2000)
     sim.add_argument("--p", type=int, default=4)
     sim.add_argument("--reps", type=int, default=200)

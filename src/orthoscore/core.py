@@ -27,6 +27,7 @@ master seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "split_folds",
     "crossfit",
     "make_ci",
-    "normal_quantile",
     "derive_seed",
     "require_count",
     "in_row_blocks",
@@ -240,14 +240,6 @@ def split_folds(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(assignment == 0), np.flatnonzero(assignment == 1)
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (the standard library's, to ~1e-15)."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("quantile level must lie in (0, 1)")
-    from statistics import NormalDist  # lazy: ~8 ms to import; intervals never need it
-    return NormalDist().inv_cdf(p)
-
-
 def make_ci(beta_hat: float, sigma2_hat: float, n: int) -> tuple[float, float]:
     """Normal-approximation 95% interval beta_hat +- Q95*sqrt(sigma2/n)."""
     if sigma2_hat < 0.0:
@@ -301,8 +293,9 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResul
     every row of ``est`` and the slope J_k of the mean score in beta.
     The fold estimates and the sandwich variances mean(scores_k^2) / J_k^2
     are each pooled by simple average.  A pooled variance that is not
-    finite raises ``ValueError``, and so does a pooled variance of 0
-    from scores that are not all exactly 0 (their squares underflowed).
+    finite raises ``ValueError``, and so do a subnormal one (it has lost
+    digits) and one of 0 from scores that are not all exactly 0 (their
+    squares underflowed).
     """
     rows = split_folds(data.n, derive_seed(seed, SEED_SPLIT))
     fold_betas, fold_vars, underflow = [], [], False
@@ -320,4 +313,6 @@ def crossfit(data: Dataset, seed: int, fit_fold, method: str) -> EstimationResul
         raise ValueError("non-finite variance")
     if sigma2_hat == 0.0 and underflow:
         raise ValueError("variance underflows to 0")
+    if 0.0 < sigma2_hat < sys.float_info.min:
+        raise ValueError("subnormal variance")
     return EstimationResult.from_folds(fold_betas, sigma2_hat, data.n, method, seed)

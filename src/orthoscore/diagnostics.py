@@ -255,7 +255,8 @@ _QTE_BETA0 = 0.5    # median of y(1) = 0.5 + x1 - x2 + e by symmetry
 def _qte_target():
     beta0 = _QTE_BETA0
     tau = _QTE_TAU
-    truths = _TruthRecord(lambda x: (expit(0.8 * x[:, 0]),))  # (g0,)
+    f_true = FunctionEstimate(lambda x: 0.8 * x[:, 0], "true log-odds")
+    truths = _TruthRecord(lambda x: (expit(f_true(x)),))  # (g0,)
 
     def sampler(m, seed):
         rng = np.random.default_rng(seed)
@@ -266,8 +267,6 @@ def _qte_target():
         y0 = rng.standard_normal(m)
         y = np.where(d == 1.0, y1, y0)
         return Dataset._from_checked(x, y, d)  # finite draws, d 0/1
-
-    f_true = FunctionEstimate(lambda x: 0.8 * x[:, 0], "true log-odds")
 
     def h_true_batch(x):
         # F1(beta0 | x) = P(x1 - x2 + e <= 0) = Phi(x2 - x1)

@@ -361,8 +361,10 @@ def _backward(params, acts, dpred, grads, ws):
     """Gradients of the scalar loss with respect to every parameter.
 
     They are written into ``grads``, a ``[[w, b], ...]`` list shaped
-    like ``params``; the two deltas and the ReLU mask are buffers of the
-    workspace ``ws``, so no array is created.
+    like ``params``; the two deltas are buffers of the workspace ``ws``,
+    so no array is created.  A layer's ReLU slope is the sign of its
+    activations, written into the delta buffer not in use; no activation
+    is -0 (biases start at +0), so the slope is exactly 1 or +0.
     """
     w_out = params[-1][0]
     np.matmul(acts[-1].T, dpred, out=grads[-1][0])
@@ -370,8 +372,7 @@ def _backward(params, acts, dpred, grads, ws):
     delta, spare = ws.delta
     np.multiply(dpred[:, None], w_out, out=delta)    # np.outer(dpred, w_out)
     for layer in range(len(params) - 2, -1, -1):
-        np.greater(acts[layer + 1], 0.0, out=ws.mask)
-        delta *= ws.mask
+        delta *= np.sign(acts[layer + 1], out=spare)
         np.matmul(delta.T, acts[layer], out=grads[layer][0])
         np.add.reduce(delta, axis=0, out=grads[layer][1])
         if layer > 0:
@@ -381,7 +382,9 @@ def _backward(params, acts, dpred, grads, ws):
 
 class _Workspace:
     """Buffers of one training step on a batch of ``rows`` rows: the
-    gathered batch, activations, loss terms, deltas and ReLU mask.
+    gathered batch, activations, loss terms and deltas.  The loss
+    gradient is written into the loss-term buffers, and the ReLU slope
+    into a delta buffer, once their values are spent.
 
     A fit makes one per distinct batch size (the full batch and a ragged
     last batch) and reuses it on every step, so a step creates no arrays.
@@ -394,10 +397,8 @@ class _Workspace:
         self.weights = np.empty(rows)
         self.hidden = [np.empty((rows, width)) for _ in params[:-1]]
         self.pred = np.empty(rows)
-        self.dpred = np.empty(rows)
         self.terms = (np.empty(rows), np.empty(rows))
         self.delta = (np.empty((rows, width)), np.empty((rows, width)))
-        self.mask = np.empty((rows, width), dtype=bool)
 
 
 def _batch_gradient(params, grads, ws, x, targets, kind, w, idx):
@@ -411,7 +412,7 @@ def _batch_gradient(params, grads, ws, x, targets, kind, w, idx):
     pred, acts = _forward(params, xb, ws)
     loss = _loss_value(pred, tb, kind, wb, ws.terms)
     if math.isfinite(loss):
-        dpred = _loss_grad_pred(pred, tb, kind, wb, ws.dpred, ws.terms[0])
+        dpred = _loss_grad_pred(pred, tb, kind, wb, *ws.terms)
         _backward(params, acts, dpred, grads, ws)
     return loss
 

@@ -3,6 +3,7 @@ and the cross-fitting loop."""
 
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from orthoscore import (
     FunctionEstimate,
     derive_seed,
     make_ci,
-    normal_quantile,
     split_folds,
 )
 from orthoscore import late, plr, qte
@@ -52,7 +52,7 @@ class TestMakeCi:
 
     def test_q95_is_the_two_sided_95_quantile_to_six_places(self):
         # Fixed rather than computed so intervals keep their bits everywhere.
-        assert Q95 == round(normal_quantile(0.975), 6)
+        assert Q95 == round(NormalDist().inv_cdf(0.975), 6)
 
 
 class TestIntervalLevelIsFixed:
@@ -80,33 +80,6 @@ class TestIntervalLevelIsFixed:
     def test_result_carries_no_level(self):
         names = {f.name for f in dataclasses.fields(EstimationResult)}
         assert "level" not in names
-
-
-class TestNormalQuantile:
-    def test_against_scipy_grid(self):
-        # Independent oracle: scipy's inverse normal CDF.
-        ndtri = pytest.importorskip("scipy.special").ndtri
-        grid = np.concatenate([
-            np.array([1e-12, 1e-9, 1e-6, 0.001, 0.02424, 0.02426]),
-            np.linspace(0.05, 0.95, 19),
-            np.array([0.975, 0.999, 1 - 1e-6, 1 - 1e-9]),
-        ])
-        for p in grid:
-            assert normal_quantile(float(p)) == pytest.approx(
-                ndtri(p), abs=1e-9), p
-
-    def test_median_is_zero(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_symmetry(self):
-        for p in (0.01, 0.1, 0.3):
-            assert normal_quantile(p) == pytest.approx(
-                -normal_quantile(1 - p), abs=1e-12)
-
-    def test_rejects_boundary(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                normal_quantile(bad)
 
 
 class TestSplitFolds:
@@ -502,6 +475,40 @@ class TestCrossfit:
                                              late.LateConfig(method=name, seed=1))
         with pytest.raises(ValueError, match="^variance underflows to 0$"):
             run()
+
+    def test_subnormal_variance_raises(self):
+        # Squared scores of about 1e-320 are subnormal but not 0.
+        data = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6), np.zeros(6))
+
+        def fit_fold(train, est, k):
+            return 1.0, np.array([-1e-160, 1e-160]), -1.0
+
+        with pytest.raises(ValueError, match="^subnormal variance$"):
+            crossfit(data, 4, fit_fold, "stub")
+
+    @staticmethod
+    def _outcome_scaled(name, scale):
+        iv, _ = gen_dataset(DgpConfig(n=400, seed=3))
+        y = iv.y * scale
+        if name == "plr":
+            return plr.plr_crossfit(Dataset(iv.x, y, iv.d), plr.PlrConfig(seed=1))
+        return late.late_crossfit(Dataset(iv.x, y, iv.d, iv.z),
+                                  late.LateConfig(method=name, seed=1))
+
+    @pytest.mark.parametrize("name", ["robust_lr", "moment", "reg_lr", "plr"])
+    def test_outcome_scaled_by_1e_minus_158_fails_on_a_subnormal_variance(
+            self, name):
+        # The variance is about 2e-315, subnormal: rescaled, the standard
+        # error would be up to 2.6e-7 off in relative terms.
+        with pytest.raises(ValueError, match="^subnormal variance$"):
+            self._outcome_scaled(name, 1e-158)
+
+    @pytest.mark.parametrize("name", ["robust_lr", "moment", "reg_lr", "plr"])
+    def test_outcome_scaled_by_1e_minus_150_keeps_its_standard_error(self, name):
+        # The variance is about 1e-299, still a normal float.
+        scaled = self._outcome_scaled(name, 1e-150)
+        assert scaled.std_err / 1e-150 == pytest.approx(
+            self._outcome_scaled(name, 1.0).std_err, rel=0.0, abs=1e-15)
 
     def test_fold_variance_is_mean_square_score_over_squared_slope(self):
         # Fold 0: mean([-1, 1]^2) / (-1)^2 = 1; fold 1: 1 / 2^2 = 0.25.

@@ -1,10 +1,10 @@
 """numpy is the only runtime dependency.
 
 A fresh interpreter imports the package and runs a small orthogonality
-check, one cross-fitted estimate and one normal quantile.  Every module
-loaded on the way must come from the standard library, numpy or the
-package itself.  A module is judged by the file it was loaded from, not
-by its name: numpy's compiled modules register helper modules such as
+check and one cross-fitted estimate.  Every module loaded on the way
+must come from the standard library, numpy or the package itself.  A
+module is judged by the file it was loaded from, not by its name:
+numpy's compiled modules register helper modules such as
 ``cython_runtime``, and ``multiprocessing``, once a pool runs, registers
 ``__mp_main__``; those have no file and are part of the interpreter or
 numpy.
@@ -26,7 +26,6 @@ import orthoscore
 orthoscore.run_check("plr", n_mc=4096, seed=1)
 data, _ = orthoscore.gen_dataset(orthoscore.DgpConfig(n=200, seed=1))
 orthoscore.late_crossfit(data, orthoscore.LateConfig(seed=1))
-orthoscore.normal_quantile(0.9)
 
 def root(path):
     return os.path.realpath(path) + os.sep
@@ -63,8 +62,8 @@ def test_only_stdlib_and_numpy_are_loaded(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["foreign"] == {}
     # The probe saw the package, numpy and a standard-library module
-    # that only the package loads (for normal_quantile).
-    assert {"orthoscore.core", "numpy", "statistics"} <= set(report["new"])
+    # that only the package loads (for its records).
+    assert {"orthoscore.core", "numpy", "dataclasses"} <= set(report["new"])
     # The process pool is loaded only by run_replications(jobs > 1).
     assert [name for name in report["new"]
             if name.split(".")[0] in ("multiprocessing", "concurrent")] == []

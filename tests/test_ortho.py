@@ -1,5 +1,6 @@
 """Tests for the generic orthogonal-score builders and the FD checker."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -770,33 +771,59 @@ def _on_first_two(x, t):
 SPAN = (FunctionEstimate.constant(1.0), FunctionEstimate(lambda x: x[:, 0]),
         FunctionEstimate(lambda x: x[:, 1]))
 
+# A discrete covariate: the bin of x1 among these edges, one cell each.
+CELL_EDGES = (-1.0, 0.0, 1.0)
+CELLS = tuple(FunctionEstimate(lambda x, c=c: (x[:, -1] == c).astype(float),
+                               f"cell {c}") for c in range(len(CELL_EDGES) + 1))
+
+
+def _with_cells(data):
+    """`data` with the cell of x1 appended as its last covariate."""
+    cells = np.digitize(data.x[:, 0], CELL_EDGES).astype(float)
+    return Dataset(np.column_stack([data.x, cells]), data.y, data.d, None,
+                   real_treatment=True)
+
+
+def _cell_means(x, t):
+    """One-hot regression on the last covariate: the mean of t per cell."""
+    cells = x[:, -1].astype(int)
+    means = np.bincount(cells, weights=t) / np.bincount(cells)
+    return FunctionEstimate(lambda xs: means[xs[:, -1].astype(int)], "cell means")
+
 
 class TestInSampleOrthogonality:
-    """With least-squares directions the constructed score is orthogonal
-    on the fitting sample along every function the regressor spans.
+    """With least-squares or cell-mean directions the constructed score is
+    orthogonal on the fitting sample along every function the regressor
+    spans.
 
     Both models are linear in the nuisances, so the central difference is
     the exact derivative, and the normal equations make it vanish along
-    1, x1 and x2 whatever (wrong) nuisance values the score is taken at.
+    1, x1 and x2 (least squares) or along each cell indicator (cell
+    means) whatever (wrong) nuisance values the score is taken at.
     """
 
     BETA = 0.7
 
-    def _plr(self, flip=False):
+    def _plr(self, flip=False, model=PLR_MODEL, cells=False):
         data = _plr_data(5000, seed=40)
+        regressor = fit_least_squares
+        if cells:
+            data, regressor = _with_cells(data), _cell_means
         f_wrong = FunctionEstimate(lambda x: np.sin(x[:, 0]))
-        h = fit_coupled_direction(PLR_MODEL, self.BETA, f_wrong, data,
-                                  fit_least_squares)
+        h = fit_coupled_direction(model, self.BETA, f_wrong, data, regressor)
         if flip:
             h = FunctionEstimate(lambda x, h=h: -h(x))
-        return data, build_coupled_score(PLR_MODEL, f_wrong, h)
+        return data, build_coupled_score(model, f_wrong, h)
 
-    def _sequential(self, drop_h3=False):
+    def _sequential(self, drop_h3=False, cells=False):
         data = _seq_data(5000, seed=41)
+        regressor = _on_first_two
+        if cells:
+            data, regressor = _with_cells(data), _cell_means
         mu_wrong = FunctionEstimate(lambda x: 0.5 * x[:, 0])
         f_wrong = FunctionEstimate(lambda x: np.cos(x[:, 1]))
         dirs = fit_sequential_directions(_seq_model(), self.BETA, mu_wrong,
-                                         f_wrong, data, _on_first_two)
+                                         f_wrong, data, regressor)
         if drop_h3:
             dirs = SimpleNamespace(h1=dirs.h1, h2=dirs.h2,
                                    h3=FunctionEstimate.constant(0.0))
@@ -814,6 +841,21 @@ class TestInSampleOrthogonality:
         data, family = self._sequential()
         for which in ("mu", "f"):
             for direction in SPAN:
+                deriv = _mean_score_derivative(family, self.BETA, data, which,
+                                               direction)
+                assert abs(deriv) <= 1e-12, (which, direction.label)
+
+    def test_plr_derivative_vanishes_on_each_cell(self):
+        data, family = self._plr(cells=True)
+        for direction in CELLS:
+            deriv = _mean_score_derivative(family, self.BETA, data, "f",
+                                           direction)
+            assert abs(deriv) <= 1e-12, direction.label
+
+    def test_sequential_derivatives_vanish_on_each_cell(self):
+        data, family = self._sequential(cells=True)
+        for which in ("mu", "f"):
+            for direction in CELLS:
                 deriv = _mean_score_derivative(family, self.BETA, data, which,
                                                direction)
                 assert abs(deriv) <= 1e-12, (which, direction.label)
@@ -837,6 +879,16 @@ class TestInSampleOrthogonality:
         data, family = self._plr(flip=True)
         deriv = _mean_score_derivative(family, self.BETA, data, "f", SPAN[1])
         assert deriv > 0.05
+
+    def test_doubled_curvature_breaks_orthogonality(self):
+        # With d2_ff m doubled the direction is -d_hat / 2, half the
+        # correction, and the f-derivative along x1 becomes mean(x1 d),
+        # near 0.7.
+        model = dataclasses.replace(
+            PLR_MODEL, d2_ff_m=lambda b, fv, data: np.full(data.n, 4.0))
+        data, family = self._plr(model=model)
+        deriv = _mean_score_derivative(family, self.BETA, data, "f", SPAN[1])
+        assert deriv == pytest.approx(0.7, abs=0.1)
 
 
 def test_h3_reuses_h1_denominator():
