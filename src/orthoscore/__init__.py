@@ -37,7 +37,6 @@ from .learners import (
 from .ortho import (
     CoupledModel,
     DecoupledModel,
-    RatioDirection,
     ScoreFamily,
     SequentialDirections,
     SequentialModel,
@@ -90,7 +89,7 @@ __all__ = [
     "AffineEstimate", "MlpArchitecture", "MlpEstimate", "TrainConfig",
     "TrainingDiverged", "clip_propensity", "expit", "fit_least_squares",
     "fit_logistic", "fit_mlp", "gradient_check", "pipeline_train_config",
-    "CoupledModel", "DecoupledModel", "RatioDirection", "ScoreFamily",
+    "CoupledModel", "DecoupledModel", "ScoreFamily",
     "SequentialDirections", "SequentialModel", "build_coupled_score",
     "build_decoupled_score", "build_sequential_score", "check_orthogonality",
     "fit_coupled_direction", "fit_decoupled_direction",

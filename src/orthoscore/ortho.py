@@ -23,12 +23,26 @@ of per-observation derivative callbacks supplied by the caller:
       h30 = -E[d2_{muf} m2 * h20(X) | X] / E[d2_{ff} m1 | X]
   and psi* = psi + d_f m1 * (h1 + h3) + d_mu m2 * h2.
 
-The conditional expectations in the direction ratios are estimated by
-regressing the derivative pseudo-outcomes on X with a pluggable
-regressor; the fitted denominator is kept away from zero by a
-sign-preserving clip.  ``check_orthogonality`` verifies the defining
-property by a central finite difference of the mean score along a
-supplied direction under a known truth, with step ``CHECK_EPSILON``.
+Each direction h0 = -E[num | X] / E[den | X] is fitted in one
+regression, not as a ratio of two: h minimizes the empirical Riesz loss
+mean[den h^2 + 2 num h] over the regressor's class (automatic
+debiasing; Chernozhukov, Newey and Singh, Econometrica 2022), which is
+the fit of -num/den with weights den.  Its normal equations are
+mean[(num + den h) delta] = 0 for every delta the regressor spans, so
+the constructed score is orthogonal on the fitting sample along that
+span, whatever the curvature den.  The regressor is called as
+``regressor(x, target, weights)`` and returns a FunctionEstimate:
+``learners.fit_least_squares`` as it is, or ``fit_mlp`` given
+``"weighted_squared_error"`` as its loss.  A signed den (a non-convex
+criterion) still gives these normal equations, but no longer a convex
+loss.  A row with den = 0 adds only the linear term 2 num h to the
+loss, which no weighted regression carries: such rows must have
+num = 0 and then get weight 0, and a direction with den = 0 on every
+row, or with num != 0 where den = 0, raises ``ValueError``.
+
+``check_orthogonality`` verifies the defining property by a central
+finite difference of the mean score along a supplied direction under a
+known truth, with step ``CHECK_EPSILON``.
 
 Callbacks are vectorized: each receives the scalar beta, the nuisance
 values already evaluated at the sample's covariates, and the Dataset,
@@ -48,7 +62,6 @@ __all__ = [
     "CoupledModel",
     "DecoupledModel",
     "SequentialModel",
-    "RatioDirection",
     "ScoreFamily",
     "SequentialDirections",
     "fit_coupled_direction",
@@ -60,7 +73,6 @@ __all__ = [
     "check_orthogonality",
 ]
 
-DENOM_CLIP = 1e-3
 # Finite-difference step of check_orthogonality.
 CHECK_EPSILON = 1e-3
 # Draws per check shard.  Each shard draws from its own derived seed, so
@@ -114,89 +126,71 @@ class SequentialModel:
     d2_ff_m1: Callable
 
 
-class RatioDirection(FunctionEstimate):
-    """Direction h(x) = -num(x)/den(x) with a sign-preserving floor.
-
-    Denominator values with magnitude below `DENOM_CLIP` are replaced by
-    DENOM_CLIP * sign (zeros count as positive).  Activations are counted
-    in `clip_count`; on well-behaved designs it must stay 0.
-    """
-
-    def __init__(self, numerator: FunctionEstimate, denominator: FunctionEstimate,
-                 label: str = "direction"):
-        self.numerator = numerator
-        self.denominator = denominator
-        self.clip_count = 0
-        self.label = label
-
-    def _batch(self, x):
-        num = self.numerator(x)
-        den = self.denominator(x)
-        small = np.abs(den) < DENOM_CLIP
-        self.clip_count += int(np.count_nonzero(small))
-        den = np.where(den >= 0.0, np.maximum(den, DENOM_CLIP),
-                       np.minimum(den, -DENOM_CLIP))
-        return -num / den
-
-
-def _fit_ratio(x, num_targets, den_targets, regressor, label):
-    num_fit = regressor(x, np.asarray(num_targets, dtype=float))
-    den_fit = regressor(x, np.asarray(den_targets, dtype=float))
-    if np.max(np.abs(den_fit(x))) == 0.0:
-        raise ValueError("direction undefined")
-    return RatioDirection(num_fit, den_fit, label=label)
+def _fit_direction(x, num, den, regressor) -> FunctionEstimate:
+    """The regressor's fit of -num/den with weights den (the Riesz loss fit)."""
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    flat = den == 0.0
+    if flat.all():
+        raise ValueError("direction undefined: zero curvature on every row")
+    if (num[flat] != 0.0).any():
+        raise ValueError("direction undefined: zero curvature where the "
+                         "numerator is not zero")
+    target = np.divide(-num, den, out=np.zeros_like(num), where=~flat)
+    return regressor(x, target, den)
 
 
 def fit_coupled_direction(model: CoupledModel, beta_pilot: float,
                           f_hat: FunctionEstimate, data: Dataset,
-                          regressor) -> RatioDirection:
+                          regressor) -> FunctionEstimate:
     """Estimate h0 for the coupled regime on one fold.
 
-    Regresses the cross-derivative and curvature pseudo-outcomes of m,
-    both evaluated at (beta_pilot, f_hat), on the fold's covariates.
+    The Riesz loss fit with num = d2_{beta f} m and den = d2_{ff} m, both
+    evaluated at (beta_pilot, f_hat) on the fold's rows.
     """
     fv = f_hat(data.x)
     num = model.d2_beta_f_m(beta_pilot, fv, data)
     den = model.d2_ff_m(beta_pilot, fv, data)
-    return _fit_ratio(data.x, num, den, regressor, "coupled h")
+    return _fit_direction(data.x, num, den, regressor)
 
 
 def fit_decoupled_direction(model: DecoupledModel, beta_pilot: float,
                             f_hat: FunctionEstimate, data: Dataset,
-                            regressor) -> RatioDirection:
+                            regressor) -> FunctionEstimate:
     """Estimate h0 for the decoupled regime on one fold."""
     fv = f_hat(data.x)
     num = model.d_f_psi(beta_pilot, fv, data)
     den = model.d2_ff_m1(fv, data)
-    return _fit_ratio(data.x, num, den, regressor, "decoupled h")
+    return _fit_direction(data.x, num, den, regressor)
 
 
 @dataclass
 class SequentialDirections:
-    h1: RatioDirection
-    h2: RatioDirection
-    h3: RatioDirection
+    h1: FunctionEstimate
+    h2: FunctionEstimate
+    h3: FunctionEstimate
 
 
 def fit_sequential_directions(model: SequentialModel, beta_pilot: float,
                               mu_hat: FunctionEstimate, f_hat: FunctionEstimate,
                               data: Dataset, regressor) -> SequentialDirections:
-    """Estimate (h10, h20, h30) on one fold.
+    """Estimate (h10, h20, h30) on one fold, one regressor call each.
 
-    h10 and h20 come from ratio-of-regression recipes; h30 regresses the
-    transported pseudo-outcome d2_{muf} m2 * h20(x) over h10's fitted
-    m1-curvature denominator, reusing the object ``h1.denominator``.
+    Each is the Riesz loss fit of the module docstring: h10 with
+    num = d_f psi over m1's curvature, h20 with num = d_mu psi over m2's
+    curvature, and h30 with the transported num = d2_{muf} m2 * h20(x)
+    over m1's curvature again, so the zero-curvature rule applies to
+    each.
     """
     fv = f_hat(data.x)
     mv = mu_hat(data.x)
     m1_curv = model.d2_ff_m1(fv, data)
-    h1 = _fit_ratio(data.x, model.d_f_psi(beta_pilot, mv, fv, data),
-                    m1_curv, regressor, "sequential h1")
-    h2 = _fit_ratio(data.x, model.d_mu_psi(beta_pilot, mv, fv, data),
-                    model.d2_mumu_m2(mv, fv, data), regressor, "sequential h2")
-    num3 = model.d2_muf_m2(mv, fv, data) * h2(data.x)
-    num3_fit = regressor(data.x, num3)
-    h3 = RatioDirection(num3_fit, h1.denominator, label="sequential h3")
+    h1 = _fit_direction(data.x, model.d_f_psi(beta_pilot, mv, fv, data),
+                        m1_curv, regressor)
+    h2 = _fit_direction(data.x, model.d_mu_psi(beta_pilot, mv, fv, data),
+                        model.d2_mumu_m2(mv, fv, data), regressor)
+    h3 = _fit_direction(data.x, model.d2_muf_m2(mv, fv, data) * h2(data.x),
+                        m1_curv, regressor)
     return SequentialDirections(h1=h1, h2=h2, h3=h3)
 
 

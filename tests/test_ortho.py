@@ -13,7 +13,6 @@ from orthoscore.learners import clip_propensity, expit, fit_least_squares
 from orthoscore.ortho import (
     CoupledModel,
     DecoupledModel,
-    RatioDirection,
     ScoreFamily,
     SequentialModel,
     build_coupled_score,
@@ -184,10 +183,10 @@ class TestDecoupledDirection:
         vals = h(probe)
         assert np.std(vals) < 0.02
 
-    def test_direction_matches_independent_fit_ratio(self):
-        # The fitted direction must equal -num_fit/den_fit where both
-        # fits solve the normal equations; checked against an
-        # independently solved least-squares oracle.
+    def test_direction_solves_weighted_normal_equations(self):
+        # The fitted direction is the Riesz loss fit: on the design
+        # D = [1, x] its coefficients solve D' diag(den) D c = -D' num,
+        # checked against an independently solved oracle.
         rng = np.random.default_rng(9)
         n = 500
         x = rng.normal(size=(n, 2))
@@ -203,12 +202,69 @@ class TestDecoupledDirection:
         num_t = model.d_f_psi(0.0, fv, data)
         den_t = model.d2_ff_m1(fv, data)
         design = np.column_stack([np.ones(n), x])
-        num_coef = np.linalg.lstsq(design, num_t, rcond=None)[0]
-        den_coef = np.linalg.lstsq(design, den_t, rcond=None)[0]
+        coef = np.linalg.solve(design.T @ (den_t[:, None] * design),
+                               -design.T @ num_t)
         probe = rng.normal(size=(30, 2))
-        probe_design = np.column_stack([np.ones(30), probe])
-        expected = -(probe_design @ num_coef) / (probe_design @ den_coef)
+        expected = np.column_stack([np.ones(30), probe]) @ coef
         np.testing.assert_allclose(h(probe), expected, atol=1e-9)
+
+    @staticmethod
+    def _treated_curvature_model(num_on_untreated):
+        # d2_ff m1 is 0 on every untreated row, and d_f psi there is x1
+        # (num_on_untreated) or 0.
+        return DecoupledModel(
+            psi=lambda b, fv, data: data.y - b,
+            d_f_psi=lambda b, fv, data: data.x[:, 0] * (
+                1.0 if num_on_untreated else data.d),
+            d_f_m1=lambda fv, data: fv - data.d,
+            d2_ff_m1=lambda fv, data: data.d * (1.0 + data.x[:, 1] ** 2),
+        )
+
+    def test_zero_curvature_with_nonzero_numerator_rejected(self):
+        # Such a row adds 2 num h to the Riesz loss, which no weighted
+        # regression carries.
+        data = _plr_data(200, seed=23)
+        data = Dataset(data.x, data.y, (data.x[:, 0] > 0).astype(float))
+        with pytest.raises(ValueError, match="direction undefined"):
+            fit_decoupled_direction(self._treated_curvature_model(True), 0.0,
+                                    FunctionEstimate.constant(0.0), data,
+                                    fit_least_squares)
+
+    def test_zero_curvature_rows_with_zero_numerator_drop_out(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(300, 2))
+        data = Dataset(x, rng.normal(size=300),
+                       (rng.random(300) < 0.6).astype(float))
+        model = self._treated_curvature_model(False)
+        f_hat = FunctionEstimate.constant(0.0)
+        h = fit_decoupled_direction(model, 0.0, f_hat, data, fit_least_squares)
+        treated = data.subset(np.flatnonzero(data.d == 1.0))
+        h_treated = fit_decoupled_direction(model, 0.0, f_hat, treated,
+                                            fit_least_squares)
+        probe = rng.normal(size=(20, 2))
+        np.testing.assert_allclose(h(probe), h_treated(probe), rtol=1e-12)
+
+    def test_one_regressor_call_per_direction(self):
+        calls = []
+
+        def counted(x, t, weights):
+            calls.append(t.shape[0])
+            return _on_first_two(x, t, weights)
+
+        zero = FunctionEstimate.constant(0.0)
+        expected = {"coupled": 1, "decoupled": 1, "sequential": 3}
+        fits = {
+            "coupled": lambda: fit_coupled_direction(
+                PLR_MODEL, 0.0, zero, _plr_data(100, seed=25), counted),
+            "decoupled": lambda: fit_decoupled_direction(
+                _qte_model(0.5), 0.0, zero, _plr_data(100, seed=26), counted),
+            "sequential": lambda: fit_sequential_directions(
+                _seq_model(), 0.0, zero, zero, _seq_data(100, seed=27), counted),
+        }
+        for regime, fit in fits.items():
+            calls.clear()
+            fit()
+            assert calls == [100] * expected[regime], regime
 
 
 class TestDecoupledScore:
@@ -272,14 +328,10 @@ class TestSequentialDirections:
         mu_hat = FunctionEstimate.constant(0.0)
         f_hat = FunctionEstimate.constant(0.0)
 
-        def regressor(x, t):
-            # Regress on the structural covariates only, so the
-            # pseudo-outcome columns cannot leak into the fit.
-            fit = fit_least_squares(x[:, :2], t)
-            return FunctionEstimate(lambda xs: fit(xs[:, :2]))
-
+        # Regress on the structural covariates only, so the
+        # pseudo-outcome columns cannot leak into the fit.
         dirs = fit_sequential_directions(model, 0.0, mu_hat, f_hat, data,
-                                         regressor)
+                                         _on_first_two)
         probe = _seq_data(200, seed=13).x
         x1, x2 = probe[:, 0], probe[:, 1]
         np.testing.assert_allclose(dirs.h1(probe), x2 / 2.0, atol=0.03)
@@ -394,32 +446,6 @@ class TestSequentialScore:
         expected = robust_score(beta, f_hat(data.x), h_hat(data.x), data)
         np.testing.assert_allclose(_evaluate(family, beta, data), expected,
                                    atol=1e-12)
-
-
-class TestRatioDirection:
-    def test_clip_inactive_on_healthy_denominator(self):
-        num = FunctionEstimate.constant(1.0)
-        den = FunctionEstimate.constant(2.0)
-        h = RatioDirection(num, den)
-        h(np.zeros((10, 1)))
-        assert h.clip_count == 0
-
-    def test_clip_activates_and_counts(self):
-        num = FunctionEstimate.constant(1.0)
-        den = FunctionEstimate(lambda x: x[:, 0])  # tiny near 0
-        h = RatioDirection(num, den)
-        x = np.array([[1e-6], [0.5], [-1e-7]])
-        vals = h(x)
-        assert h.clip_count == 2
-        assert vals[0] == pytest.approx(-1.0 / 1e-3)
-        assert vals[2] == pytest.approx(1.0 / 1e-3)
-
-    def test_sign_preserved(self):
-        num = FunctionEstimate.constant(1.0)
-        den = FunctionEstimate(lambda x: x[:, 0])
-        h = RatioDirection(num, den)
-        vals = h(np.array([[-1e-9], [1e-9]]))
-        assert vals[0] > 0 > vals[1]
 
 
 class TestCheckOrthogonality:
@@ -762,9 +788,9 @@ def _mean_score_derivative(family, beta, data, which, direction, step=1e-3):
     return float(np.mean(plus - minus)) / (2.0 * step)
 
 
-def _on_first_two(x, t):
-    """Least squares on the structural covariates x1, x2 only."""
-    fit = fit_least_squares(x[:, :2], t)
+def _on_first_two(x, t, weights):
+    """Weighted least squares on the structural covariates x1, x2 only."""
+    fit = fit_least_squares(x[:, :2], t, weights)
     return FunctionEstimate(lambda xs: fit(xs[:, :2]))
 
 
@@ -784,10 +810,12 @@ def _with_cells(data):
                    real_treatment=True)
 
 
-def _cell_means(x, t):
-    """One-hot regression on the last covariate: the mean of t per cell."""
+def _cell_means(x, t, weights):
+    """Weighted one-hot regression on the last covariate: the weighted
+    mean of t per cell, sum(-num) / sum(den) for a Riesz loss fit."""
     cells = x[:, -1].astype(int)
-    means = np.bincount(cells, weights=t) / np.bincount(cells)
+    means = (np.bincount(cells, weights=weights * t)
+             / np.bincount(cells, weights=weights))
     return FunctionEstimate(lambda xs: means[xs[:, -1].astype(int)], "cell means")
 
 
@@ -796,13 +824,18 @@ class TestInSampleOrthogonality:
     orthogonal on the fitting sample along every function the regressor
     spans.
 
-    Both models are linear in the nuisances, so the central difference is
-    the exact derivative, and the normal equations make it vanish along
-    1, x1 and x2 (least squares) or along each cell indicator (cell
-    means) whatever (wrong) nuisance values the score is taken at.
+    The PLR and sequential models are linear in the nuisances, so the
+    central difference is the exact derivative.  The QTE model is not: its
+    curvature g (1 - g) varies with x, and its derivative is taken exactly
+    from the model's own callbacks.  In every case the Riesz loss fit's
+    normal equations make it vanish along 1, x1 and x2 (least squares) or
+    along each cell indicator (cell means) whatever (wrong) nuisance
+    values the score is taken at.
     """
 
     BETA = 0.7
+    QTE_BETA = 0.4
+    QTE_F = FunctionEstimate(lambda x: 0.3 + 0.5 * np.sin(x[:, 0]), "wrong f")
 
     def _plr(self, flip=False, model=PLR_MODEL, cells=False):
         data = _plr_data(5000, seed=40)
@@ -829,6 +862,26 @@ class TestInSampleOrthogonality:
                                    h3=FunctionEstimate.constant(0.0))
         return data, build_sequential_score(_seq_model(), mu_wrong, f_wrong,
                                             dirs)
+
+    def _qte(self, cells=False):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(5000, 2))
+        d = (rng.random(5000) < expit(0.8 * x[:, 0])).astype(float)
+        data = Dataset(x, x[:, 0] + rng.normal(size=5000), d)
+        regressor = fit_least_squares
+        if cells:
+            data, regressor = _with_cells(data), _cell_means
+        return data, fit_decoupled_direction(_qte_model(0.5), self.QTE_BETA,
+                                             self.QTE_F, data, regressor)
+
+    def _qte_derivative(self, data, h, direction):
+        """Exact f-derivative of the mean constructed QTE score,
+        mean[delta (d_f psi + d2_ff m1 h)].  A complex step would read 0:
+        expit casts its input to float."""
+        model, fv = _qte_model(0.5), self.QTE_F(data.x)
+        return float(np.mean(direction(data.x) * (
+            model.d_f_psi(self.QTE_BETA, fv, data)
+            + model.d2_ff_m1(fv, data) * h(data.x))))
 
     def test_plr_derivative_vanishes_on_the_span(self):
         data, family = self._plr()
@@ -890,10 +943,35 @@ class TestInSampleOrthogonality:
         deriv = _mean_score_derivative(family, self.BETA, data, "f", SPAN[1])
         assert deriv == pytest.approx(0.7, abs=0.1)
 
+    def test_qte_derivative_vanishes_on_the_span(self):
+        data, h = self._qte()
+        for direction in SPAN:
+            deriv = self._qte_derivative(data, h, direction)
+            assert abs(deriv) <= 1e-12, direction.label
 
-def test_h3_reuses_h1_denominator():
-    dirs = fit_sequential_directions(_seq_model(), 0.0,
-                                     FunctionEstimate.constant(0.0),
-                                     FunctionEstimate.constant(0.0),
-                                     _seq_data(500, seed=42), _on_first_two)
-    assert dirs.h3.denominator is dirs.h1.denominator
+    def test_qte_derivative_vanishes_on_each_cell(self):
+        data, h = self._qte(cells=True)
+        for direction in CELLS:
+            deriv = self._qte_derivative(data, h, direction)
+            assert abs(deriv) <= 1e-12, direction.label
+
+    def test_qte_exact_derivative_is_the_central_difference(self):
+        # Off the span the derivative is not small, and the central
+        # difference of the built score agrees with it to O(step^2).
+        data, h = self._qte()
+        family = build_decoupled_score(_qte_model(0.5), self.QTE_F, h)
+        off_span = FunctionEstimate(lambda x: x[:, 0] ** 2)
+        exact = self._qte_derivative(data, h, off_span)
+        assert abs(exact) > 1e-3
+        assert _mean_score_derivative(family, self.QTE_BETA, data, "f",
+                                      off_span) == pytest.approx(exact, rel=1e-5)
+
+    def test_qte_ratio_of_two_fits_is_not_orthogonal(self):
+        # The former recipe, -num_fit / den_fit from two least-squares
+        # fits, misses the identity where the curvature varies.
+        data, _ = self._qte()
+        model, fv = _qte_model(0.5), self.QTE_F(data.x)
+        num_fit = fit_least_squares(data.x, model.d_f_psi(self.QTE_BETA, fv, data))
+        den_fit = fit_least_squares(data.x, model.d2_ff_m1(fv, data))
+        ratio = FunctionEstimate(lambda x: -num_fit(x) / den_fit(x))
+        assert abs(self._qte_derivative(data, ratio, SPAN[1])) > 1e-5
